@@ -11,12 +11,11 @@ relations exactly up to rounding.
 import cmath
 from collections import namedtuple
 
-import numpy as np
-
 from .projective import (
     DegenerateInputError,
     INF,
     MoebiusMap,
+    _max_abs,
     as_point,
     fixed_points_with_eigs,
     sl_normalize,
@@ -118,10 +117,6 @@ def _assign_points(surface, params, tree, base):
     return points
 
 
-def _to_sl(m):
-    return sl_normalize(m)
-
-
 def build(surface, params, tree=None, base=None, lift_mode="SL"):
     """Construct the representation determined by the parameters.
 
@@ -170,7 +165,7 @@ def build(surface, params, tree=None, base=None, lift_mode="SL"):
         x2, x3 = points[v][(sv + 1) % 3], points[v][(sv + 2) % 3]
         x4, x5 = propagate_forward(lp.es, lp.t1, x1, x2, x3)
         src = (points[w][sw], points[w][(sw + 1) % 3], points[w][(sw + 2) % 3])
-        bmap = _to_sl(three_point_map(src, (x1, x4, x5)))
+        bmap = sl_normalize(three_point_map(src, (x1, x4, x5)))
         images["b%d" % i] = bmap
         beta_signs[i] = 1
     return SurfaceRepresentation(
@@ -180,12 +175,11 @@ def build(surface, params, tree=None, base=None, lift_mode="SL"):
 
 
 def _residual(m, lift_mode):
-    a = m.m
-    i = np.eye(2)
-    if lift_mode == "SL":
-        return float(min(np.abs(a - i).max(), np.abs(a + i).max()))
-    s = a / cmath.sqrt(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    return float(min(np.abs(s - i).max(), np.abs(s + i).max()))
+    a, b, c, d = m.a, m.b, m.c, m.d
+    if lift_mode != "SL":
+        r = cmath.sqrt(a * d - b * c)
+        a, b, c, d = a / r, b / r, c / r, d / r
+    return float(min(_max_abs(a - 1, b, c, d - 1), _max_abs(a + 1, b, c, d + 1)))
 
 
 def verify_relations(rep, tol=None):
@@ -255,11 +249,6 @@ def recover_coordinates(rep, eigen_choice=None, tol=1e-9):
                 e2, x2, y2 = 1 / e2, y2, x2
             branch_points[(vid2, s2)] = x2
 
-    # fill in branch points at slots not yet visited (none remain in the
-    # loops above, but be explicit for clarity)
-    for key, (x, y) in slot_fixed.items():
-        branch_points.setdefault(key, x)
-
     g = surface.genus
     u_index = {eid: i for i, eid in enumerate(rep.presentation.u_edges, start=1)}
     twist = {}
@@ -297,9 +286,9 @@ def stiefel_whitney(rep):
     """Sign of the evaluated relator for a closed surface: +1 iff liftable."""
     if rep.surface.boundary != 0:
         raise ValueError("second Stiefel-Whitney class needs a closed surface")
-    m = rep.evaluate(rep.presentation.one_relator()).m
-    i = np.eye(2)
-    return 1 if np.abs(m - i).max() < np.abs(m + i).max() else -1
+    m = rep.evaluate(rep.presentation.one_relator())
+    a, b, c, d = m.a, m.b, m.c, m.d
+    return 1 if _max_abs(a - 1, b, c, d - 1) < _max_abs(a + 1, b, c, d + 1) else -1
 
 
 def act_beta_signs(rep, signs):

@@ -8,6 +8,7 @@ violation, 3 domain violation, 4 numeric degeneracy.
 import argparse
 import cmath
 import json
+import math
 import sys
 
 import numpy as np
@@ -35,7 +36,7 @@ def _c(z):
 
 
 def _matrix(m):
-    return [[_c(m.m[0, 0]), _c(m.m[0, 1])], [_c(m.m[1, 0]), _c(m.m[1, 1])]]
+    return [[_c(m.a), _c(m.b)], [_c(m.c), _c(m.d)]]
 
 
 def _load_surface(path):
@@ -53,12 +54,38 @@ def _load_surface(path):
     return surf
 
 
+def _is_number_pair(v):
+    """A JSON [re, im] pair of finite numbers (booleans are not numbers)."""
+    return (isinstance(v, list) and len(v) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                    and math.isfinite(x) for x in v))
+
+
+def _check_params_doc(doc):
+    if not isinstance(doc, dict):
+        raise SchemaError("parameter file must hold a JSON object")
+    for part in ("eigen", "twist"):
+        values = doc.get(part)
+        if not isinstance(values, dict):
+            raise SchemaError("parameter file needs an object %r" % part)
+        for key, v in values.items():
+            if not _is_number_pair(v):
+                raise SchemaError("%s[%s] must be a list of two finite numbers, got %s"
+                                  % (part, key, json.dumps(v)))
+
+
 def _load_params(path, surf, tol):
     if path is None:
         raise SchemaError("--params is required for this command")
     try:
-        params = coordinates.load_params(path)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as ex:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as ex:
+        raise SchemaError("cannot read parameter file %s: %s" % (path, ex))
+    _check_params_doc(doc)
+    try:
+        params = coordinates.params_from_json(doc)
+    except ValueError as ex:
         raise SchemaError("cannot read parameter file %s: %s" % (path, ex))
     try:
         ok = coordinates.in_domain(params, surf, tol=tol)
@@ -70,7 +97,12 @@ def _load_params(path, surf, tol):
 
 
 def _emit(doc, out):
-    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as ex:
+        # strict JSON has no NaN or infinity: a non-finite result is a
+        # numeric degeneracy (exit 4), never a bare NaN token on stdout
+        raise FloatingPointError("result is not finite: %s" % ex)
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -122,7 +154,7 @@ def cmd_traces(args):
     out = {}
     for label, word in _word_list(rep.presentation):
         m = rep.evaluate(word)
-        out["*".join(str(x) for x in label)] = _c(np.trace(m.m))
+        out["*".join(str(x) for x in label)] = _c(m.trace())
     _emit({"traces": out}, args.out)
     return 0
 
@@ -156,7 +188,7 @@ def cmd_act(args):
         except ValueError as ex:
             raise SchemaError("--epsilon must be a comma-separated edge list: %s" % ex)
         eps = {eid: (-1 if eid in ids else 1) for eid in surf.graph.edges}
-        if not symmetry.check_epsilon(eps, surf):
+        if not symmetry.check_epsilon(surf, eps):
             raise DomainError("sign vector %s is not admissible" % sorted(ids))
         params = symmetry.act_epsilon(params, eps, surf)
     _emit(coordinates.params_to_json(params), args.out)

@@ -7,9 +7,8 @@ construction below conjugates the normalized solution at (0, inf, 1) back to
 the requested fixed points, which handles infinity without special cases.
 """
 
+import math
 from collections import namedtuple
-
-import numpy as np
 
 from .projective import (
     INF,
@@ -39,17 +38,11 @@ def _normalized_matrices(e1, e2, e3):
 
     These are the unique SL(2,C) solutions of m1 m2 m3 = I, written as
     Laurent polynomials in the eigenvalues so no reducibility locus turns
-    into a spurious division by zero.
+    into a spurious division by zero.  Each is a row-major (a, b, c, d).
     """
-    m1 = np.array([[1 / e1, 0], [1 / e1 - e3 / e2, e1]], dtype=complex)
-    m2 = np.array([[e2, e1 / e3 - e2], [0, 1 / e2]], dtype=complex)
-    m3 = np.array(
-        [
-            [e3 + 1 / e3 - e2 / e1, (e2 - e1 / e3) / e1],
-            [(e1 * e3 - e2) / e1, e2 / e1],
-        ],
-        dtype=complex,
-    )
+    m1 = (1 / e1, 0j, 1 / e1 - e3 / e2, e1)
+    m2 = (e2, e1 / e3 - e2, 0j, 1 / e2)
+    m3 = (e3 + 1 / e3 - e2 / e1, (e2 - e1 / e3) / e1, (e1 * e3 - e2) / e1, e2 / e1)
     return m1, m2, m3
 
 
@@ -82,12 +75,22 @@ def pants_rep(data):
     e1, e2, e3 = data.eigen
     mats = _normalized_matrices(e1, e2, e3)
     conj = three_point_map((0, INF, 1), data.fixed)
-    a = conj.m / np.sqrt(np.abs(np.linalg.det(conj.m)))
+    r = math.sqrt(abs(conj.det()))
+    p0, p1, p2, p3 = conj.a / r, conj.b / r, conj.c / r, conj.d / r
     # conjugation is scale-invariant; use the adjugate divided by det so the
     # SL property of the normalized matrices is preserved exactly
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    ainv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]], dtype=complex) / det
-    return tuple(MoebiusMap(a @ m @ ainv) for m in mats)
+    det = p0 * p3 - p1 * p2
+    q0, q1, q2, q3 = p3 / det, -p1 / det, -p2 / det, p0 / det
+    out = []
+    for m0, m1, m2, m3 in mats:
+        # (p @ m) @ q
+        t0, t1 = p0 * m0 + p1 * m2, p0 * m1 + p1 * m3
+        t2, t3 = p2 * m0 + p3 * m2, p2 * m1 + p3 * m3
+        out.append(MoebiusMap((
+            t0 * q0 + t1 * q2, t0 * q1 + t1 * q3,
+            t2 * q0 + t3 * q2, t2 * q1 + t3 * q3,
+        )))
+    return tuple(out)
 
 
 def other_fixed_point(index, data):

@@ -5,6 +5,13 @@ that infinity is the exact point (1, 0) and no code path ever divides by
 zero.  Moebius maps are 2x2 complex matrices acting on homogeneous
 coordinates; scalar multiples act identically (PGL), and sl_normalize
 produces a determinant-1 representative when one is wanted.
+
+A MoebiusMap stores its four entries as plain Python complex numbers and
+all 2x2 arithmetic here (products, inverses, determinants, three-point and
+axis maps) is written out entry by entry: for a single 2x2 matrix, numpy's
+per-call overhead is many times the arithmetic itself.  numpy is used only
+at the edges: to accept an array input and to build the read-only ``.m``
+array view on demand.
 """
 
 import cmath
@@ -112,74 +119,97 @@ def sqrt_principal(z):
 class MoebiusMap:
     """A nonsingular 2x2 complex matrix acting on CP^1.
 
+    The entries are kept as four plain complex numbers in the slots
+    ``a, b, c, d`` (row-major: the matrix is ((a, b), (c, d))), and every
+    operation below is scalar arithmetic on them.  ``MoebiusMap(m)`` accepts
+    a 2x2 array or nested list, or a flat ``(a, b, c, d)`` tuple; the tuple
+    form skips numpy altogether.  ``.m`` is a read-only (2, 2) complex array
+    built on demand.
+
     Interpreted projectively unless the caller asks for the SL-normalized
     representative.  Instances are immutable.
     """
 
-    __slots__ = ("m",)
+    __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, m):
-        m = np.asarray(m, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("MoebiusMap needs a 2x2 matrix")
-        norm2 = np.abs(m).max() ** 2
-        if norm2 == 0 or abs(np.linalg.det(m)) < SING_TOL * norm2:
-            raise SingularMapError("singular matrix %r" % (m,))
-        m.setflags(write=False)
-        self.m = m
+        if type(m) is tuple and len(m) == 4:
+            a, b, c, d = m
+            if not (type(a) is type(b) is type(c) is type(d) is complex):
+                try:
+                    a, b, c, d = (complex(v) for v in m)
+                except (TypeError, ValueError):
+                    raise ValueError("MoebiusMap entries must be numbers: %r" % (m,)) from None
+        else:
+            arr = np.asarray(m, dtype=complex)
+            if arr.shape != (2, 2):
+                raise ValueError("MoebiusMap needs a 2x2 matrix or a flat 4-tuple")
+            a, b, c, d = (complex(v) for v in arr.flat)
+        det = a * d - b * c
+        total = abs(a) + abs(b) + abs(c) + abs(d)
+        # max|entry| <= total, so passing against total^2 passes the check
+        # |det| < SING_TOL * max|entry|^2 below without computing the max
+        if not abs(det) > SING_TOL * total * total:
+            norm2 = max(abs(a), abs(b), abs(c), abs(d)) ** 2
+            # det == 0 covers the zero matrix; a NaN entry makes det NaN
+            # and passes, as the numpy check did
+            if det == 0 or abs(det) < SING_TOL * norm2:
+                raise SingularMapError("singular matrix %r" % (((a, b), (c, d)),))
+        self.a, self.b, self.c, self.d = a, b, c, d
+
+    @property
+    def m(self):
+        """The matrix as a read-only (2, 2) complex array (a fresh copy)."""
+        arr = np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
+        arr.setflags(write=False)
+        return arr
 
     @classmethod
     def identity(cls):
-        return cls(np.eye(2))
+        return cls((1 + 0j, 0j, 0j, 1 + 0j))
 
     def det(self):
-        a, b = self.m[0]
-        c, d = self.m[1]
-        return a * d - b * c
+        return self.a * self.d - self.b * self.c
 
     def trace(self):
-        return self.m[0, 0] + self.m[1, 1]
+        return self.a + self.d
 
     def inverse(self):
-        a, b = self.m[0]
-        c, d = self.m[1]
         # adjugate; in PGL the 1/det factor is irrelevant, and for an SL
         # input the adjugate IS the inverse, keeping determinant exactly 1
-        return MoebiusMap([[d, -b], [-c, a]])
+        return MoebiusMap((self.d, -self.b, -self.c, self.a))
 
     def __matmul__(self, other):
-        return MoebiusMap(self.m @ other.m)
+        a, b, c, d = self.a, self.b, self.c, self.d
+        e, f, g, h = other.a, other.b, other.c, other.d
+        return MoebiusMap((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
 
     def __neg__(self):
-        return MoebiusMap(-self.m)
+        return MoebiusMap((-self.a, -self.b, -self.c, -self.d))
 
     def apply(self, p):
         p = as_point(p)
-        num = self.m[0, 0] * p.num + self.m[0, 1] * p.den
-        den = self.m[1, 0] * p.num + self.m[1, 1] * p.den
+        num = self.a * p.num + self.b * p.den
+        den = self.c * p.num + self.d * p.den
         return ProjectivePoint(num, den)
 
     def __call__(self, p):
         return self.apply(p)
 
-    def same_pgl(self, other, tol=1e-8):
-        """Equality in PGL: entrywise proportionality."""
-        a = self.m / np.abs(self.m).max()
-        b = other.m / np.abs(other.m).max()
-        # align by the largest entry of a
-        i = np.unravel_index(np.abs(a).argmax(), (2, 2))
-        if abs(b[i]) < tol:
-            return False
-        b = b * (a[i] / b[i])
-        return bool(np.abs(a - b).max() <= tol)
-
-    def same_sl(self, other, tol=1e-9):
-        """Equality in SL up to the overall sign."""
-        d = min(np.abs(self.m - other.m).max(), np.abs(self.m + other.m).max())
-        return bool(d <= tol)
-
     def __repr__(self):
         return "MoebiusMap(%s)" % np.array2string(self.m, separator=", ")
+
+
+def _max_abs(*entries):
+    """Largest modulus among the entries; NaN if any entry is NaN.
+
+    Python's max() drops a NaN that is not its first argument, so the sum
+    of the moduli (NaN exactly when one of them is) decides first.  This
+    keeps the NaN propagation of numpy's ``np.abs(m).max()``.
+    """
+    mods = [abs(z) for z in entries]
+    total = sum(mods)
+    return total if total != total else max(mods)
 
 
 def sl_normalize(m):
@@ -189,19 +219,15 @@ def sl_normalize(m):
     modulus above tolerance has argument in [0, pi).  This is a repo
     convention: PSL elements have no canonical SL lift.
     """
-    s = m.m / sqrt_principal(m.det())
-    scale = np.abs(s).max()
-    for v in s.flat:
+    r = sqrt_principal(m.det())
+    s = (m.a / r, m.b / r, m.c / r, m.d / r)
+    scale = _max_abs(*s)
+    for v in s:
         if abs(v) > 1e-12 * scale:
             if v.imag < 0 or (v.imag == 0 and v.real < 0):
-                s = -s
+                s = (-s[0], -s[1], -s[2], -s[3])
             break
     return MoebiusMap(s)
-
-
-def apply(m, p):
-    """Image of the point p under the Moebius map m."""
-    return m.apply(p)
 
 
 def cross_ratio(x0, x1, x2, x3):
@@ -234,12 +260,18 @@ def mobius_with_axis(e, x, y):
     y = as_point(y)
     if x.same_as(y):
         raise DegenerateInputError("axis endpoints coincide")
-    # columns are homogeneous representatives of x and y
-    p = np.array([[x.num, y.num], [x.den, y.den]], dtype=complex)
-    s = p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0]
-    diag = np.array([[e, 0], [0, 1 / e]], dtype=complex)
-    adj = np.array([[p[1, 1], -p[0, 1]], [-p[1, 0], p[0, 0]]], dtype=complex)
-    return MoebiusMap(p @ diag @ adj / s)
+    # columns of p are homogeneous representatives of x and y; the map is
+    # p diag(e, 1/e) adj(p) / det(p)
+    xn, xd, yn, yd = x.num, x.den, y.num, y.den
+    s = xn * yd - yn * xd
+    f = 1 / e
+    xe, yf, de, df = xn * e, yn * f, xd * e, yd * f
+    return MoebiusMap((
+        (xe * yd - yf * xd) / s,
+        (yf * xn - xe * yn) / s,
+        (de * yd - df * xd) / s,
+        (df * xn - de * yn) / s,
+    ))
 
 
 def axis_transport_squared(x, y, z1, z2):
@@ -252,19 +284,13 @@ def axis_transport_squared(x, y, z1, z2):
 
 
 def _map_from_standard(x1, x2, x3):
-    """Matrix sending (0, inf, 1) to (x1, x2, x3), up to scalar."""
+    """Matrix sending (0, inf, 1) to (x1, x2, x3), up to scalar, as (a, b, c, d)."""
     # rows of the homogeneous pairs; the closed form
     #   ((x2(x3-x1), x1(x2-x3)), (x3-x1, x2-x3))
     # in homogeneous arithmetic:
     d31 = x3.num * x1.den - x1.num * x3.den
     d23 = x2.num * x3.den - x3.num * x2.den
-    return np.array(
-        [
-            [x2.num * d31, x1.num * d23],
-            [x2.den * d31, x1.den * d23],
-        ],
-        dtype=complex,
-    )
+    return (x2.num * d31, x1.num * d23, x2.den * d31, x1.den * d23)
 
 
 def three_point_map(src, dst):
@@ -274,10 +300,15 @@ def three_point_map(src, dst):
     for t in (src, dst):
         if t[0].same_as(t[1]) or t[1].same_as(t[2]) or t[0].same_as(t[2]):
             raise DegenerateInputError("triple is not pairwise distinct")
-    a = _map_from_standard(*src)
-    b = _map_from_standard(*dst)
-    adj = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]], dtype=complex)
-    return MoebiusMap(b @ adj)
+    a0, a1, a2, a3 = _map_from_standard(*src)
+    b0, b1, b2, b3 = _map_from_standard(*dst)
+    # b @ adj(a), adj(a) = ((a3, -a1), (-a2, a0))
+    return MoebiusMap((
+        b0 * a3 - b1 * a2,
+        b1 * a0 - b0 * a1,
+        b2 * a3 - b3 * a2,
+        b3 * a0 - b2 * a1,
+    ))
 
 
 def fixed_points_with_eigs(m, tol=1e-9):
@@ -300,8 +331,7 @@ def fixed_points_with_eigs(m, tol=1e-9):
     e = (tr + root) / 2
     if abs(e) < 1 or (abs(abs(e) - 1) <= 1e-12 and not (0 <= cmath.phase(e) < math.pi)):
         e = (tr - root) / 2
-    a, b = m.m[0]
-    c, d = m.m[1]
+    a, b, c, d = m.a, m.b, m.c, m.d
     # eigenvector for eigenvalue lam solves (a - lam) u + b v = 0
     def eigvec(lam):
         r1 = (b, lam - a)

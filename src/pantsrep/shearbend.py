@@ -43,11 +43,11 @@ def tetrahedron_edge_params(z):
     return z, 1 / (1 - z), 1 - 1 / z
 
 
-GluingRow = None  # rows are plain dicts: {"sign": +-1, "rprime": [...], "rdprime": [...]}
-
-
 def evaluate_gluing(row, zs):
-    """Residual of one gluing equation: sign * prod z^r' (1-z)^r'' - 1."""
+    """Residual of one gluing equation: sign * prod z^r' (1-z)^r'' - 1.
+
+    row is a plain dict {"sign": +-1, "rprime": [...], "rdprime": [...]}.
+    """
     out = complex(row.get("sign", 1))
     rp = row.get("rprime", [])
     rpp = row.get("rdprime", [])

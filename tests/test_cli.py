@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -15,10 +16,17 @@ from conftest import sample_params
 RNG = np.random.default_rng(20240909)
 
 
+# the CLI subprocess imports the same pantsrep as the tests, whether it
+# comes from PYTHONPATH, pytest's pythonpath setting or an install
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(co.__file__)))
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 def run_cli(*args, **kw):
     return subprocess.run(
         [sys.executable, "-m", "pantsrep.cli"] + list(args),
-        capture_output=True, text=True, **kw,
+        capture_output=True, text=True, env=ENV, **kw,
     )
 
 
@@ -168,3 +176,58 @@ def test_out_flag_writes_file(tmp_path, four_holed_files):
     r = run_cli("validate", "--surface", spath, "--out", str(out))
     assert r.returncode == 0
     assert json.loads(out.read_text())["surface"] == "ok"
+
+
+def _reject_constant(token):
+    raise ValueError("non-standard JSON token %s" % token)
+
+
+def strict_json(text):
+    """Parse stdout as strict JSON: NaN, Infinity and -Infinity are rejected."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def test_act_epsilon(four_holed_files):
+    from pantsrep import symmetry
+
+    surf, params, spath, ppath = four_holed_files
+    eps = symmetry.epsilon_basis(surf)[0]
+    ids = sorted(eid for eid, s in eps.items() if s == -1)
+    r = run_cli("act", "--surface", spath, "--params", ppath,
+                "--epsilon", ",".join(map(str, ids)))
+    assert r.returncode == 0, r.stderr
+    back = co.params_from_json(strict_json(r.stdout))
+    for eid, e in params.eigen.items():
+        assert abs(back.eigen[eid] - eps.get(eid, 1) * e) < 1e-12
+
+
+@pytest.mark.parametrize("value", ["x", [float("nan"), 0.0], [1.0, float("inf")],
+                                   [1.0], [True, 0.0], None])
+def test_bad_parameter_value_is_a_schema_error(tmp_path, four_holed_files, value):
+    _, params, spath, _ = four_holed_files
+    doc = co.params_to_json(params)
+    doc["eigen"]["2"] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    r = run_cli("generators", "--surface", spath, "--params", str(bad))
+    assert r.returncode == 2, (r.stdout, r.stderr)
+    assert strict_json(r.stdout)["error"] == "schema"
+
+
+def test_bad_twist_value_is_a_schema_error(tmp_path, four_holed_files):
+    _, params, spath, _ = four_holed_files
+    doc = co.params_to_json(params)
+    doc["twist"]["1"] = [float("nan"), 1.0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    r = run_cli("validate", "--surface", spath, "--params", str(bad))
+    assert r.returncode == 2, (r.stdout, r.stderr)
+    assert strict_json(r.stdout)["error"] == "schema"
+
+
+def test_non_finite_output_is_a_numeric_error(capsys):
+    from pantsrep import cli
+
+    with pytest.raises(ArithmeticError):
+        cli._emit({"value": float("nan")}, None)
+    assert capsys.readouterr().out == ""

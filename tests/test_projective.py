@@ -214,3 +214,195 @@ def test_cross_ratio_invariance_integer_maps(z0, z1, z2, z3, a, b):
     cr1 = cross_ratio(*pts)
     cr2 = cross_ratio(*(m.apply(as_point(p)) for p in pts))
     assert abs(cr1 - cr2) < 1e-9 * max(1.0, abs(cr1))
+
+
+# ---------------------------------------------------------------------------
+# the scalar 2x2 core against numpy references built from .m
+
+def _rng_c(rng, lo=-3.0, hi=3.0):
+    return complex(rng.uniform(lo, hi), rng.uniform(lo, hi))
+
+
+def _rng_map(rng):
+    while True:
+        m = np.array([[_rng_c(rng), _rng_c(rng)], [_rng_c(rng), _rng_c(rng)]])
+        if abs(np.linalg.det(m)) > 1e-3:
+            return MoebiusMap(m)
+
+
+def _rel_err(got, want):
+    return np.abs(np.asarray(got) - want).max() / np.abs(want).max()
+
+
+def _np_adj(a):
+    return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
+
+
+def _np_point(p):
+    return np.array([p.num, p.den])
+
+
+def _np_from_standard(x1, x2, x3):
+    d31 = x3.num * x1.den - x1.num * x3.den
+    d23 = x2.num * x3.den - x3.num * x2.den
+    return np.array([[x2.num * d31, x1.num * d23], [x2.den * d31, x1.den * d23]])
+
+
+def test_scalar_matmul_and_inverse_match_numpy():
+    rng = np.random.default_rng(7001)
+    for _ in range(500):
+        m, n = _rng_map(rng), _rng_map(rng)
+        assert _rel_err((m @ n).m, m.m @ n.m) <= 1e-12
+        assert _rel_err(m.inverse().m, _np_adj(m.m)) <= 1e-12
+        assert _rel_err((-m).m, -m.m) == 0
+        assert abs(m.det() - np.linalg.det(m.m)) <= 1e-12 * np.abs(m.m).max() ** 2
+        assert m.trace() == np.trace(m.m)
+        z = as_point(_rng_c(rng))
+        img = m.m @ _np_point(z)
+        assert m.apply(z).same_as(ProjectivePoint(img[0], img[1]), tol=1e-12)
+
+
+def test_scalar_three_point_map_matches_numpy():
+    rng = np.random.default_rng(7002)
+    checked = 0
+    for _ in range(500):
+        src = [as_point(_rng_c(rng)) for _ in range(3)]
+        dst = [as_point(_rng_c(rng)) for _ in range(3)]
+        if rng.uniform() < 0.2:
+            src[rng.integers(3)] = INF
+        try:
+            m = three_point_map(src, dst)
+        except DegenerateInputError:
+            continue
+        want = _np_from_standard(*dst) @ _np_adj(_np_from_standard(*src))
+        assert _rel_err(m.m, want) <= 1e-12
+        checked += 1
+    assert checked > 450
+
+
+def test_scalar_mobius_with_axis_matches_numpy():
+    rng = np.random.default_rng(7003)
+    for _ in range(500):
+        e = _rng_c(rng)
+        x, y = as_point(_rng_c(rng)), as_point(_rng_c(rng))
+        if rng.uniform() < 0.2:
+            x = INF
+        if abs(e) < 0.1 or x.same_as(y, tol=1e-3):
+            continue
+        m = mobius_with_axis(e, x, y)
+        p = np.array([[x.num, y.num], [x.den, y.den]])
+        want = p @ np.diag([e, 1 / e]) @ _np_adj(p) / np.linalg.det(p)
+        assert _rel_err(m.m, want) <= 1e-12
+
+
+def test_scalar_sl_normalize_matches_numpy():
+    rng = np.random.default_rng(7004)
+    for _ in range(500):
+        m = _rng_map(rng)
+        want = m.m / sqrt_principal(np.linalg.det(m.m))
+        lead = want.flat[np.flatnonzero(np.abs(want) > 1e-12 * np.abs(want).max())[0]]
+        if lead.imag < 0 or (lead.imag == 0 and lead.real < 0):
+            want = -want
+        assert _rel_err(sl_normalize(m).m, want) <= 1e-12
+
+
+def test_scalar_pants_rep_matches_numpy():
+    from pantsrep.pants import is_admissible_triple, make_pants_data, pants_rep
+
+    rng = np.random.default_rng(7005)
+    checked = 0
+    while checked < 300:
+        eigen = tuple(_rng_c(rng, -2.0, 2.0) for _ in range(3))
+        fixed = tuple(_rng_c(rng, -2.0, 2.0) for _ in range(3))
+        try:
+            data = make_pants_data(eigen, fixed)
+        except DegenerateInputError:
+            continue
+        if not is_admissible_triple(*eigen, tol=1e-3):
+            continue
+        e1, e2, e3 = eigen
+        norm = [
+            np.array([[1 / e1, 0], [1 / e1 - e3 / e2, e1]]),
+            np.array([[e2, e1 / e3 - e2], [0, 1 / e2]]),
+            np.array([[e3 + 1 / e3 - e2 / e1, (e2 - e1 / e3) / e1],
+                      [(e1 * e3 - e2) / e1, e2 / e1]]),
+        ]
+        conj = three_point_map((0, INF, 1), data.fixed).m
+        a = conj / np.sqrt(np.abs(np.linalg.det(conj)))
+        ainv = np.linalg.inv(a)
+        got = pants_rep(data)
+        for m, n in zip(got, norm):
+            assert _rel_err(m.m, a @ n @ ainv) <= 1e-12
+        prod = (got[0] @ got[1] @ got[2]).m
+        assert np.abs(prod - np.eye(2)).max() <= 1e-9 * np.abs(a).max() ** 2
+        checked += 1
+
+
+def test_m_is_a_read_only_complex_2x2_array():
+    m = MoebiusMap((1, 2, 3, 4.5))
+    arr = m.m
+    assert arr.shape == (2, 2) and arr.dtype == np.complex128
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[0, 0] = 7
+    with pytest.raises(AttributeError):
+        m.m = np.eye(2)
+    assert m.a == 1 and m.b == 2 and m.c == 3 and m.d == 4.5
+    assert all(type(v) is complex for v in (m.a, m.b, m.c, m.d))
+
+
+def test_flat_tuple_and_array_give_equal_maps():
+    rng = np.random.default_rng(7006)
+    for _ in range(100):
+        arr = _rng_map(rng).m
+        flat = MoebiusMap(tuple(complex(v) for v in arr.flat))
+        assert np.array_equal(flat.m, MoebiusMap(arr).m)
+        assert np.array_equal(flat.m, MoebiusMap(arr.tolist()).m)
+    # numpy scalars and ints in the tuple are stored as Python complex
+    m = MoebiusMap((np.complex128(2), 1, np.float64(0.5), 1))
+    assert np.array_equal(m.m, np.array([[2, 1], [0.5, 1]], dtype=complex))
+    assert type(m.a) is complex and type(m.b) is complex
+
+
+@pytest.mark.parametrize("bad", [
+    np.eye(3), np.ones(4), np.ones(2), [1.0, 2.0, 3.0, 4.0], (1.0, 2.0, 3.0),
+    (1.0, 2.0, 3.0, 4.0, 5.0), ((1, 2), (3, 4), (5, 6), (7, 8)), ("x", 1, 2, 3),
+])
+def test_non_2x2_input_raises_value_error(bad):
+    with pytest.raises(ValueError):
+        MoebiusMap(bad)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 3.0 - 4.0j, 1e6])
+def test_singular_threshold_is_the_same_for_both_forms(scale):
+    from pantsrep.projective import SING_TOL
+
+    # det = scale^2 eps against max|entry|^2 = |scale|^2 (1 + eps)^2
+    for factor, singular in ((0.5, True), (0.9, True), (1.1, False), (2.0, False)):
+        eps = factor * SING_TOL
+        entries = (scale, scale, scale, scale * (1 + eps))
+        arr = np.array(entries, dtype=complex).reshape(2, 2)
+        for form in (entries, arr):
+            if singular:
+                with pytest.raises(SingularMapError):
+                    MoebiusMap(form)
+            else:
+                MoebiusMap(form)
+    for form in ((0, 0, 0, 0), np.zeros((2, 2))):
+        with pytest.raises(SingularMapError):
+            MoebiusMap(form)
+
+
+def test_nan_entries_propagate_like_numpy():
+    from pantsrep.projective import _max_abs
+
+    nan = float("nan")
+    # a NaN entry is not rejected as singular (the build reports it as a
+    # non-finite residual), and _max_abs keeps it wherever it sits
+    m = MoebiusMap((1, nan, 0, 1))
+    assert np.isnan(m.m[0, 1])
+    for pos in range(4):
+        entries = [1.0, 2.0, 3.0, 4.0]
+        entries[pos] = nan
+        assert np.isnan(_max_abs(*entries))
+    assert _max_abs(1, -5j, 2, 3) == 5
