@@ -150,7 +150,8 @@ class MoebiusMap:
         # max|entry| <= total, so passing against total^2 passes the check
         # |det| < SING_TOL * max|entry|^2 below without computing the max
         if not abs(det) > SING_TOL * total * total:
-            norm2 = max(abs(a), abs(b), abs(c), abs(d)) ** 2
+            norm = max(abs(a), abs(b), abs(c), abs(d))
+            norm2 = norm * norm  # inf past the float range; ** would raise
             # det == 0 covers the zero matrix; a NaN entry makes det NaN
             # and passes, as the numpy check did
             if det == 0 or abs(det) < SING_TOL * norm2:

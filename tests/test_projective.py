@@ -393,6 +393,15 @@ def test_singular_threshold_is_the_same_for_both_forms(scale):
             MoebiusMap(form)
 
 
+def test_huge_entries_do_not_raise_overflow():
+    # past sqrt(float max) the squared norm is inf, as with numpy, and the
+    # check neither raises OverflowError nor rejects the matrix
+    for form in ((1e200, 2e200, 3e200, 4e200), np.array([[1e200, 2e200], [3e200, 4e200]])):
+        MoebiusMap(form)
+    with pytest.raises(SingularMapError):
+        MoebiusMap((1e150, 1e150, 1e150, 1e150))
+
+
 def test_nan_entries_propagate_like_numpy():
     from pantsrep.projective import _max_abs
 

@@ -23,15 +23,14 @@ spread.
 
 import argparse
 import json
-import os
-import platform
 import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-import numpy
+#: seed of the one traced run per side and workload
+TRACE_SEED = 7
 
 
 def parse_seeds(text):
@@ -52,7 +51,9 @@ def run_bench(checkout, workload, seed, seconds, trace):
         raise RuntimeError("%s in %s exited %d: %s" % (" ".join(cmd), checkout,
                                                          proc.returncode, proc.stderr[-2000:]))
     result = json.loads(lines[-1])
+    info = json.loads(lines[-2])["info"]
     return {
+        "machine": {k: info[k] for k in ("cpu", "nproc", "python", "numpy")},
         "seed": seed,
         "wall_s": round(time.time() - t0, 1),
         "correct": result["correct"],
@@ -100,24 +101,18 @@ def main(argv=None):
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     ap.add_argument("--change", default=".", help="checkout of the change (default: .)")
     ap.add_argument("--seeds", default="101-110", help="e.g. 101-110 or 1,2,5")
-    ap.add_argument("--workloads", help="comma-separated subset (default: all)")
-    ap.add_argument("--trace-seed", type=int, default=7)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
 
     spec = json.loads((Path(args.change) / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     names = [w["name"] for w in spec["workloads"]]
-    if args.workloads:
-        names = [n for n in names if n in args.workloads.split(",")]
     seeds = parse_seeds(args.seeds)
     sides = {"parent": args.parent, "change": args.change}
 
     doc = {
         "command": "python3 bench/run.py --workload W --seed S --seconds %d --trace 0" % seconds,
-        "run_seconds": seconds, "seeds": seeds, "trace_seed": args.trace_seed,
-        "machine": {"cpu": _cpu_model(), "nproc": _nproc(), "platform": platform.platform(),
-                    "python": platform.python_version(), "numpy": numpy.__version__},
+        "run_seconds": seconds, "seeds": seeds, "trace_seed": TRACE_SEED,
         "src_lines": {side: src_lines(path) for side, path in sides.items()},
         "workloads": {},
     }
@@ -130,8 +125,9 @@ def main(argv=None):
                 r["order"] = order.index(side)
                 runs[side].append(r)
                 print(name, seed, side, json.dumps(r["metrics"]), flush=True)
-        trace = {side: run_bench(path, name, args.trace_seed, seconds, 1)
+        trace = {side: run_bench(path, name, TRACE_SEED, seconds, 1)
                  for side, path in sides.items()}
+        doc["machine"] = runs["change"][0]["machine"]
         doc["workloads"][name] = {
             "summary": {m["name"]: summarize(m, runs["parent"], runs["change"])
                         for m in spec["end_to_end"]},
@@ -142,20 +138,6 @@ def main(argv=None):
         }
         Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
-
-
-def _cpu_model():
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor()
-
-
-def _nproc():
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
 if __name__ == "__main__":
