@@ -324,7 +324,7 @@ def fixed_points_with_eigs(m, tol=1e-9):
         raise ValueError("fixed_points_with_eigs expects an SL-normalized map")
     tr = m.trace()
     disc = tr * tr - 4
-    if abs(disc) <= tol * max(1.0, abs(tr) ** 2):
+    if abs(disc) <= tol * max(1.0, abs(tr) * abs(tr)):
         raise DegenerateInputError(
             "parabolic or scalar map: tr = %r" % (tr,), factor="tr^2 - 4"
         )

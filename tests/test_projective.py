@@ -400,6 +400,10 @@ def test_huge_entries_do_not_raise_overflow():
         MoebiusMap(form)
     with pytest.raises(SingularMapError):
         MoebiusMap((1e150, 1e150, 1e150, 1e150))
+    # a NaN determinant passes the SL check; the huge trace then reads as
+    # parabolic instead of overflowing
+    with pytest.raises(DegenerateInputError):
+        fixed_points_with_eigs(MoebiusMap((1e200, float("nan"), 0, 1)))
 
 
 def test_nan_entries_propagate_like_numpy():
