@@ -8,7 +8,6 @@ violation, 3 domain violation, 4 numeric degeneracy.
 import argparse
 import cmath
 import json
-import math
 import sys
 
 import numpy as np
@@ -54,38 +53,12 @@ def _load_surface(path):
     return surf
 
 
-def _is_number_pair(v):
-    """A JSON [re, im] pair of finite numbers (booleans are not numbers)."""
-    return (isinstance(v, list) and len(v) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                    and math.isfinite(x) for x in v))
-
-
-def _check_params_doc(doc):
-    if not isinstance(doc, dict):
-        raise SchemaError("parameter file must hold a JSON object")
-    for part in ("eigen", "twist"):
-        values = doc.get(part)
-        if not isinstance(values, dict):
-            raise SchemaError("parameter file needs an object %r" % part)
-        for key, v in values.items():
-            if not _is_number_pair(v):
-                raise SchemaError("%s[%s] must be a list of two finite numbers, got %s"
-                                  % (part, key, json.dumps(v)))
-
-
 def _load_params(path, surf, tol):
     if path is None:
         raise SchemaError("--params is required for this command")
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as ex:
-        raise SchemaError("cannot read parameter file %s: %s" % (path, ex))
-    _check_params_doc(doc)
-    try:
-        params = coordinates.params_from_json(doc)
-    except ValueError as ex:
+        params = coordinates.load_params(path)
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as ex:
         raise SchemaError("cannot read parameter file %s: %s" % (path, ex))
     try:
         ok = coordinates.in_domain(params, surf, tol=tol)

@@ -12,6 +12,7 @@ builder owns that adjustment.
 """
 
 import json
+import math
 from collections import namedtuple
 
 from .projective import (
@@ -255,11 +256,41 @@ def params_to_json(params):
     }
 
 
+class ParamsSchemaError(ValueError):
+    """A parameter document that does not have the shape params_to_json writes."""
+
+
+def _is_number_pair(v):
+    """A JSON [re, im] pair of finite numbers (booleans are not numbers)."""
+    return (isinstance(v, list) and len(v) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                    and math.isfinite(x) for x in v))
+
+
 def params_from_json(doc):
-    return EdgeParams(
-        {int(k): complex(v[0], v[1]) for k, v in doc["eigen"].items()},
-        {int(k): complex(v[0], v[1]) for k, v in doc["twist"].items()},
-    )
+    """EdgeParams from {"eigen": {id: [re, im]}, "twist": {id: [re, im]}}.
+
+    Every key must be an integer and every value a list of two finite
+    numbers; anything else raises ParamsSchemaError.
+    """
+    if not isinstance(doc, dict):
+        raise ParamsSchemaError("parameter document must be a JSON object")
+    parts = []
+    for part in ("eigen", "twist"):
+        values = doc.get(part)
+        if not isinstance(values, dict):
+            raise ParamsSchemaError("parameter document needs an object %r" % part)
+        out = {}
+        for key, v in values.items():
+            if not _is_number_pair(v):
+                raise ParamsSchemaError("%s[%s] must be a list of two finite numbers, got %s"
+                                        % (part, key, json.dumps(v)))
+            try:
+                out[int(key)] = complex(v[0], v[1])
+            except ValueError:
+                raise ParamsSchemaError("%s key %r is not an edge id" % (part, key)) from None
+        parts.append(out)
+    return EdgeParams(*parts)
 
 
 def load_params(path):

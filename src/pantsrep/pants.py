@@ -12,8 +12,10 @@ from collections import namedtuple
 
 from .projective import (
     INF,
+    SING_TOL,
     DegenerateInputError,
     MoebiusMap,
+    _max_abs,
     as_point,
     three_point_map,
 )
@@ -75,10 +77,20 @@ def pants_rep(data):
     e1, e2, e3 = data.eigen
     mats = _normalized_matrices(e1, e2, e3)
     conj = three_point_map((0, INF, 1), data.fixed)
-    r = math.sqrt(abs(conj.det()))
-    p0, p1, p2, p3 = conj.a / r, conj.b / r, conj.c / r, conj.d / r
-    # conjugation is scale-invariant; use the adjugate divided by det so the
-    # SL property of the normalized matrices is preserved exactly
+    # conjugation is scale-invariant: bring the largest entry to modulus 1,
+    # so det stays finite when the fixed points' homogeneous coordinates are
+    # huge, then |det| to 1; the adjugate divided by det below keeps the SL
+    # property of the normalized matrices exactly
+    s = _max_abs(conj.a, conj.b, conj.c, conj.d)
+    p0, p1, p2, p3 = conj.a / s, conj.b / s, conj.c / s, conj.d / s
+    det = p0 * p3 - p1 * p2
+    if abs(det) < SING_TOL:
+        raise DegenerateInputError(
+            "fixed points %r give a singular conjugating map" % (data.fixed,),
+            factor="det(conj)",
+        )
+    r = math.sqrt(abs(det))
+    p0, p1, p2, p3 = p0 / r, p1 / r, p2 / r, p3 / r
     det = p0 * p3 - p1 * p2
     q0, q1, q2, q3 = p3 / det, -p1 / det, -p2 / det, p0 / det
     out = []

@@ -146,16 +146,17 @@ class MoebiusMap:
                 raise ValueError("MoebiusMap needs a 2x2 matrix or a flat 4-tuple")
             a, b, c, d = (complex(v) for v in arr.flat)
         det = a * d - b * c
-        total = abs(a) + abs(b) + abs(c) + abs(d)
-        # max|entry| <= total, so passing against total^2 passes the check
-        # |det| < SING_TOL * max|entry|^2 below without computing the max
-        if not abs(det) > SING_TOL * total * total:
+        try:
             norm = max(abs(a), abs(b), abs(c), abs(d))
-            norm2 = norm * norm  # inf past the float range; ** would raise
-            # det == 0 covers the zero matrix; a NaN entry makes det NaN
-            # and passes, as the numpy check did
-            if det == 0 or abs(det) < SING_TOL * norm2:
-                raise SingularMapError("singular matrix %r" % (((a, b), (c, d)),))
+            adet = abs(det)
+        except OverflowError:
+            norm = max(_mod(a), _mod(b), _mod(c), _mod(d))
+            adet = _mod(det)
+        # det == 0 covers the zero matrix; a NaN entry makes det NaN and
+        # passes, as the numpy check did; norm * norm is inf past the float
+        # range, where ** would raise
+        if det == 0 or adet < SING_TOL * norm * norm:
+            raise SingularMapError("singular matrix %r" % (((a, b), (c, d)),))
         self.a, self.b, self.c, self.d = a, b, c, d
 
     @property
@@ -201,6 +202,18 @@ class MoebiusMap:
         return "MoebiusMap(%s)" % np.array2string(self.m, separator=", ")
 
 
+def _mod(z):
+    """|z|, or inf where it lies past the float range.
+
+    Python's abs() raises OverflowError for a complex number with finite
+    parts whose modulus overflows; np.abs returns inf there.
+    """
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def _max_abs(*entries):
     """Largest modulus among the entries; NaN if any entry is NaN.
 
@@ -208,7 +221,7 @@ def _max_abs(*entries):
     of the moduli (NaN exactly when one of them is) decides first.  This
     keeps the NaN propagation of numpy's ``np.abs(m).max()``.
     """
-    mods = [abs(z) for z in entries]
+    mods = [_mod(z) for z in entries]
     total = sum(mods)
     return total if total != total else max(mods)
 

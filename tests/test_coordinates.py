@@ -175,3 +175,16 @@ def test_params_json_roundtrip(tmp_path):
     co.save_params(params, path)
     again = co.load_params(path)
     assert again.eigen == back.eigen and again.twist == back.twist
+
+
+@pytest.mark.parametrize("doc", [
+    [], {"eigen": {"1": [2.0, 0.0]}}, {"eigen": {"1": [2.0, 0.0]}, "twist": []},
+    {"eigen": {"1": "x"}, "twist": {}}, {"eigen": {"1": [float("nan"), 0.0]}, "twist": {}},
+    {"eigen": {"1": [2.0, float("-inf")]}, "twist": {}}, {"eigen": {"1": [2.0]}, "twist": {}},
+    {"eigen": {"1": [True, 0.0]}, "twist": {}}, {"eigen": {"1": None}, "twist": {}},
+    {"eigen": {"a": [2.0, 0.0]}, "twist": {}}, {"eigen": {}, "twist": {"1": [0.0, float("nan")]}},
+])
+def test_params_from_json_rejects_malformed_documents(doc):
+    with pytest.raises(co.ParamsSchemaError):
+        co.params_from_json(doc)
+    assert issubclass(co.ParamsSchemaError, ValueError)

@@ -420,3 +420,57 @@ def test_nan_entries_propagate_like_numpy():
         entries[pos] = nan
         assert np.isnan(_max_abs(*entries))
     assert _max_abs(1, -5j, 2, 3) == 5
+
+
+def test_complex_entry_past_the_float_range():
+    from pantsrep.projective import SING_TOL, _max_abs
+
+    # |1.5e308 (1 + i)| is past the float range: abs() would raise
+    # OverflowError, np.abs gives inf, and the check follows numpy
+    huge = 1.5e308 + 1.5e308j
+    for d, singular in ((1.0, False), (1e-300, True)):
+        entries = (huge, 0, 0, d)
+        arr = np.array(entries, dtype=complex).reshape(2, 2)
+        with np.errstate(all="ignore"):
+            want = np.abs(arr[0, 0] * arr[1, 1]) < SING_TOL * np.abs(arr).max() ** 2
+        assert want == singular
+        for form in (entries, arr):
+            if singular:
+                with pytest.raises(SingularMapError):
+                    MoebiusMap(form)
+            else:
+                MoebiusMap(form)
+    assert _max_abs(1, huge, 2, 3) == np.inf
+
+
+def test_pants_rep_with_huge_homogeneous_fixed_points():
+    from pantsrep.pants import make_pants_data, pants_rep
+
+    # a vertex of a deep build: the fixed points are O(1) but their
+    # homogeneous coordinates are ~1e122, so the conjugating map's
+    # determinant overflows to inf
+    eigen = (-0.7209371046830604 + 1.169665163253248j,
+             -0.44076417546809343 - 0.33226770943469275j,
+             -0.3818792010831259 - 0.6195697172144865j)
+    fixed = [
+        (1.478144565188572e+121 - 1.0227168327575036e+122j,
+         3.1849127283657357e+122 - 8.083455468198275e+122j),
+        (7.498066973091725e+49 + 1.6608682207985532e+49j,
+         -9.574964627593942e+50 + 4.565075592006418e+49j),
+        (-1.1233558597867792e+122 - 1.3691963696658787e+121j,
+         -2.460219094419955e+123 - 8.149035848148191e+122j),
+    ]
+    assert not np.isfinite(three_point_map((0, INF, 1), [ProjectivePoint(*p) for p in fixed]).det())
+    got = pants_rep(make_pants_data(eigen, [ProjectivePoint(*p) for p in fixed]))
+    # the same points with homogeneous coordinates of modulus <= 1
+    small = [ProjectivePoint(n / max(abs(n), abs(d)), d / max(abs(n), abs(d))) for n, d in fixed]
+    want = pants_rep(make_pants_data(eigen, small))
+    for m, n, e, x in zip(got, want, eigen, small):
+        assert np.isfinite(m.m).all()
+        assert _rel_err(m.m, n.m) <= 1e-12
+        assert abs(m.det() - 1) <= 1e-12
+        assert m.apply(x).same_as(x, tol=1e-12)
+        v = m.m @ _np_point(x)
+        assert np.abs(v - e * _np_point(x)).max() <= 1e-12 * np.abs(v).max()
+    prod = (got[0] @ got[1] @ got[2]).m
+    assert np.abs(prod - np.eye(2)).max() <= 1e-9
