@@ -474,3 +474,15 @@ def test_pants_rep_with_huge_homogeneous_fixed_points():
         assert np.abs(v - e * _np_point(x)).max() <= 1e-12 * np.abs(v).max()
     prod = (got[0] @ got[1] @ got[2]).m
     assert np.abs(prod - np.eye(2)).max() <= 1e-9
+
+
+def test_pants_rep_rejects_a_singular_conjugating_map(monkeypatch):
+    from pantsrep import pants
+
+    # ad and bc overflow, so det is NaN and MoebiusMap's own check lets the
+    # map through; scaled to unit largest entry its determinant is 1e-14
+    conj = MoebiusMap((1e200, 1e200, 1e200, 1e200 * (1 + 1e-14)))
+    monkeypatch.setattr(pants, "three_point_map", lambda src, dst: conj)
+    with pytest.raises(DegenerateInputError) as info:
+        pants.pants_rep(pants.make_pants_data((2, 3j, -1.5 + 1j), (0, INF, 1)))
+    assert info.value.factor == "det(conj)"
