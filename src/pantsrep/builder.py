@@ -8,9 +8,6 @@ across the edge.  The resulting generator images satisfy the surface-group
 relations exactly up to rounding.
 """
 
-import cmath
-from collections import namedtuple
-
 from .projective import (
     DegenerateInputError,
     INF,
@@ -22,9 +19,10 @@ from .projective import (
     three_point_map,
 )
 from .pants import make_pants_data, pants_rep
-from .surface import presentation as make_presentation, maximal_tree, inverse_word
+from .surface import presentation as make_presentation, maximal_tree
 from .coordinates import (
     EdgeParams,
+    _end_eigen,
     best_twist_from_fixed_points,
     in_domain,
     local_picture,
@@ -43,8 +41,7 @@ class SurfaceRepresentation:
     triple; beta_signs records the SL sign chosen for each stable letter.
     """
 
-    def __init__(self, surface, tree, params, pres, images, points, base,
-                 lift_mode="SL", beta_signs=None):
+    def __init__(self, surface, tree, params, pres, images, points, base, beta_signs=None):
         self.surface = surface
         self.tree = set(tree)
         self.params = params
@@ -52,7 +49,6 @@ class SurfaceRepresentation:
         self.images = dict(images)
         self.points = points
         self.base = base
-        self.lift_mode = lift_mode
         self.beta_signs = dict(beta_signs or {i: 1 for i in range(1, surface.genus + 1)})
 
     def evaluate(self, word):
@@ -66,62 +62,63 @@ class SurfaceRepresentation:
         return self.images[name]
 
 
-def _adjusted_eigen(graph, params, vid):
-    """Slot-ordered eigenvalue triple at a trivalent vertex.
+def _from_slot(triple, s):
+    """A slot-ordered triple read counterclockwise from slot s."""
+    return triple[s], triple[(s + 1) % 3], triple[(s + 2) % 3]
 
-    An edge contributes its parameter at its tail and the inverse at its
-    head.
+
+def _across(lp, xs, forward):
+    """The triple at the far end of lp's edge from the one at the near end.
+
+    Both are read counterclockwise from the edge: (x1, x2, x3) at the tail
+    and (x1, x4, x5) at the head.  forward crosses from tail to head.
     """
-    out = []
-    for eid, end in graph.vertices[vid].incident:
-        e = params.eigen[eid]
-        out.append(e if end == "tail" else 1 / e)
-    return tuple(out)
+    step = propagate_forward if forward else propagate_backward
+    return (xs[0],) + step(lp.es, lp.t1, *xs)
 
 
-def _assign_points(surface, params, tree, base):
-    """Fixed-point triples at every trivalent vertex, spread from the root."""
+def _vertex_points(surface, params, tree, base):
+    """Fixed-point triples at every trivalent vertex, by one walk of the tree.
+
+    The walk starts from the lowest trivalent vertex, which carries base,
+    and crosses each interior tree edge once, forward or backward.
+    """
     graph = surface.graph
+    steps = {}
+    for eid in sorted(tree):
+        if not graph.is_boundary(eid):
+            e = graph.edges[eid]
+            steps.setdefault(e.tail, []).append((eid, e.head, True))
+            steps.setdefault(e.head, []).append((eid, e.tail, False))
     root = min(graph.trivalent_vertices())
     points = {root: list(base)}
-    tree_interior = [eid for eid in sorted(tree) if not graph.is_boundary(eid)]
-    pending = set(tree_interior)
-    while pending:
-        progressed = False
-        for eid in sorted(pending):
-            lp = local_picture(surface, params, eid)
-            (v, sv), (w, sw) = lp.tail_slots, lp.head_slots
-            if v in points and w not in points:
-                x1 = points[v][sv]
-                x2, x3 = points[v][(sv + 1) % 3], points[v][(sv + 2) % 3]
-                x4, x5 = propagate_forward(lp.es, lp.t1, x1, x2, x3)
-                triple = [None, None, None]
-                triple[sw], triple[(sw + 1) % 3], triple[(sw + 2) % 3] = x1, x4, x5
-                points[w] = triple
-            elif w in points and v not in points:
-                x1 = points[w][sw]
-                x4, x5 = points[w][(sw + 1) % 3], points[w][(sw + 2) % 3]
-                x2, x3 = propagate_backward(lp.es, lp.t1, x1, x4, x5)
-                triple = [None, None, None]
-                triple[sv], triple[(sv + 1) % 3], triple[(sv + 2) % 3] = x1, x2, x3
-                points[v] = triple
-            elif v in points and w in points:
-                pass  # loop edge: both endpoints are the same vertex
-            else:
+    stack = [root]
+    while stack:
+        near = stack.pop()
+        for eid, far, forward in steps.get(near, ()):
+            if far in points:
                 continue
-            pending.discard(eid)
-            progressed = True
-            break
-        if not progressed:
-            raise ValueError("tree does not reach every trivalent vertex")
+            lp = local_picture(surface, params, eid)
+            (_, sv), (_, sw) = lp.tail_slots, lp.head_slots
+            sn, sf = (sv, sw) if forward else (sw, sv)
+            xs = _across(lp, _from_slot(points[near], sn), forward)
+            triple = [None, None, None]
+            for k in range(3):
+                triple[(sf + k) % 3] = xs[k]
+            points[far] = triple
+            stack.append(far)
+    if len(points) != len(graph.trivalent_vertices()):
+        raise ValueError("tree does not reach every trivalent vertex")
     return points
 
 
-def build(surface, params, tree=None, base=None, lift_mode="SL"):
-    """Construct the representation determined by the parameters.
+def build(surface, params, tree=None, base=None):
+    """Construct the SL(2,C) representation determined by the parameters.
 
-    base is the fixed-point triple placed at the root vertex, slot order
-    counterclockwise from slot 0; differing bases give conjugate results.
+    Every generator image has determinant 1.  tree defaults to the
+    surface's stored tree, else maximal_tree.  base is the fixed-point
+    triple placed at the root vertex, slot order counterclockwise from
+    slot 0; differing bases give conjugate results.
     """
     graph = surface.graph
     if tree is None:
@@ -137,13 +134,13 @@ def build(surface, params, tree=None, base=None, lift_mode="SL"):
         raise ValueError("base triple must be three distinct points")
 
     pres = make_presentation(surface, tree)
-    points = _assign_points(surface, params, tree, base)
+    points = _vertex_points(surface, params, tree, base)
 
     mats = {}
     for vid in graph.trivalent_vertices():
-        es = _adjusted_eigen(graph, params, vid)
-        data = make_pants_data(es, points[vid])
-        mats[vid] = pants_rep(data)
+        inc = graph.vertices[vid].incident
+        es = tuple([_end_eigen(params.eigen[eid], end) for eid, end in inc])
+        mats[vid] = pants_rep(make_pants_data(es, points[vid]))
 
     g = surface.genus
     images = {}
@@ -159,37 +156,28 @@ def build(surface, params, tree=None, base=None, lift_mode="SL"):
                 images["d%d" % j] = mats[vid][slot]
     beta_signs = {}
     for i, eid in enumerate(pres.u_edges, start=1):
+        # b_i carries the head-side triple to its translate across the edge
         lp = local_picture(surface, params, eid)
         (v, sv), (w, sw) = lp.tail_slots, lp.head_slots
-        x1 = points[v][sv]
-        x2, x3 = points[v][(sv + 1) % 3], points[v][(sv + 2) % 3]
-        x4, x5 = propagate_forward(lp.es, lp.t1, x1, x2, x3)
-        src = (points[w][sw], points[w][(sw + 1) % 3], points[w][(sw + 2) % 3])
-        bmap = sl_normalize(three_point_map(src, (x1, x4, x5)))
-        images["b%d" % i] = bmap
+        target = _across(lp, _from_slot(points[v], sv), True)
+        images["b%d" % i] = sl_normalize(three_point_map(_from_slot(points[w], sw), target))
         beta_signs[i] = 1
-    return SurfaceRepresentation(
-        surface, tree, params, pres, images, points, base,
-        lift_mode=lift_mode, beta_signs=beta_signs,
-    )
+    return SurfaceRepresentation(surface, tree, params, pres, images, points, base,
+                                 beta_signs=beta_signs)
 
 
-def _residual(m, lift_mode):
+def _residual(m):
     a, b, c, d = m.a, m.b, m.c, m.d
-    if lift_mode != "SL":
-        r = cmath.sqrt(a * d - b * c)
-        a, b, c, d = a / r, b / r, c / r, d / r
     return float(min(_max_abs(a - 1, b, c, d - 1), _max_abs(a + 1, b, c, d + 1)))
 
 
-def verify_relations(rep, tol=None):
+def verify_relations(rep):
     """Residual (distance of each relation product to +-identity) per relation."""
     out = {}
-    out["relator"] = _residual(rep.evaluate(rep.presentation.one_relator()), rep.lift_mode)
-    out["walk"] = _residual(rep.evaluate(rep.presentation.relation), rep.lift_mode)
+    out["relator"] = _residual(rep.evaluate(rep.presentation.one_relator()))
+    out["walk"] = _residual(rep.evaluate(rep.presentation.relation))
     for i, (lhs, rhs) in enumerate(rep.presentation.hnn, start=1):
-        m = rep.evaluate(lhs) @ rep.evaluate(rhs).inverse()
-        out["hnn%d" % i] = _residual(m, rep.lift_mode)
+        out["hnn%d" % i] = _residual(rep.evaluate(lhs) @ rep.evaluate(rhs).inverse())
     return out
 
 
@@ -238,46 +226,31 @@ def recover_coordinates(rep, eigen_choice=None, tol=1e-9):
         x, y = slot_fixed[(vid, s)]
         if choice == -1:
             e, x, y = 1 / e, y, x
-        # the slot carries the parameter at a tail, its inverse at a head
-        eigen[eid] = e if end == "tail" else 1 / e
+        eigen[eid] = _end_eigen(e, end)
         branch_points[(vid, s)] = x
         for end2, (vid2, s2) in ends[1:]:
             e2 = slot_eigen[(vid2, s2)]
             x2, y2 = slot_fixed[(vid2, s2)]
-            want = eigen[eid] if end2 == "tail" else 1 / eigen[eid]
+            want = _end_eigen(eigen[eid], end2)
             if abs(e2 - want) > abs(1 / e2 - want):
                 e2, x2, y2 = 1 / e2, y2, x2
             branch_points[(vid2, s2)] = x2
 
-    g = surface.genus
+    # the twists are the unknowns; local_picture reads only the eigenvalues
+    recovered = EdgeParams(eigen, dict.fromkeys(graph.interior_edges()))
     u_index = {eid: i for i, eid in enumerate(rep.presentation.u_edges, start=1)}
     twist = {}
     for eid in graph.interior_edges():
-        v, sv = graph.slot_of[(eid, "tail")]
-        w, sw = graph.slot_of[(eid, "head")]
-        x1 = branch_points[(v, sv)]
-        x2 = branch_points[(v, (sv + 1) % 3)]
-        x3 = branch_points[(v, (sv + 2) % 3)]
-        x4 = branch_points[(w, (sw + 1) % 3)]
-        x5 = branch_points[(w, (sw + 2) % 3)]
+        lp = local_picture(surface, recovered, eid)
+        (v, sv), (w, sw) = lp.tail_slots, lp.head_slots
+        x1, x2, x3 = (branch_points[(v, (sv + k) % 3)] for k in range(3))
+        x4, x5 = (branch_points[(w, (sw + k) % 3)] for k in (1, 2))
         if eid in u_index:
             # the head-side points live on the far lift: push them across
             bmap = rep.images["b%d" % u_index[eid]]
             x4, x5 = bmap.apply(x4), bmap.apply(x5)
-
-        def adj(slot):
-            e2id, end2 = graph.slot(*slot)
-            return eigen[e2id] if end2 == "tail" else 1 / eigen[e2id]
-
-        es = (
-            eigen[eid],
-            adj((v, (sv + 1) % 3)),
-            adj((v, (sv + 2) % 3)),
-            adj((w, (sw + 1) % 3)),
-            adj((w, (sw + 2) % 3)),
-        )
         twist[eid] = best_twist_from_fixed_points(
-            es, {1: x1, 2: x2, 3: x3, 4: x4, 5: x5}
+            lp.es, {1: x1, 2: x2, 3: x3, 4: x4, 5: x5}
         )
     return EdgeParams(eigen, twist)
 
@@ -293,8 +266,6 @@ def stiefel_whitney(rep):
 
 def act_beta_signs(rep, signs):
     """Multiply each stable-letter image by the given sign (H^1(G;Z/2) action)."""
-    if rep.lift_mode != "SL":
-        raise ValueError("the sign action is trivial in PSL mode")
     images = dict(rep.images)
     beta_signs = dict(rep.beta_signs)
     for i, s in signs.items():
@@ -303,5 +274,5 @@ def act_beta_signs(rep, signs):
         beta_signs[i] = beta_signs.get(i, 1) * s
     return SurfaceRepresentation(
         rep.surface, rep.tree, rep.params, rep.presentation, images,
-        rep.points, rep.base, lift_mode=rep.lift_mode, beta_signs=beta_signs,
+        rep.points, rep.base, beta_signs=beta_signs,
     )

@@ -45,9 +45,9 @@ def _load_surface(path):
         with open(path) as fh:
             doc = json.load(fh)
         surf = surface.from_json(doc)
+        problems = surface.validate(surf)
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as ex:
         raise SchemaError("cannot read surface file %s: %s" % (path, ex))
-    problems = surface.validate(surf)
     if problems:
         raise SchemaError("invalid surface: %s" % "; ".join(problems))
     return surf
@@ -153,13 +153,16 @@ def cmd_act(args):
     params = _load_params(args.params, surf, args.tol)
     if args.flip is None and not args.epsilon:
         raise SchemaError("act needs --flip and/or --epsilon")
+    try:
+        ids = [int(x) for x in (args.epsilon or "").split(",") if x]
+    except ValueError as ex:
+        raise SchemaError("--epsilon must be a comma-separated edge list: %s" % ex)
+    for eid in ([] if args.flip is None else [args.flip]) + ids:
+        if eid not in surf.graph.edges:
+            raise DomainError("edge %r does not exist in the surface" % eid)
     if args.flip is not None:
         params = symmetry.flip_eigenvalue(params, surf, args.flip)
     if args.epsilon:
-        try:
-            ids = [int(x) for x in args.epsilon.split(",") if x]
-        except ValueError as ex:
-            raise SchemaError("--epsilon must be a comma-separated edge list: %s" % ex)
         eps = {eid: (-1 if eid in ids else 1) for eid in surf.graph.edges}
         if not symmetry.check_epsilon(surf, eps):
             raise DomainError("sign vector %s is not admissible" % sorted(ids))
@@ -191,7 +194,14 @@ def cmd_move(args):
             raise DomainError("target %r does not exist in the surface" % target)
     else:
         raise SchemaError("automorphism moves need programmatic data; use the library")
-    new_surf, new_params = moves.apply_move(surf, params, moves.Move(args.kind, target, branch))
+    try:
+        new_surf, new_params = moves.apply_move(surf, params, moves.Move(args.kind, target, branch))
+    except (DegenerateInputError, SingularMapError):
+        raise
+    except ValueError as ex:
+        # a move that is not defined on this target, e.g. a Dehn twist
+        # along a boundary edge
+        raise DomainError(str(ex)) from None
     _emit({"surface": surface.to_json(new_surf),
            "params": coordinates.params_to_json(new_params)}, args.out)
     return 0
@@ -360,7 +370,7 @@ def main(argv=None):
     except SchemaError as ex:
         _emit({"error": "schema", "detail": str(ex)}, None)
         return EXIT_SCHEMA
-    except (DomainError, KeyError) as ex:
+    except DomainError as ex:
         _emit({"error": "domain", "detail": str(ex)}, None)
         return EXIT_DOMAIN
     except (DegenerateInputError, SingularMapError, ZeroDivisionError, ArithmeticError) as ex:

@@ -7,8 +7,8 @@ the) graph: with the edge oriented from the vertex carrying (x1, x2, x3) to
 the vertex carrying (x1, x4, x5), both triples counterclockwise starting at
 the shared edge, the forward equations give (x4, x5) and the backward ones
 (x2, x3).  All eigenvalues entering these formulas must already be
-orientation-adjusted (invert e for an edge pointing into its vertex); the
-builder owns that adjustment.
+orientation-adjusted (invert e for an edge pointing into its vertex);
+_end_eigen owns that adjustment.
 """
 
 import json
@@ -32,6 +32,15 @@ def make_params(eigen, twist):
         {int(k): complex(v) for k, v in eigen.items()},
         {int(k): complex(v) for k, v in twist.items()},
     )
+
+
+def _end_eigen(e, end):
+    """The eigenvalue parameter e of an edge as seen from one of its ends.
+
+    e at the edge's tail, 1/e at its head.  The map is its own inverse, so
+    it also turns the value seen at an end back into the parameter.
+    """
+    return e if end == "tail" else 1 / e
 
 
 def in_domain(params, surface, tol=1e-9):
@@ -325,26 +334,9 @@ def local_picture(surface, params, edge):
         raise ValueError("edge %r is a boundary edge" % (edge,))
     v, sv = graph.slot_of[(edge, "tail")]
     w, sw = graph.slot_of[(edge, "head")]
-
-    def adjusted(slot):
-        eid, end = slot
-        e = params.eigen[eid]
-        return e if end == "tail" else 1 / e
-
     g2, g3 = graph.slot(v, sv + 1), graph.slot(v, sv + 2)
     g4, g5 = graph.slot(w, sw + 1), graph.slot(w, sw + 2)
-    es = (
-        params.eigen[edge],
-        adjusted(g2),
-        adjusted(g3),
-        adjusted(g4),
-        adjusted(g5),
-    )
-    return LocalPicture(
-        edge,
-        es,
-        params.twist[edge],
-        (v, sv),
-        (w, sw),
-        (g2, g3, g4, g5),
-    )
+    eigen = params.eigen
+    es = (eigen[edge], _end_eigen(eigen[g2[0]], g2[1]), _end_eigen(eigen[g3[0]], g3[1]),
+          _end_eigen(eigen[g4[0]], g4[1]), _end_eigen(eigen[g5[0]], g5[1]))
+    return LocalPicture(edge, es, params.twist[edge], (v, sv), (w, sw), (g2, g3, g4, g5))

@@ -122,57 +122,22 @@ def normalize_domain(params, surface):
     """Push real parameters toward the canonical sign pattern e < -1.
 
     Eigenvalues inside the unit circle are inverted by the flip action
-    (which is how an orientation reversal is undone), then a sign vector
-    from the admissible (Z/2)^k action is solved for to make every real
-    eigenvalue negative.  Returns (params', {"flips": [...], "epsilon": ...}).
-    Both actions fix the underlying PSL(2,C) representation.
+    (which is how an orientation reversal is undone), then the sign vector
+    that is -1 exactly on the positive real eigenvalues is applied if the
+    admissible (Z/2)^k action contains it.  Returns
+    (params', {"flips": [...], "epsilon": ...}).  Both actions fix the
+    underlying PSL(2,C) representation.
     """
     actions = {"flips": [], "epsilon": None}
     for eid in sorted(params.eigen):
         if abs(params.eigen[eid]) < 1:
             params = symmetry.flip_eigenvalue(params, surface, eid)
             actions["flips"].append(eid)
-    want = {eid for eid, e in params.eigen.items()
-            if _is_real(e) and complex(e).real > 0}
-    if want:
-        basis = symmetry.epsilon_basis(surface)
-        edges = sorted(params.eigen)
-        pos = {eid: i for i, eid in enumerate(edges)}
-        target = 0
-        for eid in want:
-            target |= 1 << pos[eid]
-        masks = []
-        for eps in basis:
-            m = 0
-            for eid, s in eps.items():
-                if s == -1:
-                    m |= 1 << pos[eid]
-            masks.append(m)
-        # GF(2) elimination to express target in the span, if possible
-        pivots = {}
-        combo = {}
-        for i, m in enumerate(masks):
-            sel = 1 << i
-            for col in sorted(pivots, reverse=True):
-                if (m >> col) & 1:
-                    m ^= pivots[col]
-                    sel ^= combo[col]
-            if m:
-                col = m.bit_length() - 1
-                pivots[col], combo[col] = m, sel
-        t, chosen = target, 0
-        for col in sorted(pivots, reverse=True):
-            if (t >> col) & 1:
-                t ^= pivots[col]
-                chosen ^= combo[col]
-        if t == 0:
-            eps = {eid: 1 for eid in edges}
-            for i in range(len(masks)):
-                if (chosen >> i) & 1:
-                    for eid, s in basis[i].items():
-                        eps[eid] *= s
-            params = symmetry.act_epsilon(params, eps, surface)
-            actions["epsilon"] = eps
+    eps = {eid: -1 if _is_real(e) and complex(e).real > 0 else 1
+           for eid, e in sorted(params.eigen.items())}
+    if -1 in eps.values() and symmetry.check_epsilon(surface, eps):
+        params = symmetry.act_epsilon(params, eps)
+        actions["epsilon"] = eps
     return params, actions
 
 

@@ -13,6 +13,7 @@ from .projective import DegenerateInputError, sqrt_principal
 from .surface import Edge, FatGraph, PantsSurface, Vertex
 from .coordinates import (
     EdgeParams,
+    _end_eigen,
     four_holed_traces,
     local_picture,
     one_holed_traces,
@@ -139,11 +140,6 @@ def elementary_one_holed(e1, e2, t1, branch=None):
     return e1p, t1p, t2_factor
 
 
-def vertex_move(surface, params, vertex):
-    """Type III: half twists on the three edges at one trivalent vertex."""
-    return apply_move(surface, params, Move("vertex", vertex))
-
-
 def _reverse_edge_in_graph(graph, edge):
     e = graph.edges[edge]
     new_edges = dict(graph.edges)
@@ -191,20 +187,14 @@ def apply_move(surface, params, move):
         if surface.graph.vertices[vid].kind != "tri":
             raise ValueError("vertex move needs a trivalent vertex")
         twist = dict(params.twist)
-
-        def adj(slot_index):
-            e2id, end2 = graph.slot(vid, slot_index)
-            e = params.eigen[e2id]
-            return e if end2 == "tail" else 1 / e
-
-        for s in range(3):
-            eid, end = graph.slot(vid, s)
+        inc = graph.vertices[vid].incident
+        es = [_end_eigen(params.eigen[eid], end) for eid, end in inc]
+        for s, (eid, _end) in enumerate(inc):
             if graph.is_boundary(eid):
                 continue
-            factor = half_twist_formula(adj(s), adj(s + 1), adj(s + 2), 1)
+            factor = half_twist_formula(es[s], es[(s + 1) % 3], es[(s + 2) % 3], 1)
             twist[eid] = factor * twist[eid]
         # the half twists reverse the counterclockwise order at the vertex
-        inc = graph.vertices[vid].incident
         new_vertices = dict(graph.vertices)
         new_vertices[vid] = Vertex(vid, "tri", (inc[0], inc[2], inc[1]))
         new_graph = FatGraph(list(new_vertices.values()), list(graph.edges.values()))

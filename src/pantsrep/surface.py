@@ -115,11 +115,16 @@ def validate(surface):
                     "vertex %r lists (%r, %r) but that end is elsewhere" % (v, eid, end)
                 )
     for e in graph.edges.values():
+        if e.tail not in graph.vertices or e.head not in graph.vertices:
+            continue  # reported above
         kinds = {graph.vertices[e.tail].kind, graph.vertices[e.head].kind}
         if graph.vertices[e.tail].kind == "uni" and graph.vertices[e.head].kind == "uni":
             problems.append("edge %r joins two univalent vertices" % (e.id,))
         if "uni" not in kinds and e.tail == e.head and graph.vertices[e.tail].kind != "tri":
             problems.append("loop edge %r at non-trivalent vertex" % (e.id,))
+    for eid in surface.tree or ():
+        if eid not in graph.edges:
+            problems.append("tree lists unknown edge %r" % (eid,))
     if not problems and not _connected(graph):
         problems.append("graph is not connected")
     return problems

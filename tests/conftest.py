@@ -1,9 +1,17 @@
 """Shared helpers for the test suite."""
 
+import os
+
 import numpy as np
 
 from pantsrep import builder, coordinates, surface
 from pantsrep.coordinates import EdgeParams
+
+# subprocesses import the same pantsrep as the tests, whether it comes
+# from PYTHONPATH, pytest's pythonpath setting or an install
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(coordinates.__file__)))
+SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
 
 SURFACES = {
     "four_holed": surface.four_holed_sphere,

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from pantsrep import builder, coordinates as co, fuchsian as fu, moves, shearbend as sb
+from pantsrep import builder, coordinates as co, fuchsian as fu, shearbend as sb
 from pantsrep import surface as su, symmetry as sym
 from pantsrep.coordinates import EdgeParams
 from pantsrep.moves import Move, apply_move
@@ -237,8 +237,8 @@ def test_06_move_coherence():
                     1.0, abs(params.twist[eid]))
         for vid in surf.graph.trivalent_vertices():
             # half twists square to one full twist per incidence
-            s1, p1 = moves.vertex_move(surf, params, vid)
-            s2, p2 = moves.vertex_move(s1, p1, vid)
+            s1, p1 = apply_move(surf, params, Move("vertex", vid))
+            s2, p2 = apply_move(s1, p1, Move("vertex", vid))
             g = surf.graph
             for eid in g.interior_edges():
                 factor = 1.0

@@ -55,14 +55,6 @@ def test_build_rejects_out_of_domain():
         builder.build(surf, bad)
 
 
-def test_psl_mode_relations():
-    surf = su.genus_two()
-    params = sample_params(surf, RNG)
-    rep = builder.build(surf, params, lift_mode="PSL")
-    assert rep.lift_mode == "PSL"
-    assert max_residual(rep) < 1e-10
-
-
 def test_evaluate_words():
     surf = su.four_holed_sphere()
     params = sample_params(surf, RNG)

@@ -1,7 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -11,22 +10,15 @@ import pytest
 from pantsrep import coordinates as co, surface as su
 from pantsrep.coordinates import EdgeParams
 
-from conftest import sample_params
+from conftest import SUBPROCESS_ENV, sample_params
 
 RNG = np.random.default_rng(20240909)
-
-
-# the CLI subprocess imports the same pantsrep as the tests, whether it
-# comes from PYTHONPATH, pytest's pythonpath setting or an install
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(co.__file__)))
-ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
-    [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
 
 
 def run_cli(*args, **kw):
     return subprocess.run(
         [sys.executable, "-m", "pantsrep.cli"] + list(args),
-        capture_output=True, text=True, env=ENV, **kw,
+        capture_output=True, text=True, env=SUBPROCESS_ENV, **kw,
     )
 
 
@@ -223,3 +215,49 @@ def test_non_finite_output_is_a_numeric_error(capsys):
     with pytest.raises(ArithmeticError):
         cli._emit({"value": float("nan")}, None)
     assert capsys.readouterr().out == ""
+
+
+def _fixture_files(tmp_path, make, seed):
+    surf = make()
+    spath, ppath = tmp_path / "surf.json", tmp_path / "params.json"
+    su.save(surf, spath)
+    co.save_params(sample_params(surf, np.random.default_rng(seed)), ppath)
+    return str(spath), str(ppath)
+
+
+@pytest.mark.parametrize("make, kind, target", [
+    (su.four_holed_sphere, "elem", "2"),      # boundary edge
+    (su.four_holed_sphere, "twist-r", "2"),   # boundary edge
+    (su.four_holed_sphere, "vertex", "2"),    # univalent vertex
+    (su.genus_two, "elem", "3"),              # self-glued four-holed picture
+])
+def test_undefined_move_is_a_domain_error(tmp_path, make, kind, target):
+    spath, ppath = _fixture_files(tmp_path, make, 20261020)
+    r = run_cli("move", "--surface", spath, "--params", ppath, "--kind", kind, "--target", target)
+    assert r.returncode == 3, (r.stdout, r.stderr)
+    assert strict_json(r.stdout)["error"] == "domain"
+    assert r.stderr == ""
+
+
+@pytest.mark.parametrize("flag", ["--flip", "--epsilon"])
+def test_act_unknown_edge_is_a_domain_error(four_holed_files, flag):
+    _, _, spath, ppath = four_holed_files
+    r = run_cli("act", "--surface", spath, "--params", ppath, flag, "99")
+    assert r.returncode == 3, (r.stdout, r.stderr)
+    doc = strict_json(r.stdout)
+    assert doc["error"] == "domain" and "99" in doc["detail"]
+
+
+@pytest.mark.parametrize("edit", ["tree", "vertex"])
+def test_surface_with_unknown_ids_is_a_schema_error(tmp_path, four_holed_files, edit):
+    surf, _, _, ppath = four_holed_files
+    doc = su.to_json(surf)
+    if edit == "tree":
+        doc["tree"] = doc["tree"] + [99]
+    else:
+        doc["edges"][-1]["head"] = 99
+    bad = tmp_path / "bad-surface.json"
+    bad.write_text(json.dumps(doc))
+    r = run_cli("generators", "--surface", str(bad), "--params", ppath)
+    assert r.returncode == 2, (r.stdout, r.stderr)
+    assert strict_json(r.stdout)["error"] == "schema"

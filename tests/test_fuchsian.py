@@ -182,3 +182,29 @@ def test_psl2r_obstruction():
     rep2 = builder.build(surf, neg)
     signs2 = fu.psl2r_obstruction(rep2)
     assert signs2[1] == -signs[1]
+
+
+@pytest.mark.parametrize("name", ["genus_two", "four_holed"])
+def test_normalize_domain_applies_admissible_sign_vector(name):
+    from pantsrep import symmetry as sym
+
+    surf = SURFACES[name]()
+    params = sample_fuchsian_params(surf, np.random.default_rng(20261018))
+    for eps in sym.epsilon_basis(surf):
+        off = sym.act_epsilon(params, eps, surf)
+        assert not fu.in_teich_domain(off)
+        fixed, actions = fu.normalize_domain(off, surf)
+        assert fu.in_teich_domain(fixed)
+        assert actions == {"flips": [], "epsilon": eps}
+        assert fixed.eigen == params.eigen and fixed.twist == params.twist
+
+
+def test_normalize_domain_leaves_inadmissible_signs():
+    surf = su.four_holed_sphere()
+    params = sample_fuchsian_params(surf, np.random.default_rng(20261019))
+    off = EdgeParams(dict(params.eigen), dict(params.twist))
+    edge = surf.graph.boundary_edges()[0]
+    off.eigen[edge] = -off.eigen[edge]
+    fixed, actions = fu.normalize_domain(off, surf)
+    assert actions == {"flips": [], "epsilon": None}
+    assert fixed.eigen == off.eigen and fixed.twist == off.twist

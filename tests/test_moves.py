@@ -114,8 +114,8 @@ def test_vertex_move_square_is_dehn_twists():
         surf = make()
         params = sample_params(surf, RNG)
         for vid in surf.graph.trivalent_vertices():
-            s1, p1 = moves.vertex_move(surf, params, vid)
-            s2, p2 = moves.vertex_move(s1, p1, vid)
+            s1, p1 = apply_move(surf, params, Move("vertex", vid))
+            s2, p2 = apply_move(s1, p1, Move("vertex", vid))
             assert s2.graph.vertices[vid].incident == surf.graph.vertices[vid].incident
             g = surf.graph
             for eid in g.interior_edges():
@@ -142,7 +142,7 @@ def test_vertex_move_acts_by_the_expected_substitution():
         1: {"d3": [("d4", -1), ("d3", 1), ("d4", 1)]},
     }
     for vid, sub in sub_by_vertex.items():
-        s1, p1 = moves.vertex_move(surf, params, vid)
+        s1, p1 = apply_move(surf, params, Move("vertex", vid))
         rep1 = builder.build(s1, p1)
         for i in (1, 2, 3, 4):
             name = "d%d" % i
@@ -160,7 +160,7 @@ def test_vertex_move_rejects_univalent_vertex():
     params = sample_params(surf, RNG)
     uni = surf.graph.univalent_vertices()[0]
     with pytest.raises(ValueError):
-        moves.vertex_move(surf, params, uni)
+        apply_move(surf, params, Move("vertex", uni))
 
 
 def test_auto_move_relabels():
