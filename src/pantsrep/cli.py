@@ -46,7 +46,7 @@ def _load_surface(path):
             doc = json.load(fh)
         surf = surface.from_json(doc)
         problems = surface.validate(surf)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as ex:
+    except (OSError, KeyError, TypeError, ValueError) as ex:
         raise SchemaError("cannot read surface file %s: %s" % (path, ex))
     if problems:
         raise SchemaError("invalid surface: %s" % "; ".join(problems))

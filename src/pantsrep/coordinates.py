@@ -27,13 +27,6 @@ from .pants import is_admissible_triple
 EdgeParams = namedtuple("EdgeParams", ["eigen", "twist"])
 
 
-def make_params(eigen, twist):
-    return EdgeParams(
-        {int(k): complex(v) for k, v in eigen.items()},
-        {int(k): complex(v) for k, v in twist.items()},
-    )
-
-
 def _end_eigen(e, end):
     """The eigenvalue parameter e of an edge as seen from one of its ends.
 
@@ -165,25 +158,45 @@ def twist_from_fixed_points(variant, es, xs):
     raise ValueError("variant must be 1, 2, 3 or 4")
 
 
+def _variant(variant, idx):
+    """(variant, its points, its point pairs in reading order, each sorted)."""
+    pairs = tuple(tuple(sorted((p, q))) for i, p in enumerate(idx) for q in idx[i + 1:])
+    return variant, idx, pairs
+
+
+#: the four points each variant of twist_from_fixed_points reads
+_VARIANTS = (_variant(1, (5, 3, 1, 2)), _variant(2, (4, 3, 1, 2)),
+             _variant(3, (2, 4, 1, 5)), _variant(4, (3, 4, 1, 5)))
+
+
 def best_twist_from_fixed_points(es, xs):
     """The variant whose cross ratio is best conditioned, then its value.
 
     The four formulas agree exactly; this picks the one whose four points
-    are most spread out (largest minimal pairwise determinant).
+    are most spread out (largest minimal pairwise determinant).  Each
+    point's scale max(|num|, |den|) and each pair's spread are computed
+    once, however many variants read them; a pair's spread does not depend
+    on the order of its points, and each variant takes the min over its
+    pairs in the same order as ever, so ties and NaN pick the same variant.
     """
-    needed = {1: (5, 3, 1, 2), 2: (4, 3, 1, 2), 3: (2, 4, 1, 5), 4: (3, 4, 1, 5)}
+    scaled, spread = {}, {}
     best, score = None, -1.0
-    for variant, idx in needed.items():
+    for variant, idx, pairs in _VARIANTS:
         try:
-            pts = [as_point(xs[i]) for i in idx]
+            for i in idx:
+                if i not in scaled:
+                    p = as_point(xs[i])
+                    scaled[i] = (p.num, p.den, max(abs(p.num), abs(p.den)))
         except KeyError:
             continue
-        m = min(
-            abs(p.num * q.den - q.num * p.den)
-            / (max(abs(p.num), abs(p.den)) * max(abs(q.num), abs(q.den)))
-            for i, p in enumerate(pts)
-            for q in pts[i + 1 :]
-        )
+        spreads = []
+        for pair in pairs:
+            s = spread.get(pair)
+            if s is None:
+                (pn, pd, ps), (qn, qd, qs) = scaled[pair[0]], scaled[pair[1]]
+                s = spread[pair] = abs(pn * qd - qn * pd) / (ps * qs)
+            spreads.append(s)
+        m = min(spreads)
         if m > score:
             best, score = variant, m
     if best is None:
@@ -334,9 +347,14 @@ def local_picture(surface, params, edge):
         raise ValueError("edge %r is a boundary edge" % (edge,))
     v, sv = graph.slot_of[(edge, "tail")]
     w, sw = graph.slot_of[(edge, "head")]
-    g2, g3 = graph.slot(v, sv + 1), graph.slot(v, sv + 2)
-    g4, g5 = graph.slot(w, sw + 1), graph.slot(w, sw + 2)
-    eigen = params.eigen
-    es = (eigen[edge], _end_eigen(eigen[g2[0]], g2[1]), _end_eigen(eigen[g3[0]], g3[1]),
-          _end_eigen(eigen[g4[0]], g4[1]), _end_eigen(eigen[g5[0]], g5[1]))
-    return LocalPicture(edge, es, params.twist[edge], (v, sv), (w, sw), (g2, g3, g4, g5))
+    nbrs = (graph.slot(v, sv + 1), graph.slot(v, sv + 2),
+            graph.slot(w, sw + 1), graph.slot(w, sw + 2))
+    es = _picture_es(params.eigen, edge, nbrs)
+    return LocalPicture(edge, es, params.twist[edge], (v, sv), (w, sw), nbrs)
+
+
+def _picture_es(eigen, edge, nbrs):
+    """(e1, ..., e5) of edge's local picture, from its four neighbor slots."""
+    (i2, n2), (i3, n3), (i4, n4), (i5, n5) = nbrs
+    return (eigen[edge], _end_eigen(eigen[i2], n2), _end_eigen(eigen[i3], n3),
+            _end_eigen(eigen[i4], n4), _end_eigen(eigen[i5], n5))

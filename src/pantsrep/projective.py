@@ -145,18 +145,7 @@ class MoebiusMap:
             if arr.shape != (2, 2):
                 raise ValueError("MoebiusMap needs a 2x2 matrix or a flat 4-tuple")
             a, b, c, d = (complex(v) for v in arr.flat)
-        det = a * d - b * c
-        try:
-            norm = max(abs(a), abs(b), abs(c), abs(d))
-            adet = abs(det)
-        except OverflowError:
-            norm = max(_mod(a), _mod(b), _mod(c), _mod(d))
-            adet = _mod(det)
-        # det == 0 covers the zero matrix; a NaN entry makes det NaN and
-        # passes, as the numpy check did; norm * norm is inf past the float
-        # range, where ** would raise
-        if det == 0 or adet < SING_TOL * norm * norm:
-            raise SingularMapError("singular matrix %r" % (((a, b), (c, d)),))
+        _check_nonsingular(a, b, c, d)
         self.a, self.b, self.c, self.d = a, b, c, d
 
     @property
@@ -168,7 +157,7 @@ class MoebiusMap:
 
     @classmethod
     def identity(cls):
-        return cls((1 + 0j, 0j, 0j, 1 + 0j))
+        return cls(_IDENTITY)
 
     def det(self):
         return self.a * self.d - self.b * self.c
@@ -200,6 +189,41 @@ class MoebiusMap:
 
     def __repr__(self):
         return "MoebiusMap(%s)" % np.array2string(self.m, separator=", ")
+
+
+def _check_nonsingular(a, b, c, d):
+    """The singularity rule of MoebiusMap: raise SingularMapError or return.
+
+    |ad - bc| < SING_TOL * max|entry|^2 is singular.  det == 0 covers the
+    zero matrix; a NaN entry makes det NaN and passes, as the numpy check
+    did; norm * norm is inf past the float range, where ** would raise.
+    """
+    det = a * d - b * c
+    try:
+        norm = max(abs(a), abs(b), abs(c), abs(d))
+        adet = abs(det)
+    except OverflowError:
+        norm = max(_mod(a), _mod(b), _mod(c), _mod(d))
+        adet = _mod(det)
+    if det == 0 or adet < SING_TOL * norm * norm:
+        raise SingularMapError("singular matrix %r" % (((a, b), (c, d)),))
+
+
+_IDENTITY = (1 + 0j, 0j, 0j, 1 + 0j)
+
+
+def _chain(factors, start=_IDENTITY):
+    """start @ f1 @ f2 @ ... on row-major (a, b, c, d) tuples, left to right.
+
+    Every partial product meets MoebiusMap's singularity rule, so a chain
+    raises exactly where the same product of MoebiusMaps would, without
+    building any MoebiusMap.
+    """
+    a, b, c, d = start
+    for e, f, g, h in factors:
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        _check_nonsingular(a, b, c, d)
+    return a, b, c, d
 
 
 def _mod(z):
@@ -333,9 +357,14 @@ def fixed_points_with_eigs(m, tol=1e-9):
     arg(e) in [0, pi)).  The other branch is reached through the flip
     action, not here.
     """
-    if abs(m.det() - 1) > 1e-8:
+    return _fixed_points_with_eigs(m.a, m.b, m.c, m.d, tol)
+
+
+def _fixed_points_with_eigs(a, b, c, d, tol):
+    """fixed_points_with_eigs on the entries of a row-major (a, b, c, d)."""
+    if abs(a * d - b * c - 1) > 1e-8:
         raise ValueError("fixed_points_with_eigs expects an SL-normalized map")
-    tr = m.trace()
+    tr = a + d
     disc = tr * tr - 4
     if abs(disc) <= tol * max(1.0, abs(tr) * abs(tr)):
         raise DegenerateInputError(
@@ -345,12 +374,12 @@ def fixed_points_with_eigs(m, tol=1e-9):
     e = (tr + root) / 2
     if abs(e) < 1 or (abs(abs(e) - 1) <= 1e-12 and not (0 <= cmath.phase(e) < math.pi)):
         e = (tr - root) / 2
-    a, b, c, d = m.a, m.b, m.c, m.d
-    # eigenvector for eigenvalue lam solves (a - lam) u + b v = 0
+    # eigenvector for eigenvalue lam solves (a - lam) u + b v = 0; of the
+    # two candidate rows take the larger, the first on a tie or NaN
     def eigvec(lam):
         r1 = (b, lam - a)
         r2 = (lam - d, c)
-        return max((r1, r2), key=lambda r: abs(r[0]) + abs(r[1]))
+        return r2 if abs(r2[0]) + abs(r2[1]) > abs(r1[0]) + abs(r1[1]) else r1
 
     x = ProjectivePoint(*eigvec(e))
     y = ProjectivePoint(*eigvec(1 / e))

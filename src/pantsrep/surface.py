@@ -9,6 +9,7 @@ group relation is read off by walking the boundary of the fattened tree.
 """
 
 import json
+import weakref
 from collections import namedtuple
 
 Edge = namedtuple("Edge", ["id", "tail", "head"])
@@ -50,12 +51,6 @@ class FatGraph:
         """The (edge id, end) incidence at slot i of vertex vid."""
         inc = self.vertices[vid].incident
         return inc[i % len(inc)]
-
-    def other_vertex(self, eid, vid):
-        e = self.edges[eid]
-        if e.tail == vid and e.head == vid:
-            raise ValueError("edge %r is a loop at %r" % (eid, vid))
-        return e.head if e.tail == vid else e.tail
 
     def end_vertex(self, eid, end):
         e = self.edges[eid]
@@ -127,10 +122,16 @@ def validate(surface):
             problems.append("tree lists unknown edge %r" % (eid,))
     if not problems and not _connected(graph):
         problems.append("graph is not connected")
+    tree = surface.tree
+    if not problems and tree is not None and (
+            len(tree) != len(graph.vertices) - 1 or not _connected(graph, tree)):
+        problems.append("tree %r is not a spanning tree of the graph" % (sorted(tree),))
     return problems
 
 
-def _connected(graph):
+def _connected(graph, eids=None):
+    """True iff the edges eids (default: every edge) join all vertices."""
+    edges = [graph.edges[eid] for eid in (graph.edges if eids is None else eids)]
     verts = list(graph.vertices)
     if not verts:
         return False
@@ -138,7 +139,7 @@ def _connected(graph):
     stack = [verts[0]]
     while stack:
         v = stack.pop()
-        for e in graph.edges.values():
+        for e in edges:
             if v in (e.tail, e.head):
                 w = e.head if e.tail == v else e.tail
                 if w not in seen:
@@ -150,33 +151,37 @@ def _connected(graph):
 def maximal_tree(surface, seed=None):
     """A spanning tree of the fat graph, as a set of edge ids.
 
-    Breadth-first from the lowest vertex id, preferring lower edge ids;
-    a seed list of edge ids is preferred ahead of everything else.
+    Grown from the lowest vertex id; each step adds the edge leaving the
+    tree that comes first in id order, with the edges of a seed list, in
+    their order, ahead of everything else.
     """
+    import heapq  # here, not at the top: off the CLI's import path
+
     graph = surface.graph
     pref = {eid: i for i, eid in enumerate(seed or [])}
-
-    def rank(eid):
-        return (pref.get(eid, len(pref)), eid)
-
+    order = sorted(graph.edges, key=lambda eid: (pref.get(eid, len(pref)), eid))
+    # a heap of the order positions of the edges at seen vertices; an edge
+    # whose ends are both seen by the time it comes up is dropped
+    touching = {}
+    for k, eid in enumerate(order):
+        e = graph.edges[eid]
+        touching.setdefault(e.tail, []).append(k)
+        touching.setdefault(e.head, []).append(k)
     start = min(graph.vertices)
     seen = {start}
     tree = set()
-    frontier = [start]
-    while frontier:
-        candidates = []
-        for eid in sorted(graph.edges, key=rank):
-            e = graph.edges[eid]
-            if (e.tail in seen) != (e.head in seen):
-                candidates.append(eid)
-        if not candidates:
-            break
-        eid = candidates[0]
+    heap = list(touching.get(start, ()))
+    heapq.heapify(heap)
+    while heap:
+        eid = order[heapq.heappop(heap)]
         e = graph.edges[eid]
+        if (e.tail in seen) == (e.head in seen):
+            continue
         new = e.head if e.tail in seen else e.tail
         seen.add(new)
         tree.add(eid)
-        frontier.append(new)
+        for k in touching[new]:
+            heapq.heappush(heap, k)
     if len(seen) != len(graph.vertices):
         raise ValueError("graph is disconnected; no spanning tree")
     complement = [eid for eid in graph.interior_edges() if eid not in tree]
@@ -299,6 +304,156 @@ def presentation(surface, tree):
         ai, agi, bi = "a%d" % i, "a%d" % (g + i), "b%d" % i
         hnn.append((((agi, -1),), ((bi, -1), (ai, 1), (bi, 1))))
     return Presentation(g, b, alpha, beta, delta, relation, hnn, vertex_words, u_edges)
+
+
+# ---------------------------------------------------------------------------
+# Compiled combinatorics: what build, verify_relations, recover_coordinates
+# and flip_eigenvalue read of the graph, walked once per surface and tree.
+# A surface is treated as immutable once something has been built on it.
+
+#: PantsSurface -> its _GraphTables; an entry goes when its surface does
+_compiled = weakref.WeakKeyDictionary()
+
+
+class _GraphTables:
+    """The parts of a plan that depend on the fat graph alone.
+
+    pictures maps each interior edge to its local-picture slots
+    ((v, sv), (w, sw), (g2, g3, g4, g5)) in local_picture's order; seen_by
+    maps an edge id to the interior edges whose picture holds it, each with
+    the positions (2..5) it fills there, in edge id order.  plans caches
+    one SurfacePlan per tree.  Nothing here refers back to the surface, so
+    the cache entry does not keep its key alive.
+    """
+
+    def __init__(self, graph):
+        self.pictures = {}
+        self.seen_by = {}
+        for f in graph.interior_edges():
+            v, sv = graph.slot_of[(f, "tail")]
+            w, sw = graph.slot_of[(f, "head")]
+            nbrs = (graph.slot(v, sv + 1), graph.slot(v, sv + 2),
+                    graph.slot(w, sw + 1), graph.slot(w, sw + 2))
+            self.pictures[f] = ((v, sv), (w, sw), nbrs)
+            positions = {}
+            for position, (eid, _end) in zip((2, 3, 4, 5), nbrs):
+                positions.setdefault(eid, []).append(position)
+            for eid, at in positions.items():
+                self.seen_by.setdefault(eid, []).append((f, tuple(at)))
+        self.default_tree = None
+        self.plans = {}
+
+
+class SurfacePlan:
+    """The combinatorics of one surface and spanning tree, compiled once.
+
+    - pres, relator: the presentation and its one relator;
+    - root, walk: the DFS of _vertex_points, one step
+      (edge, neighbor slots, near vertex, near slot, far vertex, far slot,
+      forward) per interior tree edge, in crossing order;
+    - incidences: (vertex, incidences) per trivalent vertex, in id order;
+    - image_slots: (generator, vertex, slot) of every pants-matrix image;
+    - letters: (edge, 'b<i>', tail slot, head slot, neighbor slots) per
+      complement edge;
+    - vertex_words: (vertex, its three slot words) per trivalent vertex;
+    - ends: (edge, ((end, (vertex, slot)), ...)) over the trivalent ends of
+      every edge, in id order;
+    - twist_slots: (edge, neighbor slots, the five (vertex, slot) keys of
+      x1..x5, 'b<i>' or None) per interior edge, in id order.
+    """
+
+    def __init__(self, surface, tables, tree):
+        graph = surface.graph
+        pictures = tables.pictures
+        self.tree = frozenset(tree)
+        self.pres = pres = presentation(surface, tree)
+        self.relator = pres.one_relator()
+        self.root, self.walk = _tree_walk(graph, tree, pictures)
+        tri = graph.trivalent_vertices()
+        self.incidences = tuple((vid, graph.vertices[vid].incident) for vid in tri)
+        g = surface.genus
+        slots = []
+        for i, eid in enumerate(pres.u_edges, start=1):
+            slots.append(("a%d" % i,) + graph.slot_of[(eid, "tail")])
+            slots.append(("a%d" % (g + i),) + graph.slot_of[(eid, "head")])
+        for j, eid in enumerate(graph.boundary_edges(), start=1):
+            for end in ("tail", "head"):
+                vid, slot = graph.slot_of[(eid, end)]
+                if graph.vertices[vid].kind == "tri":
+                    slots.append(("d%d" % j, vid, slot))
+        self.image_slots = tuple(slots)
+        names = {eid: "b%d" % i for i, eid in enumerate(pres.u_edges, start=1)}
+        self.letters = tuple((eid, names[eid]) + pictures[eid] for eid in pres.u_edges)
+        self.vertex_words = tuple(
+            (vid, tuple(pres.vertex_words[(vid, s)] for s in range(3))) for vid in tri
+        )
+        self.ends = tuple(
+            (eid, tuple((end, graph.slot_of[(eid, end)]) for end in ("tail", "head")
+                        if graph.vertices[graph.end_vertex(eid, end)].kind == "tri"))
+            for eid in sorted(graph.edges)
+        )
+        twist_slots = []
+        for eid, ((v, sv), (w, sw), nbrs) in pictures.items():
+            keys = ((v, sv), (v, (sv + 1) % 3), (v, (sv + 2) % 3),
+                    (w, (sw + 1) % 3), (w, (sw + 2) % 3))
+            twist_slots.append((eid, nbrs, keys, names.get(eid)))
+        self.twist_slots = tuple(twist_slots)
+
+
+def _tree_walk(graph, tree, pictures):
+    """The root and the steps of one DFS over the tree's interior edges."""
+    steps = {}
+    for eid in sorted(tree):
+        if not graph.is_boundary(eid):
+            e = graph.edges[eid]
+            steps.setdefault(e.tail, []).append((eid, e.head, True))
+            steps.setdefault(e.head, []).append((eid, e.tail, False))
+    root = min(graph.trivalent_vertices())
+    reached = {root}
+    walk = []
+    stack = [root]
+    while stack:
+        near = stack.pop()
+        for eid, far, forward in steps.get(near, ()):
+            if far in reached:
+                continue
+            (_, sv), (_, sw), nbrs = pictures[eid]
+            sn, sf = (sv, sw) if forward else (sw, sv)
+            walk.append((eid, nbrs, near, sn, far, sf, forward))
+            reached.add(far)
+            stack.append(far)
+    if len(reached) != len(graph.trivalent_vertices()):
+        raise ValueError("tree does not reach every trivalent vertex")
+    return root, tuple(walk)
+
+
+def _tables(surface):
+    """The surface's _GraphTables, compiled on first use."""
+    tables = _compiled.get(surface)
+    if tables is None:
+        tables = _compiled[surface] = _GraphTables(surface.graph)
+    return tables
+
+
+def _plan(surface, tree=None):
+    """The SurfacePlan of surface and tree, compiled on first use.
+
+    tree defaults to the surface's stored tree, else maximal_tree (computed
+    once per surface).  Raises ValueError, as presentation does, for a tree
+    that is not a maximal tree of the graph.
+    """
+    tables = _tables(surface)
+    if tree is None:
+        tree = surface.tree
+        if tree is None:
+            if tables.default_tree is None:
+                tables.default_tree = frozenset(maximal_tree(surface))
+            tree = tables.default_tree
+    key = frozenset(tree)
+    plan = tables.plans.get(key)
+    if plan is None:
+        plan = tables.plans[key] = SurfacePlan(surface, tables, key)
+    return plan
 
 
 # ---------------------------------------------------------------------------

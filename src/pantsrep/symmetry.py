@@ -6,7 +6,8 @@ and the sign group of vectors with trivial product at every trivalent
 vertex, which acts on eigenvalues only.
 """
 
-from .coordinates import EdgeParams, local_picture
+from .coordinates import EdgeParams, _picture_es
+from .surface import _tables
 
 
 def _occurrence_factor(es, position):
@@ -31,23 +32,23 @@ def flip_eigenvalue(params, surface, edge):
     The twist of the flipped edge itself inverts; the twist of every
     interior edge seeing the flipped edge in its local picture picks up
     the rescaling factor once per occurrence (so self-glued pictures are
-    handled by the same rule through the covering trick).
+    handled by the same rule through the covering trick).  Only those
+    edges are visited, from the surface's compiled neighbor index.
     """
-    graph = surface.graph
-    if edge not in graph.edges:
+    if edge not in surface.graph.edges:
         raise KeyError("unknown edge %r" % (edge,))
+    tables = _tables(surface)
     eigen = dict(params.eigen)
     twist = dict(params.twist)
-    for f in graph.interior_edges():
-        lp = local_picture(surface, params, f)
+    for f, positions in tables.seen_by.get(edge, ()):
+        _, _, nbrs = tables.pictures[f]
+        es = _picture_es(params.eigen, f, nbrs)
         scale = 1.0
-        for position, (eid, _end) in zip((2, 3, 4, 5), lp.neighbor_slots):
-            if eid == edge:
-                scale *= _occurrence_factor(lp.es, position)
-        new = twist[f] * scale
-        if f == edge:
-            new = 1 / new
-        twist[f] = new
+        for position in positions:
+            scale *= _occurrence_factor(es, position)
+        twist[f] = twist[f] * scale
+    if edge in tables.pictures:
+        twist[edge] = 1 / twist[edge]
     eigen[edge] = 1 / eigen[edge]
     return EdgeParams(eigen, twist)
 

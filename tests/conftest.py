@@ -70,3 +70,51 @@ def marking_words(pres):
     for k in range(2, len(rel)):
         words.append(list(rel[:k]))
     return words
+
+
+def handle_chain(g):
+    """S_{g,2}: a spine of g pants, each carrying a one-holed-torus handle.
+
+    Spine vertex i (1..g) meets spine edges i and i + 1 and handle edge
+    g + 1 + i; handle vertex g + i carries loop edge 2g + 1 + i.  Spine
+    edges 1 and g + 1 end at the univalent vertices 2g + 1 and 2g + 2.  No
+    tree is stored.
+    """
+    vertices, edges = [], []
+    for i in range(1, g + 1):
+        handle, loop = g + 1 + i, 2 * g + 1 + i
+        left = (i, "head") if i > 1 else (1, "tail")
+        vertices.append(surface.Vertex(i, "tri", (left, (handle, "tail"), (i + 1, "tail"))))
+        vertices.append(surface.Vertex(g + i, "tri",
+                                       ((loop, "tail"), (handle, "head"), (loop, "head"))))
+        edges += [surface.Edge(handle, i, g + i), surface.Edge(loop, g + i, g + i)]
+        if i > 1:
+            edges.append(surface.Edge(i, i - 1, i))
+    edges += [surface.Edge(1, 1, 2 * g + 1), surface.Edge(g + 1, g, 2 * g + 2)]
+    vertices += [surface.Vertex(2 * g + 1, "uni", ((1, "head"),)),
+                 surface.Vertex(2 * g + 2, "uni", ((g + 1, "head"),))]
+    return surface.PantsSurface(g, 2, surface.FatGraph(vertices, edges))
+
+
+def caterpillar(b):
+    """S_{0,b}: a path of b - 2 pants with one boundary leg each, two at the ends.
+
+    Spine edge i joins vertices i and i + 1; leg edge n + j (n = b - 2)
+    ends at univalent vertex n + 1 + j.  No tree is stored.
+    """
+    n = b - 2
+    vertices, edges = [], []
+    legs = iter(range(b))
+
+    def leg(vid):
+        j = next(legs)
+        edges.append(surface.Edge(n + j, vid, n + 1 + j))
+        vertices.append(surface.Vertex(n + 1 + j, "uni", ((n + j, "head"),)))
+        return (n + j, "tail")
+
+    for vid in range(1, n + 1):
+        left = (vid - 1, "head") if vid > 1 else leg(vid)
+        right = (vid, "tail") if vid < n else leg(vid)
+        vertices.append(surface.Vertex(vid, "tri", (left, leg(vid), right)))
+    edges += [surface.Edge(i, i, i + 1) for i in range(1, n)]
+    return surface.PantsSurface(0, b, surface.FatGraph(vertices, edges))

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from pantsrep import builder, coordinates as co, surface as su
+from pantsrep import builder, coordinates as co, moves, surface as su
 from pantsrep.coordinates import EdgeParams
-from pantsrep.projective import INF, DegenerateInputError
+from pantsrep.moves import Move
+from pantsrep.projective import INF, DegenerateInputError, MoebiusMap, SingularMapError
 
 from conftest import SURFACES, max_residual, sample_params
 
@@ -124,3 +125,82 @@ def test_stiefel_whitney():
     with pytest.raises(ValueError):
         builder.stiefel_whitney(builder.build(su.one_holed_torus(),
                                               sample_params(su.one_holed_torus(), RNG)))
+
+
+def _entries(m):
+    return (m.a, m.b, m.c, m.d)
+
+
+def _moebius_chain(rep, word):
+    """rep.evaluate as it was first written: MoebiusMap @ and inverse."""
+    out = MoebiusMap.identity()
+    for name, exp in word:
+        m = rep.images[name]
+        out = out @ (m if exp == 1 else m.inverse())
+    return out
+
+
+def test_evaluate_equals_the_moebius_chain_entry_for_entry():
+    rng = np.random.default_rng(123)
+    for make in SURFACES.values():
+        surf = make()
+        rep = builder.build(surf, sample_params(surf, rng))
+        gens = rep.presentation.generators()
+        assert _entries(rep.evaluate([])) == _entries(MoebiusMap.identity())
+        for _ in range(40):
+            word = [(gens[rng.integers(len(gens))], int(rng.choice([-1, 1])))
+                    for _ in range(rng.integers(1, 12))]
+            assert _entries(rep.evaluate(word)) == _entries(_moebius_chain(rep, word))
+
+
+def test_singular_intermediate_product_raises():
+    # d1 has eigenvalue 10: d1^8 has entries near 1e8, so |det| = 1 is
+    # below 1e-12 * |m|^2 and the rule rejects it, though d1^8 d1^-8 = I
+    surf = su.four_holed_sphere()
+    params = EdgeParams({1: 1.5 + 0.5j, 2: 10.0 + 0j, 3: 1.7 - 0.3j, 4: -2.0 + 0j, 5: 1.2 + 1j},
+                        {1: 0.8 + 0.1j})
+    rep = builder.build(surf, params)
+    word = [("d1", 1)] * 8 + [("d1", -1)] * 8
+    with pytest.raises(SingularMapError):
+        _moebius_chain(rep, word)
+    with pytest.raises(SingularMapError):
+        rep.evaluate(word)
+
+
+def _outputs(rep):
+    rec = builder.recover_coordinates(rep)
+    return ({n: _entries(m) for n, m in rep.images.items()},
+            builder.verify_relations(rep), rec)
+
+
+def test_one_surface_two_trees_equals_two_fresh_surfaces():
+    rng = np.random.default_rng(5)
+    params = sample_params(su.genus_two(), rng)
+    shared = su.genus_two()
+    for tree in ({1}, {2}, {3}, {1}):
+        got = builder.build(shared, params, tree=tree)
+        fresh = su.genus_two()
+        fresh.tree = set(tree)
+        want = builder.build(fresh, params)
+        assert got.tree == want.tree == tree
+        assert _outputs(got) == _outputs(want)
+
+
+def test_move_results_never_reuse_the_source_plan():
+    rng = np.random.default_rng(8)
+    cases = [("four_holed", Move("reverse", 1)), ("four_holed", Move("vertex", 0)),
+             ("four_holed", Move("elem", 1)), ("one_holed", Move("reverse", 1)),
+             ("one_holed", Move("vertex", 0)), ("genus_two", Move("reverse", 2)),
+             ("genus_two", Move("vertex", 1)),
+             ("genus_two", Move("auto", 0, data={"vertices": {0: 1, 1: 0}}))]
+    for label, move in cases:
+        surf = SURFACES[label]()
+        params = sample_params(surf, rng)
+        builder.build(surf, params)
+        new_surf, new_params = moves.apply_move(surf, params, move)
+        assert new_surf is not surf
+        assert su._plan(new_surf) is not su._plan(surf)
+        assert su._tables(new_surf) is not su._tables(surf)
+        fresh = su.from_json(su.to_json(new_surf))
+        assert (_outputs(builder.build(new_surf, new_params))
+                == _outputs(builder.build(fresh, new_params)))

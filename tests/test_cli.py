@@ -6,8 +6,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from pantsrep import coordinates as co, surface as su
+from pantsrep import cli, coordinates as co, surface as su
 from pantsrep.coordinates import EdgeParams
 
 from conftest import SUBPROCESS_ENV, sample_params
@@ -261,3 +263,104 @@ def test_surface_with_unknown_ids_is_a_schema_error(tmp_path, four_holed_files, 
     r = run_cli("generators", "--surface", str(bad), "--params", ppath)
     assert r.returncode == 2, (r.stdout, r.stderr)
     assert strict_json(r.stdout)["error"] == "schema"
+
+
+@pytest.mark.parametrize("make, tree", [(su.four_holed_sphere, []), (su.genus_two, [1, 2, 3])])
+def test_non_spanning_stored_tree_is_a_schema_error(tmp_path, capsys, make, tree):
+    spath, ppath = _fixture_files(tmp_path, make, 20261018)
+    doc = json.loads(open(spath).read())
+    doc["tree"] = tree
+    with open(spath, "w") as fh:
+        json.dump(doc, fh)
+    assert cli.main(["generators", "--surface", spath, "--params", ppath]) == 2
+    doc = strict_json(capsys.readouterr().out)
+    assert doc["error"] == "schema" and "spanning tree" in doc["detail"]
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any surface and parameter documents, any command
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 9), st.text(max_size=3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.integers(-2, 9), max_size=4), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+_NUMBER = st.one_of(st.floats(-4, 4), st.sampled_from([0.0, 1.0, -1.0, 1e308, -1e-308]),
+                    st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _mutate_surface(draw, doc):
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        what = draw(st.sampled_from(["drop", "junk", "tree", "vertex", "edge", "count"]))
+        if what == "drop":
+            doc.pop(draw(st.sampled_from(sorted(doc))), None)
+        elif what == "junk":
+            doc[draw(st.sampled_from(["genus", "boundary", "vertices", "edges", "tree"]))] = draw(_JUNK)
+        elif what == "tree":
+            doc["tree"] = draw(st.lists(st.integers(-1, 7), max_size=6))
+        elif what == "vertex" and isinstance(doc.get("vertices"), list) and doc["vertices"]:
+            v = doc["vertices"][draw(st.integers(0, len(doc["vertices"]) - 1))]
+            if isinstance(v, dict):
+                v[draw(st.sampled_from(["id", "kind", "incident"]))] = draw(st.one_of(_JUNK, st.lists(
+                    st.lists(st.one_of(st.integers(-1, 7), st.sampled_from(["tail", "head", "x"])),
+                             max_size=3), max_size=4)))
+        elif what == "edge" and isinstance(doc.get("edges"), list) and doc["edges"]:
+            e = doc["edges"][draw(st.integers(0, len(doc["edges"]) - 1))]
+            if isinstance(e, dict):
+                e[draw(st.sampled_from(["id", "tail", "head"]))] = draw(st.one_of(st.integers(-1, 7), _JUNK))
+        elif what == "count":
+            doc[draw(st.sampled_from(["genus", "boundary"]))] = draw(st.integers(-1, 4))
+    return doc
+
+
+def _mutate_params(draw, doc):
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        part = draw(st.sampled_from(["eigen", "twist"]))
+        what = draw(st.sampled_from(["value", "number", "extra", "drop", "junk"]))
+        values = doc.get(part)
+        if what == "junk" or not isinstance(values, dict):
+            doc[part] = draw(_JUNK)
+        elif what == "extra":
+            values[draw(st.sampled_from(["9", "-1", "x", ""]))] = [draw(_NUMBER), draw(_NUMBER)]
+        elif values and what == "drop":
+            values.pop(draw(st.sampled_from(sorted(values))))
+        elif values:
+            key = draw(st.sampled_from(sorted(values)))
+            values[key] = draw(_JUNK) if what == "value" else [draw(_NUMBER), draw(_NUMBER)]
+    return doc
+
+
+@st.composite
+def _documents(draw):
+    """A fixture's surface and a parameter point on it, each perhaps broken."""
+    make = draw(st.sampled_from(sorted(cli.EXAMPLES.items())))[1]
+    params = sample_params(make(), np.random.default_rng(draw(st.integers(0, 2**16))))
+    surface_doc = _mutate_surface(draw, su.to_json(make()))
+    params_doc = _mutate_params(draw, co.params_to_json(params))
+    return surface_doc, params_doc
+
+
+_COMMANDS = st.one_of(
+    st.sampled_from([["validate"], ["generators"], ["traces"], ["recover"], ["fn"]]),
+    st.tuples(st.just("act"), st.sampled_from(["--flip", "--epsilon"]), st.integers(-1, 7)).map(
+        lambda t: [t[0], t[1], str(t[2])]),
+    st.tuples(st.sampled_from(["reverse", "twist-l", "twist-r", "vertex", "elem"]),
+              st.integers(-1, 7)).map(lambda t: ["move", "--kind", t[0], "--target", str(t[1])]),
+)
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(docs=_documents(), command=_COMMANDS, with_params=st.booleans())
+def test_cli_fuzz_exit_code_and_strict_json(tmp_path, capsys, docs, command, with_params):
+    surface_doc, params_doc = docs
+    spath, ppath = tmp_path / "fuzz-surface.json", tmp_path / "fuzz-params.json"
+    spath.write_text(json.dumps(surface_doc))
+    ppath.write_text(json.dumps(params_doc))
+    argv = command + ["--surface", str(spath)]
+    if with_params or command[0] != "validate":
+        argv += ["--params", str(ppath)]
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    assert code in (0, 2, 3, 4), (argv, out)
+    strict_json(out)

@@ -5,7 +5,8 @@ import pytest
 
 from pantsrep import builder, coordinates as co, surface as su
 from pantsrep.coordinates import EdgeParams
-from pantsrep.projective import INF, DegenerateInputError, as_point, cross_ratio
+from pantsrep.projective import (INF, DegenerateInputError, ProjectivePoint, as_point,
+                                 cross_ratio)
 
 from conftest import rand_c, sample_params
 
@@ -188,3 +189,75 @@ def test_params_from_json_rejects_malformed_documents(doc):
     with pytest.raises(co.ParamsSchemaError):
         co.params_from_json(doc)
     assert issubclass(co.ParamsSchemaError, ValueError)
+
+
+def _reference_best_variant(xs):
+    """best_twist_from_fixed_points' choice as first written: per variant and pair."""
+    needed = {1: (5, 3, 1, 2), 2: (4, 3, 1, 2), 3: (2, 4, 1, 5), 4: (3, 4, 1, 5)}
+    best, score = None, -1.0
+    for variant, idx in needed.items():
+        try:
+            pts = [as_point(xs[i]) for i in idx]
+        except KeyError:
+            continue
+        m = min(
+            abs(p.num * q.den - q.num * p.den)
+            / (max(abs(p.num), abs(p.den)) * max(abs(q.num), abs(q.den)))
+            for i, p in enumerate(pts)
+            for q in pts[i + 1:]
+        )
+        if m > score:
+            best, score = variant, m
+    return best
+
+
+def test_best_twist_picks_the_reference_variant(monkeypatch):
+    rng = np.random.default_rng(404)
+    chosen = []
+    real = co.twist_from_fixed_points
+
+    def spy(variant, es, xs):
+        chosen.append(variant)
+        return real(variant, es, xs)
+
+    monkeypatch.setattr(co, "twist_from_fixed_points", spy)
+
+    def point(kind):
+        z = rand_c(rng)
+        if kind == "inf":
+            return INF
+        if kind == "huge":    # homogeneous pairs whose products overflow
+            s = 10.0 ** rng.integers(150, 300)
+            return ProjectivePoint(z * s, s)
+        if kind == "tiny":
+            s = 10.0 ** -rng.integers(150, 300)
+            return ProjectivePoint(z * s, s)
+        if kind == "tie":     # a repeat of x1 makes several variants score 0
+            return None
+        return z
+
+    kinds = ["plain"] * 6 + ["inf", "huge", "tiny", "tie"]
+    for _ in range(400):
+        es = tuple(rand_c(rng) for _ in range(5))
+        xs = {1: rand_c(rng)}
+        for i in range(2, 6):
+            x = point(kinds[rng.integers(len(kinds))])
+            xs[i] = xs[1] if x is None else x
+        chosen.clear()
+        try:
+            want = _reference_best_variant(xs)
+        except ArithmeticError as ex:  # tiny pairs: a scale product underflows to 0
+            with pytest.raises(type(ex)):
+                co.best_twist_from_fixed_points(es, xs)
+            assert chosen == []
+            continue
+        try:
+            want_value = real(want, es, xs)
+        except (ArithmeticError, ValueError) as ex:
+            with pytest.raises(type(ex)):
+                co.best_twist_from_fixed_points(es, xs)
+            assert chosen == [want]
+            continue
+        got = co.best_twist_from_fixed_points(es, xs)
+        assert chosen == [want]
+        assert got == want_value or (got != got and want_value != want_value)

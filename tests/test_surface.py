@@ -1,5 +1,6 @@
 """Fat graphs, validation, spanning trees, presentations and serialization."""
 
+import numpy as np
 import pytest
 
 from pantsrep import surface as su
@@ -16,6 +17,8 @@ from pantsrep.surface import (
     presentation,
     validate,
 )
+
+from conftest import caterpillar, handle_chain
 
 
 def test_fixtures_validate():
@@ -138,3 +141,57 @@ def test_json_roundtrip(tmp_path):
         again = su.load(path)
         assert validate(again) == []
         assert again.tree == surf.tree
+
+
+@pytest.mark.parametrize("make, tree", [
+    (four_holed_sphere, []),            # spans nothing
+    (four_holed_sphere, [1, 2, 3, 4]),  # misses a univalent vertex
+    (genus_two, [1, 2, 3]),             # holds a cycle
+    (one_holed_torus, [1]),             # a loop, missing the boundary edge
+    (one_holed_torus, [1, 2]),
+])
+def test_validate_reports_non_spanning_tree(make, tree):
+    surf = make()
+    surf.tree = set(tree)
+    problems = validate(surf)
+    assert len(problems) == 1 and "not a spanning tree" in problems[0]
+
+
+def test_validate_accepts_every_spanning_tree_of_genus_two():
+    for eid in (1, 2, 3):
+        surf = genus_two()
+        surf.tree = {eid}
+        assert validate(surf) == []
+
+
+def _reference_maximal_tree(surface, seed=None):
+    """maximal_tree as it was first written: re-sort and rescan per vertex."""
+    graph = surface.graph
+    pref = {eid: i for i, eid in enumerate(seed or [])}
+
+    def rank(eid):
+        return (pref.get(eid, len(pref)), eid)
+
+    seen = {min(graph.vertices)}
+    tree = set()
+    while True:
+        candidates = [eid for eid in sorted(graph.edges, key=rank)
+                      if (graph.edges[eid].tail in seen) != (graph.edges[eid].head in seen)]
+        if not candidates:
+            return tree
+        e = graph.edges[candidates[0]]
+        seen.add(e.head if e.tail in seen else e.tail)
+        tree.add(candidates[0])
+
+
+def test_maximal_tree_matches_reference():
+    rng = np.random.default_rng(31)
+    surfaces = [four_holed_sphere(), one_holed_torus(), genus_two()]
+    surfaces += [handle_chain(g) for g in (1, 2, 3, 5, 8, 13, 21, 32)]
+    surfaces += [caterpillar(b) for b in (4, 5, 9, 16, 33)]
+    for surf in surfaces:
+        edges = sorted(surf.graph.edges)
+        assert maximal_tree(surf) == _reference_maximal_tree(surf)
+        for _ in range(3):
+            seed = [int(e) for e in rng.permutation(edges)[: rng.integers(1, len(edges) + 1)]]
+            assert maximal_tree(surf, seed) == _reference_maximal_tree(surf, seed)

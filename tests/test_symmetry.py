@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from pantsrep import builder, symmetry as sym
-from pantsrep.coordinates import EdgeParams
+from pantsrep.coordinates import EdgeParams, local_picture
 
-from conftest import SURFACES, marking_words, sample_params, squared_trace_table
+from conftest import (SURFACES, caterpillar, handle_chain, marking_words, rand_c,
+                      sample_params, squared_trace_table)
 
 RNG = np.random.default_rng(20240905)
 
@@ -111,3 +112,31 @@ def test_flip_unknown_edge_raises():
     params = sample_params(surf, RNG)
     with pytest.raises(KeyError):
         sym.flip_eigenvalue(params, surf, 99)
+
+
+def _reference_flip(params, surface, edge):
+    """flip_eigenvalue as it was first written: every interior edge's picture."""
+    eigen, twist = dict(params.eigen), dict(params.twist)
+    for f in surface.graph.interior_edges():
+        lp = local_picture(surface, params, f)
+        scale = 1.0
+        for position, (eid, _end) in zip((2, 3, 4, 5), lp.neighbor_slots):
+            if eid == edge:
+                scale *= sym._occurrence_factor(lp.es, position)
+        new = twist[f] * scale
+        twist[f] = 1 / new if f == edge else new
+    eigen[edge] = 1 / eigen[edge]
+    return EdgeParams(eigen, twist)
+
+
+def test_flip_visits_only_affected_edges_with_the_same_result():
+    rng = np.random.default_rng(97)
+    surfaces = [make() for make in SURFACES.values()]
+    surfaces += [handle_chain(g) for g in (1, 2, 3, 6)]
+    surfaces += [caterpillar(b) for b in (4, 5, 9)]
+    for surf in surfaces:
+        g = surf.graph
+        params = EdgeParams({eid: rand_c(rng) for eid in g.edges},
+                            {eid: rand_c(rng) for eid in g.interior_edges()})
+        for edge in g.edges:
+            assert sym.flip_eigenvalue(params, surf, edge) == _reference_flip(params, surf, edge)
