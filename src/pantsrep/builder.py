@@ -40,15 +40,14 @@ class SurfaceRepresentation:
     images maps generator names to MoebiusMaps with determinant 1;
     points maps each trivalent vertex to its slot-ordered fixed-point
     triple; beta_signs records the SL sign chosen for each stable letter.
-    The surface's SurfacePlan for the tree supplies tree and presentation.
+    presentation is the surface's compiled Presentation for the tree.
     """
 
-    def __init__(self, surface, plan, params, images, points, base, beta_signs=None):
+    def __init__(self, surface, presentation, params, images, points, base, beta_signs=None):
         self.surface = surface
-        self._plan = plan
-        self.tree = set(plan.tree)
+        self.tree = set(presentation.tree)
         self.params = params
-        self.presentation = plan.pres
+        self.presentation = presentation
         self.images = dict(images)
         self.points = points
         self.base = base
@@ -96,16 +95,16 @@ def _across(es, t1, xs, forward):
     return (xs[0],) + step(es, t1, *xs)
 
 
-def _vertex_points(plan, params, base):
+def _vertex_points(pres, params, base):
     """Fixed-point triples at every trivalent vertex, by one walk of the tree.
 
-    The walk (plan.walk) starts from the lowest trivalent vertex, which
+    The walk (pres.walk) starts from the lowest trivalent vertex, which
     carries base, and crosses each interior tree edge once, forward or
     backward.
     """
     eigen, twist = params.eigen, params.twist
-    points = {plan.root: list(base)}
-    for eid, nbrs, near, sn, far, sf, forward in plan.walk:
+    points = {pres.root: list(base)}
+    for eid, nbrs, near, sn, far, sf, forward in pres.walk:
         xs = _across(_picture_es(eigen, eid, nbrs), twist[eid],
                      _from_slot(points[near], sn), forward)
         triple = [None, None, None]
@@ -124,7 +123,7 @@ def build(surface, params, tree=None, base=None):
     slot 0; differing bases give conjugate results.  A tree that is not a
     maximal tree raises ValueError before the parameters are looked at.
     """
-    plan = _plan(surface, tree)
+    pres = _plan(surface, tree)
     if not in_domain(params, surface):
         raise DegenerateInputError("parameters outside the admissible domain")
     if base is None:
@@ -134,19 +133,19 @@ def build(surface, params, tree=None, base=None):
             or base[0].same_as(base[2])):
         raise ValueError("base triple must be three distinct points")
 
-    points = _vertex_points(plan, params, base)
+    points = _vertex_points(pres, params, base)
     eigen = params.eigen
     mats = {}
-    for vid, inc in plan.incidences:
+    for vid, inc in pres.incidences:
         es = tuple([_end_eigen(eigen[eid], end) for eid, end in inc])
         mats[vid] = pants_rep(make_pants_data(es, points[vid]))
-    images = {name: mats[vid][slot] for name, vid, slot in plan.image_slots}
-    for eid, name, (v, sv), (w, sw), nbrs in plan.letters:
+    images = {name: mats[vid][slot] for name, vid, slot in pres.image_slots}
+    for eid, name, (v, sv), (w, sw), nbrs in pres.letters:
         # b_i carries the head-side triple to its translate across the edge
         target = _across(_picture_es(eigen, eid, nbrs), params.twist[eid],
                          _from_slot(points[v], sv), True)
         images[name] = sl_normalize(three_point_map(_from_slot(points[w], sw), target))
-    return SurfaceRepresentation(surface, plan, params, images, points, base)
+    return SurfaceRepresentation(surface, pres, params, images, points, base)
 
 
 def _residual(m):
@@ -157,12 +156,12 @@ def _residual(m):
 
 def verify_relations(rep):
     """Residual (distance of each relation product to +-identity) per relation."""
-    plan = rep._plan
+    pres = rep.presentation
     table = _letters(rep.images)
     out = {}
-    out["relator"] = _residual(_word(table, plan.relator))
-    out["walk"] = _residual(_word(table, plan.pres.relation))
-    for i, (lhs, rhs) in enumerate(plan.pres.hnn, start=1):
+    out["relator"] = _residual(_word(table, pres.one_relator()))
+    out["walk"] = _residual(_word(table, pres.relation))
+    for i, (lhs, rhs) in enumerate(pres.hnn, start=1):
         a, b, c, d = _word(table, rhs)
         out["hnn%d" % i] = _residual(_chain(((d, -b, -c, a),), _word(table, lhs)))
     return out
@@ -177,13 +176,13 @@ def recover_coordinates(rep, eigen_choice=None, tol=1e-9):
     curve image to be non-parabolic and every vertex restriction to be
     irreducible.
     """
-    plan = rep._plan
+    pres = rep.presentation
     eigen_choice = eigen_choice or {}
     table = _letters(rep.images)
     slot_fixed = {}
     slot_eigen = {}
-    for vid, words in plan.vertex_words:
-        ms = [_word(table, w) for w in words]
+    for vid, _ in pres.incidences:
+        ms = [_word(table, pres.vertex_words[(vid, s)]) for s in range(3)]
         for p, (e, f, g, h) in zip(ms, ms[1:] + ms[:1]):
             # the commutator p q p^-1 q^-1
             a, b, c, d = p
@@ -199,7 +198,7 @@ def recover_coordinates(rep, eigen_choice=None, tol=1e-9):
 
     eigen = {}
     branch_points = {}
-    for eid, ends in plan.ends:
+    for eid, ends in pres.ends:
         end, (vid, s) = ends[0]
         choice = eigen_choice.get(eid, 1)
         e = slot_eigen[(vid, s)]
@@ -218,7 +217,7 @@ def recover_coordinates(rep, eigen_choice=None, tol=1e-9):
 
     # the twists are the unknowns; the local pictures read only eigenvalues
     twist = {}
-    for eid, nbrs, keys, letter in plan.twist_slots:
+    for eid, nbrs, keys, letter in pres.twist_slots:
         x1, x2, x3, x4, x5 = (branch_points[k] for k in keys)
         if letter is not None:
             # the head-side points live on the far lift: push them across
@@ -234,7 +233,7 @@ def stiefel_whitney(rep):
     """Sign of the evaluated relator for a closed surface: +1 iff liftable."""
     if rep.surface.boundary != 0:
         raise ValueError("second Stiefel-Whitney class needs a closed surface")
-    a, b, c, d = _word(_letters(rep.images), rep._plan.relator)
+    a, b, c, d = _word(_letters(rep.images), rep.presentation.one_relator())
     return 1 if _max_abs(a - 1, b, c, d - 1) < _max_abs(a + 1, b, c, d + 1) else -1
 
 
@@ -247,6 +246,6 @@ def act_beta_signs(rep, signs):
             images["b%d" % i] = -images["b%d" % i]
         beta_signs[i] = beta_signs.get(i, 1) * s
     return SurfaceRepresentation(
-        rep.surface, rep._plan, rep.params, images, rep.points, rep.base,
+        rep.surface, rep.presentation, rep.params, images, rep.points, rep.base,
         beta_signs=beta_signs,
     )

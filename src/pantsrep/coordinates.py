@@ -23,6 +23,7 @@ from .projective import (
     sqrt_principal,
 )
 from .pants import is_admissible_triple
+from .surface import _picture_slots
 
 EdgeParams = namedtuple("EdgeParams", ["eigen", "twist"])
 
@@ -345,12 +346,9 @@ def local_picture(surface, params, edge):
     graph = surface.graph
     if graph.is_boundary(edge):
         raise ValueError("edge %r is a boundary edge" % (edge,))
-    v, sv = graph.slot_of[(edge, "tail")]
-    w, sw = graph.slot_of[(edge, "head")]
-    nbrs = (graph.slot(v, sv + 1), graph.slot(v, sv + 2),
-            graph.slot(w, sw + 1), graph.slot(w, sw + 2))
+    tail, head, nbrs = _picture_slots(graph, edge)
     es = _picture_es(params.eigen, edge, nbrs)
-    return LocalPicture(edge, es, params.twist[edge], (v, sv), (w, sw), nbrs)
+    return LocalPicture(edge, es, params.twist[edge], tail, head, nbrs)
 
 
 def _picture_es(eigen, edge, nbrs):

@@ -11,13 +11,12 @@ import math
 from collections import namedtuple
 
 from .projective import (
-    INF,
     SING_TOL,
     DegenerateInputError,
     MoebiusMap,
+    _map_from_standard,
     _max_abs,
     as_point,
-    three_point_map,
 )
 
 PantsData = namedtuple("PantsData", ["eigen", "fixed"])
@@ -76,7 +75,10 @@ def pants_rep(data):
     """
     e1, e2, e3 = data.eigen
     mats = _normalized_matrices(e1, e2, e3)
-    conj = three_point_map((0, INF, 1), data.fixed)
+    # _map_from_standard(0, inf, 1) is the identity, so this is
+    # three_point_map((0, INF, 1), data.fixed), on points make_pants_data
+    # has already checked
+    conj = MoebiusMap(_map_from_standard(*data.fixed))
     # conjugation is scale-invariant: bring the largest entry to modulus 1,
     # so det stays finite when the fixed points' homogeneous coordinates are
     # huge, then |det| to 1; the adjugate divided by det below keeps the SL
@@ -111,8 +113,7 @@ def other_fixed_point(index, data):
         raise ValueError("index must be 1, 2 or 3")
     e1, e2, e3 = data.eigen
     yp = _normalized_other_fixed_points(e1, e2, e3)[index - 1]
-    conj = three_point_map((0, INF, 1), data.fixed)
-    return conj.apply(yp)
+    return MoebiusMap(_map_from_standard(*data.fixed)).apply(yp)
 
 
 def is_admissible_triple(e1, e2, e3, tol=1e-9):

@@ -58,12 +58,6 @@ class ProjectivePoint:
     def is_infinity(self):
         return abs(self.den) <= EQ_TOL * abs(self.num)
 
-    def value(self):
-        """The affine value num/den; raises on the point at infinity."""
-        if self.is_infinity:
-            raise ZeroDivisionError("point at infinity has no affine value")
-        return self.num / self.den
-
     def same_as(self, other, tol=EQ_TOL):
         """Projective equality: vanishing of the 2x2 determinant, scaled."""
         other = as_point(other)

@@ -9,7 +9,6 @@ group relation is read off by walking the boundary of the fattened tree.
 """
 
 import json
-import weakref
 from collections import namedtuple
 
 Edge = namedtuple("Edge", ["id", "tail", "head"])
@@ -123,10 +122,15 @@ def validate(surface):
     if not problems and not _connected(graph):
         problems.append("graph is not connected")
     tree = surface.tree
-    if not problems and tree is not None and (
-            len(tree) != len(graph.vertices) - 1 or not _connected(graph, tree)):
+    if not problems and tree is not None and not _is_spanning_tree(graph, tree):
         problems.append("tree %r is not a spanning tree of the graph" % (sorted(tree),))
     return problems
+
+
+def _is_spanning_tree(graph, tree):
+    """True iff the set of edge ids tree is a spanning tree of the graph."""
+    return (all(eid in graph.edges for eid in tree)
+            and len(tree) == len(graph.vertices) - 1 and _connected(graph, tree))
 
 
 def _connected(graph, eids=None):
@@ -148,40 +152,36 @@ def _connected(graph, eids=None):
     return len(seen) == len(graph.vertices)
 
 
-def maximal_tree(surface, seed=None):
+def maximal_tree(surface):
     """A spanning tree of the fat graph, as a set of edge ids.
 
     Grown from the lowest vertex id; each step adds the edge leaving the
-    tree that comes first in id order, with the edges of a seed list, in
-    their order, ahead of everything else.
+    tree that comes first in id order.
     """
     import heapq  # here, not at the top: off the CLI's import path
 
     graph = surface.graph
-    pref = {eid: i for i, eid in enumerate(seed or [])}
-    order = sorted(graph.edges, key=lambda eid: (pref.get(eid, len(pref)), eid))
-    # a heap of the order positions of the edges at seen vertices; an edge
-    # whose ends are both seen by the time it comes up is dropped
+    # a heap of the ids of the edges at seen vertices; an edge whose ends
+    # are both seen by the time it comes up is dropped
     touching = {}
-    for k, eid in enumerate(order):
-        e = graph.edges[eid]
-        touching.setdefault(e.tail, []).append(k)
-        touching.setdefault(e.head, []).append(k)
+    for eid, e in graph.edges.items():
+        touching.setdefault(e.tail, []).append(eid)
+        touching.setdefault(e.head, []).append(eid)
     start = min(graph.vertices)
     seen = {start}
     tree = set()
     heap = list(touching.get(start, ()))
     heapq.heapify(heap)
     while heap:
-        eid = order[heapq.heappop(heap)]
+        eid = heapq.heappop(heap)
         e = graph.edges[eid]
         if (e.tail in seen) == (e.head in seen):
             continue
         new = e.head if e.tail in seen else e.tail
         seen.add(new)
         tree.add(eid)
-        for k in touching[new]:
-            heapq.heappush(heap, k)
+        for f in touching[new]:
+            heapq.heappush(heap, f)
     if len(seen) != len(graph.vertices):
         raise ValueError("graph is disconnected; no spanning tree")
     complement = [eid for eid in graph.interior_edges() if eid not in tree]
@@ -200,39 +200,101 @@ class Presentation:
     curves u_1..u_g (complement edges in id order: 'ai' for the tail side,
     'a(g+i)' for the head side), 'b1'..'bg' the HNN stable letters, and
     'd1'..'db' the boundary loops (boundary edges in id order).  Words are
-    tuples of (name, +-1).
+    tuples of (name, +-1); vertex_words maps (vertex id, slot) to a word.
+
+    The walk that reads off the relation also compiles what build,
+    verify_relations and recover_coordinates read of the graph:
+    - root, walk: the root vertex and one step (edge, neighbor slots, near
+      vertex, near slot, far vertex, far slot, forward) per interior tree
+      edge, each after the step that reaches its near vertex;
+    - incidences: (vertex, incidences) per trivalent vertex, in id order;
+    - image_slots: (generator, vertex, slot) of every pants-matrix image;
+    - letters: (edge, 'b<i>', tail slot, head slot, neighbor slots) per
+      complement edge;
+    - ends: (edge, ((end, (vertex, slot)), ...)) over the trivalent ends of
+      every edge, in id order;
+    - twist_slots: (edge, neighbor slots, the five (vertex, slot) keys of
+      x1..x5, 'b<i>' or None) per interior edge, in id order.
+    One Presentation is shared by everything built on its surface and tree
+    (see _plan), so none of this is ever mutated.
     """
 
-    def __init__(self, genus, boundary, alpha, beta, delta, relation, hnn, vertex_words, u_edges):
-        self.genus = genus
-        self.boundary = boundary
-        self.alpha = alpha
-        self.beta = beta
-        self.delta = delta
-        self.relation = relation          # word in alphas and deltas
-        self.hnn = hnn                    # list of (lhs word, rhs word) pairs
-        self.vertex_words = vertex_words  # (vertex id, slot) -> word
-        self.u_edges = u_edges            # complement edge ids, in order
+    def __init__(self, surface, tree):
+        graph = surface.graph
+        g, b = self.genus, self.boundary = surface.genus, surface.boundary
+        self.tree = tree = frozenset(tree)
+        if not _is_spanning_tree(graph, tree):
+            raise ValueError("tree %r is not a spanning tree of the graph" % (set(tree),))
+        self.u_edges = u_edges = tuple(eid for eid in graph.interior_edges() if eid not in tree)
+        if len(u_edges) != g:
+            raise ValueError("not a maximal tree: %d complement edges for genus %d" % (len(u_edges), g))
+        self.alpha = tuple("a%d" % i for i in range(1, 2 * g + 1))
+        self.beta = tuple("b%d" % i for i in range(1, g + 1))
+        self.delta = tuple("d%d" % j for j in range(1, b + 1))
+        # the generator emitted on departing through each (edge, end) that
+        # leaves the tree: both ends of a complement edge, and the
+        # trivalent end of a boundary edge
+        gen = {}
+        for i, eid in enumerate(u_edges, start=1):
+            gen[(eid, "tail")], gen[(eid, "head")] = "a%d" % i, "a%d" % (g + i)
+        for j, eid in enumerate(graph.boundary_edges(), start=1):
+            uni_head = graph.vertices[graph.edges[eid].head].kind == "uni"
+            gen[(eid, "tail" if uni_head else "head")] = "d%d" % j
+        self.image_slots = tuple((name,) + graph.slot_of[key] for key, name in gen.items())
+        pictures = _tables(surface).pictures
+        vertex_words = self.vertex_words = {}
+        walk = []
+
+        def excursion(vid, s):
+            """Generators emitted while departing vertex vid through slot s."""
+            eid, end = graph.slot(vid, s)
+            name = gen.get((eid, end))
+            if name is not None:
+                word = ((name, 1),)
+            else:
+                # cross a tree edge; the slot it arrives through faces back
+                # toward the root: m_sw = (m_(sw+1) m_(sw+2))^-1
+                wid, sw = graph.slot_of[(eid, "head" if end == "tail" else "tail")]
+                walk.append((eid, pictures[eid][2], vid, s, wid, sw, end == "tail"))
+                word = excursion(wid, (sw + 1) % 3) + excursion(wid, (sw + 2) % 3)
+                vertex_words[(wid, sw)] = inverse_word(word)
+            vertex_words[(vid, s)] = word
+            return word
+
+        tri = graph.trivalent_vertices()
+        self.root = root = min(tri)
+        self.relation = excursion(root, 0) + excursion(root, 1) + excursion(root, 2)
+        self.walk = tuple(walk)
+        # the HNN relations a_(g+i)^-1 = b_i^-1 a_i b_i, and the substitution
+        # that eliminates a_(g+i) from the one relator
+        hnn, sub = [], {}
+        for i in range(1, g + 1):
+            ai, agi, bi = "a%d" % i, "a%d" % (g + i), "b%d" % i
+            rhs = ((bi, -1), (ai, 1), (bi, 1))
+            hnn.append((((agi, -1),), rhs))
+            sub[(agi, -1)], sub[(agi, 1)] = rhs, inverse_word(rhs)
+        self.hnn = tuple(hnn)
+        self._relator = tuple(x for letter in self.relation for x in sub.get(letter, (letter,)))
+        self.incidences = tuple((vid, graph.vertices[vid].incident) for vid in tri)
+        self.letters = tuple((eid, "b%d" % i) + pictures[eid] for i, eid in enumerate(u_edges, start=1))
+        self.ends = tuple(
+            (eid, tuple((end, graph.slot_of[(eid, end)]) for end in ("tail", "head")
+                        if graph.vertices[graph.end_vertex(eid, end)].kind == "tri"))
+            for eid in sorted(graph.edges)
+        )
+        names = {letter[0]: letter[1] for letter in self.letters}
+        self.twist_slots = tuple(
+            (eid, nbrs, ((v, sv), (v, (sv + 1) % 3), (v, (sv + 2) % 3),
+                         (w, (sw + 1) % 3), (w, (sw + 2) % 3)), names.get(eid))
+            for eid, ((v, sv), (w, sw), nbrs) in pictures.items()
+        )
 
     def generators(self):
-        return list(self.alpha) + list(self.beta) + list(self.delta)
+        return list(self.alpha + self.beta + self.delta)
 
     def one_relator(self):
         """The S_0 relation with a_(g+i) rewritten through the HNN relations."""
-        g = self.genus
-        sub = {}
-        for i in range(1, g + 1):
-            # a_(g+i) = b_i^-1 a_i^-1 b_i
-            bi, ai = "b%d" % i, "a%d" % i
-            sub["a%d" % (g + i)] = ((bi, -1), (ai, -1), (bi, 1))
-        word = []
-        for name, exp in self.relation:
-            if name in sub:
-                piece = sub[name] if exp == 1 else inverse_word(sub[name])
-                word.extend(piece)
-            else:
-                word.append((name, exp))
-        return tuple(word)
+        return self._relator
 
 
 def inverse_word(word):
@@ -245,96 +307,44 @@ def presentation(surface, tree):
     The walk starts at the lowest trivalent vertex id, departs through
     slot 0, and after arriving at a vertex through slot s departs through
     slot s+1.  Each complement-edge stub or univalent vertex encountered
-    emits a generator; the emitted sequence is the S_0 relation.
+    emits a generator; the emitted sequence is the S_0 relation.  A tree
+    that is not a spanning tree of the graph raises ValueError.  Each call
+    compiles afresh; _plan caches the result per surface and tree.
     """
-    graph = surface.graph
-    g, b = surface.genus, surface.boundary
-    tree = set(tree)
-    u_edges = [eid for eid in graph.interior_edges() if eid not in tree]
-    if len(u_edges) != g:
-        raise ValueError("not a maximal tree: %d complement edges for genus %d" % (len(u_edges), g))
-    boundary_edges = graph.boundary_edges()
-    alpha = ["a%d" % i for i in range(1, 2 * g + 1)]
-    beta = ["b%d" % i for i in range(1, g + 1)]
-    delta = ["d%d" % j for j in range(1, b + 1)]
-    stub_gen = {}
-    for i, eid in enumerate(u_edges, start=1):
-        stub_gen[(eid, "tail")] = "a%d" % i
-        stub_gen[(eid, "head")] = "a%d" % (g + i)
-    delta_gen = {eid: "d%d" % j for j, eid in enumerate(boundary_edges, start=1)}
-
-    vertex_words = {}
-
-    def excursion(vid, s):
-        """Generators emitted while departing vertex vid through slot s."""
-        key = (vid, s)
-        if key in vertex_words:
-            return vertex_words[key]
-        eid, end = graph.slot(vid, s)
-        if eid not in tree:
-            word = ((stub_gen[(eid, end)], 1),)
-        else:
-            other_end = "head" if end == "tail" else "tail"
-            wid = graph.end_vertex(eid, other_end)
-            if graph.vertices[wid].kind == "uni":
-                word = ((delta_gen[eid], 1),)
-            else:
-                sw = graph.slot_of[(eid, other_end)][1]
-                parts = []
-                for k in (1, 2):
-                    parts.extend(excursion(wid, (sw + k) % 3))
-                word = tuple(parts)
-        vertex_words[key] = word
-        return word
-
-    root = min(graph.trivalent_vertices())
-    relation = []
-    for s in range(3):
-        relation.extend(excursion(root, s))
-    relation = tuple(relation)
-    # fill in the slots facing back toward the root: m_s = (m_{s+1} m_{s+2})^-1
-    for vid in graph.trivalent_vertices():
-        for s in range(3):
-            if (vid, s) not in vertex_words:
-                w = excursion(vid, (s + 1) % 3) + excursion(vid, (s + 2) % 3)
-                vertex_words[(vid, s)] = inverse_word(w)
-
-    hnn = []
-    for i in range(1, g + 1):
-        ai, agi, bi = "a%d" % i, "a%d" % (g + i), "b%d" % i
-        hnn.append((((agi, -1),), ((bi, -1), (ai, 1), (bi, 1))))
-    return Presentation(g, b, alpha, beta, delta, relation, hnn, vertex_words, u_edges)
+    return Presentation(surface, tree)
 
 
 # ---------------------------------------------------------------------------
 # Compiled combinatorics: what build, verify_relations, recover_coordinates
-# and flip_eigenvalue read of the graph, walked once per surface and tree.
+# and flip_eigenvalue read of the graph, compiled once per surface and tree.
 # A surface is treated as immutable once something has been built on it.
 
-#: PantsSurface -> its _GraphTables; an entry goes when its surface does
-_compiled = weakref.WeakKeyDictionary()
+
+def _picture_slots(graph, edge):
+    """The local-picture slots ((v, sv), (w, sw), (g2, g3, g4, g5)) of an edge.
+
+    (v, sv) and (w, sw) hold its tail and head; g2, g3 are the incidences
+    counterclockwise after it at v, and g4, g5 those after it at w.
+    """
+    v, sv = graph.slot_of[(edge, "tail")]
+    w, sw = graph.slot_of[(edge, "head")]
+    return (v, sv), (w, sw), (graph.slot(v, sv + 1), graph.slot(v, sv + 2),
+                              graph.slot(w, sw + 1), graph.slot(w, sw + 2))
 
 
 class _GraphTables:
-    """The parts of a plan that depend on the fat graph alone.
+    """What the fat graph alone fixes, kept on its surface by _tables.
 
-    pictures maps each interior edge to its local-picture slots
-    ((v, sv), (w, sw), (g2, g3, g4, g5)) in local_picture's order; seen_by
-    maps an edge id to the interior edges whose picture holds it, each with
-    the positions (2..5) it fills there, in edge id order.  plans caches
-    one SurfacePlan per tree.  Nothing here refers back to the surface, so
-    the cache entry does not keep its key alive.
+    pictures maps each interior edge to its _picture_slots; seen_by maps
+    an edge id to the interior edges whose picture holds it, each with the
+    positions (2..5) it fills there, in edge id order.  default_tree is
+    maximal_tree once computed; plans caches one Presentation per tree.
     """
 
     def __init__(self, graph):
-        self.pictures = {}
+        self.pictures = {f: _picture_slots(graph, f) for f in graph.interior_edges()}
         self.seen_by = {}
-        for f in graph.interior_edges():
-            v, sv = graph.slot_of[(f, "tail")]
-            w, sw = graph.slot_of[(f, "head")]
-            nbrs = (graph.slot(v, sv + 1), graph.slot(v, sv + 2),
-                    graph.slot(w, sw + 1), graph.slot(w, sw + 2))
-            self.pictures[f] = ((v, sv), (w, sw), nbrs)
+        for f, (_, _, nbrs) in self.pictures.items():
             positions = {}
             for position, (eid, _end) in zip((2, 3, 4, 5), nbrs):
                 positions.setdefault(eid, []).append(position)
@@ -344,99 +354,16 @@ class _GraphTables:
         self.plans = {}
 
 
-class SurfacePlan:
-    """The combinatorics of one surface and spanning tree, compiled once.
-
-    - pres, relator: the presentation and its one relator;
-    - root, walk: the DFS of _vertex_points, one step
-      (edge, neighbor slots, near vertex, near slot, far vertex, far slot,
-      forward) per interior tree edge, in crossing order;
-    - incidences: (vertex, incidences) per trivalent vertex, in id order;
-    - image_slots: (generator, vertex, slot) of every pants-matrix image;
-    - letters: (edge, 'b<i>', tail slot, head slot, neighbor slots) per
-      complement edge;
-    - vertex_words: (vertex, its three slot words) per trivalent vertex;
-    - ends: (edge, ((end, (vertex, slot)), ...)) over the trivalent ends of
-      every edge, in id order;
-    - twist_slots: (edge, neighbor slots, the five (vertex, slot) keys of
-      x1..x5, 'b<i>' or None) per interior edge, in id order.
-    """
-
-    def __init__(self, surface, tables, tree):
-        graph = surface.graph
-        pictures = tables.pictures
-        self.tree = frozenset(tree)
-        self.pres = pres = presentation(surface, tree)
-        self.relator = pres.one_relator()
-        self.root, self.walk = _tree_walk(graph, tree, pictures)
-        tri = graph.trivalent_vertices()
-        self.incidences = tuple((vid, graph.vertices[vid].incident) for vid in tri)
-        g = surface.genus
-        slots = []
-        for i, eid in enumerate(pres.u_edges, start=1):
-            slots.append(("a%d" % i,) + graph.slot_of[(eid, "tail")])
-            slots.append(("a%d" % (g + i),) + graph.slot_of[(eid, "head")])
-        for j, eid in enumerate(graph.boundary_edges(), start=1):
-            for end in ("tail", "head"):
-                vid, slot = graph.slot_of[(eid, end)]
-                if graph.vertices[vid].kind == "tri":
-                    slots.append(("d%d" % j, vid, slot))
-        self.image_slots = tuple(slots)
-        names = {eid: "b%d" % i for i, eid in enumerate(pres.u_edges, start=1)}
-        self.letters = tuple((eid, names[eid]) + pictures[eid] for eid in pres.u_edges)
-        self.vertex_words = tuple(
-            (vid, tuple(pres.vertex_words[(vid, s)] for s in range(3))) for vid in tri
-        )
-        self.ends = tuple(
-            (eid, tuple((end, graph.slot_of[(eid, end)]) for end in ("tail", "head")
-                        if graph.vertices[graph.end_vertex(eid, end)].kind == "tri"))
-            for eid in sorted(graph.edges)
-        )
-        twist_slots = []
-        for eid, ((v, sv), (w, sw), nbrs) in pictures.items():
-            keys = ((v, sv), (v, (sv + 1) % 3), (v, (sv + 2) % 3),
-                    (w, (sw + 1) % 3), (w, (sw + 2) % 3))
-            twist_slots.append((eid, nbrs, keys, names.get(eid)))
-        self.twist_slots = tuple(twist_slots)
-
-
-def _tree_walk(graph, tree, pictures):
-    """The root and the steps of one DFS over the tree's interior edges."""
-    steps = {}
-    for eid in sorted(tree):
-        if not graph.is_boundary(eid):
-            e = graph.edges[eid]
-            steps.setdefault(e.tail, []).append((eid, e.head, True))
-            steps.setdefault(e.head, []).append((eid, e.tail, False))
-    root = min(graph.trivalent_vertices())
-    reached = {root}
-    walk = []
-    stack = [root]
-    while stack:
-        near = stack.pop()
-        for eid, far, forward in steps.get(near, ()):
-            if far in reached:
-                continue
-            (_, sv), (_, sw), nbrs = pictures[eid]
-            sn, sf = (sv, sw) if forward else (sw, sv)
-            walk.append((eid, nbrs, near, sn, far, sf, forward))
-            reached.add(far)
-            stack.append(far)
-    if len(reached) != len(graph.trivalent_vertices()):
-        raise ValueError("tree does not reach every trivalent vertex")
-    return root, tuple(walk)
-
-
 def _tables(surface):
-    """The surface's _GraphTables, compiled on first use."""
-    tables = _compiled.get(surface)
+    """The surface's _GraphTables, compiled on first use and kept on it."""
+    tables = surface.__dict__.get("_graph_tables")
     if tables is None:
-        tables = _compiled[surface] = _GraphTables(surface.graph)
+        tables = surface._graph_tables = _GraphTables(surface.graph)
     return tables
 
 
 def _plan(surface, tree=None):
-    """The SurfacePlan of surface and tree, compiled on first use.
+    """The Presentation of surface and tree, compiled on first use.
 
     tree defaults to the surface's stored tree, else maximal_tree (computed
     once per surface).  Raises ValueError, as presentation does, for a tree
@@ -450,10 +377,10 @@ def _plan(surface, tree=None):
                 tables.default_tree = frozenset(maximal_tree(surface))
             tree = tables.default_tree
     key = frozenset(tree)
-    plan = tables.plans.get(key)
-    if plan is None:
-        plan = tables.plans[key] = SurfacePlan(surface, tables, key)
-    return plan
+    pres = tables.plans.get(key)
+    if pres is None:
+        pres = tables.plans[key] = presentation(surface, key)
+    return pres
 
 
 # ---------------------------------------------------------------------------

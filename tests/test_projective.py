@@ -481,8 +481,8 @@ def test_pants_rep_rejects_a_singular_conjugating_map(monkeypatch):
 
     # ad and bc overflow, so det is NaN and MoebiusMap's own check lets the
     # map through; scaled to unit largest entry its determinant is 1e-14
-    conj = MoebiusMap((1e200, 1e200, 1e200, 1e200 * (1 + 1e-14)))
-    monkeypatch.setattr(pants, "three_point_map", lambda src, dst: conj)
+    conj = (1e200, 1e200, 1e200, 1e200 * (1 + 1e-14))
+    monkeypatch.setattr(pants, "_map_from_standard", lambda *fixed: conj)
     with pytest.raises(DegenerateInputError) as info:
         pants.pants_rep(pants.make_pants_data((2, 3j, -1.5 + 1j), (0, INF, 1)))
     assert info.value.factor == "det(conj)"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pantsrep import surface as su
+from pantsrep import builder, surface as su
 from pantsrep.surface import (
     Edge,
     FatGraph,
@@ -18,7 +18,7 @@ from pantsrep.surface import (
     validate,
 )
 
-from conftest import caterpillar, handle_chain
+from conftest import caterpillar, handle_chain, sample_params
 
 
 def test_fixtures_validate():
@@ -143,13 +143,16 @@ def test_json_roundtrip(tmp_path):
         assert again.tree == surf.tree
 
 
-@pytest.mark.parametrize("make, tree", [
+NOT_SPANNING = [
     (four_holed_sphere, []),            # spans nothing
     (four_holed_sphere, [1, 2, 3, 4]),  # misses a univalent vertex
     (genus_two, [1, 2, 3]),             # holds a cycle
     (one_holed_torus, [1]),             # a loop, missing the boundary edge
     (one_holed_torus, [1, 2]),
-])
+]
+
+
+@pytest.mark.parametrize("make, tree", NOT_SPANNING)
 def test_validate_reports_non_spanning_tree(make, tree):
     surf = make()
     surf.tree = set(tree)
@@ -164,18 +167,13 @@ def test_validate_accepts_every_spanning_tree_of_genus_two():
         assert validate(surf) == []
 
 
-def _reference_maximal_tree(surface, seed=None):
+def _reference_maximal_tree(surface):
     """maximal_tree as it was first written: re-sort and rescan per vertex."""
     graph = surface.graph
-    pref = {eid: i for i, eid in enumerate(seed or [])}
-
-    def rank(eid):
-        return (pref.get(eid, len(pref)), eid)
-
     seen = {min(graph.vertices)}
     tree = set()
     while True:
-        candidates = [eid for eid in sorted(graph.edges, key=rank)
+        candidates = [eid for eid in sorted(graph.edges)
                       if (graph.edges[eid].tail in seen) != (graph.edges[eid].head in seen)]
         if not candidates:
             return tree
@@ -185,13 +183,74 @@ def _reference_maximal_tree(surface, seed=None):
 
 
 def test_maximal_tree_matches_reference():
-    rng = np.random.default_rng(31)
     surfaces = [four_holed_sphere(), one_holed_torus(), genus_two()]
     surfaces += [handle_chain(g) for g in (1, 2, 3, 5, 8, 13, 21, 32)]
     surfaces += [caterpillar(b) for b in (4, 5, 9, 16, 33)]
     for surf in surfaces:
-        edges = sorted(surf.graph.edges)
         assert maximal_tree(surf) == _reference_maximal_tree(surf)
-        for _ in range(3):
-            seed = [int(e) for e in rng.permutation(edges)[: rng.integers(1, len(edges) + 1)]]
-            assert maximal_tree(surf, seed) == _reference_maximal_tree(surf, seed)
+
+
+def _reference_tree_walk(graph, tree):
+    """The root and the steps of one DFS over the tree's interior edges.
+
+    The separate walk build used before the presentation's walk took its
+    place, with each edge's local-picture slots looked up directly.
+    """
+    steps = {}
+    for eid in sorted(tree):
+        if not graph.is_boundary(eid):
+            e = graph.edges[eid]
+            steps.setdefault(e.tail, []).append((eid, e.head, True))
+            steps.setdefault(e.head, []).append((eid, e.tail, False))
+    root = min(graph.trivalent_vertices())
+    reached = {root}
+    walk = []
+    stack = [root]
+    while stack:
+        near = stack.pop()
+        for eid, far, forward in steps.get(near, ()):
+            if far in reached:
+                continue
+            (_, sv), (_, sw), nbrs = su._picture_slots(graph, eid)
+            sn, sf = (sv, sw) if forward else (sw, sv)
+            walk.append((eid, nbrs, near, sn, far, sf, forward))
+            reached.add(far)
+            stack.append(far)
+    assert len(reached) == len(graph.trivalent_vertices())
+    return root, walk
+
+
+def test_presentation_walk_matches_reference_tree_walk():
+    surfaces = [four_holed_sphere(), one_holed_torus(), genus_two()]
+    surfaces += [handle_chain(g) for g in range(1, 17)]
+    surfaces += [caterpillar(b) for b in range(4, 34)]
+    for surf in surfaces:
+        tree = surf.tree if surf.tree is not None else maximal_tree(surf)
+        pres = presentation(surf, tree)
+        root, walk = _reference_tree_walk(surf.graph, tree)
+        assert pres.root == root
+        assert len(pres.walk) == len(walk) and set(pres.walk) == set(walk)
+        reached = {root}
+        for step in pres.walk:
+            near, far = step[2], step[4]
+            assert near in reached and far not in reached
+            reached.add(far)
+
+
+def _hc2():
+    return handle_chain(2)
+
+
+@pytest.mark.parametrize("make, tree", NOT_SPANNING + [
+    (four_holed_sphere, [1]),                  # the right complement, too small
+    (four_holed_sphere, [1, 2, 3, 4, 5, 6]),   # an unknown edge
+    (_hc2, [1, 3, 4, 5, 6]),                   # the right size, holds a loop
+    (_hc2, [1, 2, 3, 4, 6]),
+])
+def test_non_spanning_tree_raises_value_error(make, tree):
+    surf = make()
+    params = sample_params(surf, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="not a spanning tree"):
+        presentation(surf, tree)
+    with pytest.raises(ValueError, match="not a spanning tree"):
+        builder.build(surf, params, tree=tree)
