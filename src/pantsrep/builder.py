@@ -12,7 +12,9 @@ from .projective import (
     DegenerateInputError,
     INF,
     MoebiusMap,
+    _adj,
     _chain,
+    _distinct,
     _fixed_points_with_eigs,
     _max_abs,
     as_point,
@@ -41,6 +43,9 @@ class SurfaceRepresentation:
     points maps each trivalent vertex to its slot-ordered fixed-point
     triple; beta_signs records the SL sign chosen for each stable letter.
     presentation is the surface's compiled Presentation for the tree.
+    The letter table (name, +-1) -> (a, b, c, d) that evaluate,
+    verify_relations, recover_coordinates and stiefel_whitney read is built
+    once here, so a representation is treated as immutable.
     """
 
     def __init__(self, surface, presentation, params, images, points, base, beta_signs=None):
@@ -52,26 +57,16 @@ class SurfaceRepresentation:
         self.points = points
         self.base = base
         self.beta_signs = dict(beta_signs or {i: 1 for i in range(1, surface.genus + 1)})
+        self._letters = table = {}
+        for name, m in self.images.items():
+            table[(name, 1)] = entries = (m.a, m.b, m.c, m.d)
+            table[(name, -1)] = _adj(entries)
 
     def evaluate(self, word):
-        factors = []
-        for name, exp in word:
-            m = self.images[name]
-            factors.append((m.a, m.b, m.c, m.d) if exp == 1 else (m.d, -m.b, -m.c, m.a))
-        return MoebiusMap(_chain(factors))
+        return MoebiusMap(_word(self._letters, word))
 
     def image(self, name):
         return self.images[name]
-
-
-def _letters(images):
-    """(name, +-1) -> the (a, b, c, d) entries of that letter's image."""
-    table = {}
-    for name, m in images.items():
-        a, b, c, d = m.a, m.b, m.c, m.d
-        table[(name, 1)] = (a, b, c, d)
-        table[(name, -1)] = (d, -b, -c, a)
-    return table
 
 
 def _word(table, word):
@@ -129,8 +124,7 @@ def build(surface, params, tree=None, base=None):
     if base is None:
         base = DEFAULT_BASE
     base = tuple(as_point(p) for p in base)
-    if (base[0].same_as(base[1]) or base[1].same_as(base[2])
-            or base[0].same_as(base[2])):
+    if not _distinct(*base):
         raise ValueError("base triple must be three distinct points")
 
     points = _vertex_points(pres, params, base)
@@ -157,13 +151,12 @@ def _residual(m):
 def verify_relations(rep):
     """Residual (distance of each relation product to +-identity) per relation."""
     pres = rep.presentation
-    table = _letters(rep.images)
+    table = rep._letters
     out = {}
     out["relator"] = _residual(_word(table, pres.one_relator()))
     out["walk"] = _residual(_word(table, pres.relation))
     for i, (lhs, rhs) in enumerate(pres.hnn, start=1):
-        a, b, c, d = _word(table, rhs)
-        out["hnn%d" % i] = _residual(_chain(((d, -b, -c, a),), _word(table, lhs)))
+        out["hnn%d" % i] = _residual(_chain((_adj(_word(table, rhs)),), _word(table, lhs)))
     return out
 
 
@@ -174,23 +167,22 @@ def recover_coordinates(rep, eigen_choice=None, tol=1e-9):
     eigenvalue branches of the curve image is reported (default: the
     dominant branch returned by fixed_points_with_eigs).  Requires every
     curve image to be non-parabolic and every vertex restriction to be
-    irreducible.
+    irreducible.  One commutator per vertex tests irreducibility: with
+    m0 m1 m2 = +-I, tr[m0,m1] = tr[m1,m2] = tr[m2,m0].
     """
     pres = rep.presentation
     eigen_choice = eigen_choice or {}
-    table = _letters(rep.images)
+    table = rep._letters
     slot_fixed = {}
     slot_eigen = {}
     for vid, _ in pres.incidences:
         ms = [_word(table, pres.vertex_words[(vid, s)]) for s in range(3)]
-        for p, (e, f, g, h) in zip(ms, ms[1:] + ms[:1]):
-            # the commutator p q p^-1 q^-1
-            a, b, c, d = p
-            comm = _chain(((e, f, g, h), (d, -b, -c, a), (h, -f, -g, e)), p)
-            if abs(comm[0] + comm[3] - 2) <= tol:
-                raise DegenerateInputError(
-                    "reducible restriction at vertex %r" % (vid,), factor="tr[m,m']-2"
-                )
+        p, q = ms[0], ms[1]
+        comm = _chain((q, _adj(p), _adj(q)), p)
+        if abs(comm[0] + comm[3] - 2) <= tol:
+            raise DegenerateInputError(
+                "reducible restriction at vertex %r" % (vid,), factor="tr[m,m']-2"
+            )
         for s, m in enumerate(ms):
             x, e, y = _fixed_points_with_eigs(*m, tol)
             slot_fixed[(vid, s)] = (x, y)
@@ -233,7 +225,7 @@ def stiefel_whitney(rep):
     """Sign of the evaluated relator for a closed surface: +1 iff liftable."""
     if rep.surface.boundary != 0:
         raise ValueError("second Stiefel-Whitney class needs a closed surface")
-    a, b, c, d = _word(_letters(rep.images), rep.presentation.one_relator())
+    a, b, c, d = _word(rep._letters, rep.presentation.one_relator())
     return 1 if _max_abs(a - 1, b, c, d - 1) < _max_abs(a + 1, b, c, d + 1) else -1
 
 

@@ -244,8 +244,8 @@ def cmd_shearbend(args):
     rep = builder.build(surf, params)
     report = {}
     for name, m in (("a1", ma_inv.inverse()), ("b1", mb)):
-        got = np.trace(m.m) ** 2 / np.linalg.det(m.m)
-        ref = np.trace(rep.image(name).m) ** 2
+        got = m.trace() ** 2 / m.det()
+        ref = rep.image(name).trace() ** 2
         report[name] = {"shear_tr2": _c(got), "builder_tr2": _c(ref),
                         "difference": abs(complex(got) - complex(ref))}
     _emit({"a": _c(a), "b": _c(b), "c": _c(c), "z1": _c(z1), "z2": _c(z2),

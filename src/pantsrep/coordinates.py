@@ -17,13 +17,15 @@ from collections import namedtuple
 
 from .projective import (
     DegenerateInputError,
+    ProjectivePoint,
+    _pair,
     as_point,
     cross_ratio,
     mobius_with_axis,
     sqrt_principal,
 )
 from .pants import is_admissible_triple
-from .surface import _picture_slots
+from .surface import _picture_slots, _tables
 
 EdgeParams = namedtuple("EdgeParams", ["eigen", "twist"])
 
@@ -44,10 +46,10 @@ def in_domain(params, surface, tol=1e-9):
     e_i^{+-1} e_j^{+-1} e_k^{+-1} != 1 (equivalently the admissibility
     inequalities, which are inversion-symmetric), and twists are nonzero.
     """
-    graph = surface.graph
-    if set(params.eigen) != set(graph.edges):
+    tables = _tables(surface)
+    if params.eigen.keys() != surface.graph.edges.keys():
         raise KeyError("eigenvalue keys do not match the edge set")
-    if set(params.twist) != set(graph.interior_edges()):
+    if params.twist.keys() != tables.pictures.keys():
         raise KeyError("twist keys do not match the interior edge set")
     for e in params.eigen.values():
         if abs(e) < tol or abs(e - 1) < tol or abs(e + 1) < tol:
@@ -55,9 +57,9 @@ def in_domain(params, surface, tol=1e-9):
     for t in params.twist.values():
         if abs(t) < tol:
             return False
-    for vid in graph.trivalent_vertices():
-        es = [params.eigen[eid] for eid, _ in surface.graph.vertices[vid].incident]
-        if not is_admissible_triple(*es, tol=tol):
+    eigen = params.eigen
+    for i, j, k in tables.triples:
+        if not is_admissible_triple(eigen[i], eigen[j], eigen[k], tol=tol):
             return False
     return True
 
@@ -65,21 +67,18 @@ def in_domain(params, surface, tol=1e-9):
 def _ratio_point(a, b, c, x1, x2, x3):
     """The point (A x1 (x2-x3) + B x2 (x3-x1) + C x3 (x1-x2)) / (same with x_i -> 1).
 
-    Evaluated on homogeneous pairs, so any of the x_i may be infinity.
+    Evaluated on homogeneous pairs, so any of the x_i may be infinity.  The
+    pair is scaled to max(|num|, |den|) = 1, so that points carried along a
+    deep tree neither overflow nor underflow.
     """
     x1, x2, x3 = as_point(x1), as_point(x2), as_point(x3)
-
-    def d(p, q):
-        return p.num * q.den - q.num * p.den
-
-    w1, w2, w3 = a * d(x2, x3), b * d(x3, x1), c * d(x1, x2)
+    w1, w2, w3 = a * _pair(x2, x3), b * _pair(x3, x1), c * _pair(x1, x2)
     num = w1 * x1.num + w2 * x2.num + w3 * x3.num
     den = w1 * x1.den + w2 * x2.den + w3 * x3.den
     if num == 0 and den == 0:
         raise DegenerateInputError("propagation formula degenerates")
-    from .projective import ProjectivePoint
-
-    return ProjectivePoint(num, den)
+    s = max(abs(num), abs(den))
+    return ProjectivePoint(num / s, den / s)
 
 
 def _check_factor(value, label, scale=1.0, tol=1e-9):
@@ -187,15 +186,15 @@ def best_twist_from_fixed_points(es, xs):
             for i in idx:
                 if i not in scaled:
                     p = as_point(xs[i])
-                    scaled[i] = (p.num, p.den, max(abs(p.num), abs(p.den)))
+                    scaled[i] = (p, max(abs(p.num), abs(p.den)))
         except KeyError:
             continue
         spreads = []
         for pair in pairs:
             s = spread.get(pair)
             if s is None:
-                (pn, pd, ps), (qn, qd, qs) = scaled[pair[0]], scaled[pair[1]]
-                s = spread[pair] = abs(pn * qd - qn * pd) / (ps * qs)
+                (p, ps), (q, qs) = scaled[pair[0]], scaled[pair[1]]
+                s = spread[pair] = abs(_pair(p, q)) / (ps * qs)
             spreads.append(s)
         m = min(spreads)
         if m > score:

@@ -220,9 +220,9 @@ def psl2r_obstruction(rep, tol=1e-8):
     imaginary one.  All +1 iff the representation reduces to PSL(2,R)."""
     signs = {}
     for i in range(1, rep.surface.genus + 1):
-        m = rep.image("b%d" % i).m
-        re = max(abs(z.real) for z in m.flat)
-        im = max(abs(z.imag) for z in m.flat)
+        m = rep.image("b%d" % i)
+        re = max(abs(z.real) for z in (m.a, m.b, m.c, m.d))
+        im = max(abs(z.imag) for z in (m.a, m.b, m.c, m.d))
         scale = max(re, im)
         if im <= tol * scale:
             signs[i] = 1

@@ -9,7 +9,7 @@ transformation of the eigenvalue-twist parameters.
 
 from collections import namedtuple
 
-from .projective import DegenerateInputError, sqrt_principal
+from .projective import DegenerateInputError, _trace_roots, sqrt_principal
 from .surface import Edge, FatGraph, PantsSurface, Vertex
 from .coordinates import (
     EdgeParams,
@@ -47,31 +47,28 @@ def half_twist_formula(e1, e2, e3, t1):
     return -e1 * (e1 * e3 - e2) / (e1 * e2 - e3) * complex(t1)
 
 
-def new_eigenvalue(tr, branch=None, tol=1e-9):
-    """Root of x^2 - tr x + 1, default (tr - sqrt(tr^2 - 4))/2."""
+def new_eigenvalue(tr, branch=None):
+    """Root of x^2 - tr x + 1, default (tr - sqrt(tr^2 - 4))/2.
+
+    A parabolic new curve (tr near +-2) raises DegenerateInputError.
+    """
     tr = complex(tr)
-    disc = tr * tr - 4
-    if abs(disc) <= tol * max(1.0, abs(tr) ** 2):
-        raise DegenerateInputError(
-            "new pants curve is parabolic: tr = %r" % (tr,), factor="tr^2 - 4"
-        )
-    if branch is not None:
-        e = complex(branch)
-        if abs(e * e - tr * e + 1) > 1e-6 * max(1.0, abs(tr)) * max(1.0, abs(e) ** 2):
-            raise ValueError("branch is not a root of x^2 - tr x + 1")
+    _, e = _trace_roots(tr)
+    if branch is None:
         return e
-    return (tr - sqrt_principal(disc)) / 2
+    e = complex(branch)
+    if abs(e * e - tr * e + 1) > 1e-6 * max(1.0, abs(tr)) * max(1.0, abs(e) ** 2):
+        raise ValueError("branch is not a root of x^2 - tr x + 1")
+    return e
 
 
-def elementary_four_holed(es, t1, t_other=None, branch=None):
-    """Type V on a four-holed sphere: new (e1', t1', {position: factor}).
+def elementary_four_holed(es, t1, t_other, branch=None):
+    """Type V on a four-holed sphere: new (e1', t1', {position: twist}).
 
     es = (e1..e5) orientation-adjusted around the old interior edge, t1 its
-    twist.  Returns the new eigenvalue, the new interior twist, and the
-    multiplicative factor applied to the twist of each neighbor position
-    (2..5) when that neighbor is itself an interior edge of a larger
-    surface.  t_other optionally maps position -> old twist, in which case
-    the transformed values are returned too.
+    twist.  t_other maps each neighbor position (2..5) that is itself an
+    interior edge of a larger surface to its old twist; the returned dict
+    maps the same positions to their new twists.
     """
     e1, e2, e3, e4, e5 = (complex(e) for e in es)
     t1 = complex(t1)
@@ -113,19 +110,14 @@ def elementary_four_holed(es, t1, t_other=None, branch=None):
         * (t1 + 1)
         / ((e1 - e4 * e5) * f14_5 * t1 + (e1 * e4 * e5 - 1) * f15_4),
     }
-    out_twists = None
-    if t_other is not None:
-        out_twists = {pos: factors[pos] * complex(t) for pos, t in t_other.items()}
-    return e1p, t1p, factors, out_twists
+    return e1p, t1p, {pos: factors[pos] * complex(t) for pos, t in t_other.items()}
 
 
 def elementary_one_holed(e1, e2, t1, branch=None):
     """Type V on a one-holed torus: new (e1', t1', boundary twist factor)."""
     e1, e2, t1 = complex(e1), complex(e2), complex(t1)
     trb, _ = one_holed_traces(e1, e2, t1)
-    e1p = new_eigenvalue(trb)
-    if branch is not None:
-        e1p = new_eigenvalue(trb, branch)
+    e1p = new_eigenvalue(trb, branch)
     if abs(e1p * e1p - e2) < 1e-12 * max(1.0, abs(e2)):
         raise DegenerateInputError("e1'^2 = e2 degeneracy", factor="e1'^2 - e2")
     root = sqrt_principal(-e2 * t1)
@@ -270,7 +262,7 @@ def _elementary_move(surface, params, edge, branch):
         for pos, eid in zip((2, 3, 4, 5), neighbor_eids)
         if eid in params.twist
     }
-    e1p, t1p, _factors, new_other = elementary_four_holed(lp.es, lp.t1, t_other, branch)
+    e1p, t1p, new_other = elementary_four_holed(lp.es, lp.t1, t_other, branch)
     eigen = dict(params.eigen)
     twist = dict(params.twist)
     eigen[edge] = e1p

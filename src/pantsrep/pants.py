@@ -14,8 +14,11 @@ from .projective import (
     SING_TOL,
     DegenerateInputError,
     MoebiusMap,
+    _adj,
+    _distinct,
     _map_from_standard,
     _max_abs,
+    _mul,
     as_point,
 )
 
@@ -28,9 +31,8 @@ def make_pants_data(eigen, fixed):
     for e in eigen:
         if e == 0 or abs(e - 1) < 1e-13 or abs(e + 1) < 1e-13:
             raise DegenerateInputError("eigenvalue %r in {0, +1, -1}" % (e,))
-    for i in range(3):
-        if fixed[i].same_as(fixed[(i + 1) % 3]):
-            raise DegenerateInputError("fixed points coincide")
+    if not _distinct(*fixed):
+        raise DegenerateInputError("fixed points coincide")
     return PantsData(eigen, fixed)
 
 
@@ -92,19 +94,10 @@ def pants_rep(data):
             factor="det(conj)",
         )
     r = math.sqrt(abs(det))
-    p0, p1, p2, p3 = p0 / r, p1 / r, p2 / r, p3 / r
+    p = p0, p1, p2, p3 = p0 / r, p1 / r, p2 / r, p3 / r
     det = p0 * p3 - p1 * p2
-    q0, q1, q2, q3 = p3 / det, -p1 / det, -p2 / det, p0 / det
-    out = []
-    for m0, m1, m2, m3 in mats:
-        # (p @ m) @ q
-        t0, t1 = p0 * m0 + p1 * m2, p0 * m1 + p1 * m3
-        t2, t3 = p2 * m0 + p3 * m2, p2 * m1 + p3 * m3
-        out.append(MoebiusMap((
-            t0 * q0 + t1 * q2, t0 * q1 + t1 * q3,
-            t2 * q0 + t3 * q2, t2 * q1 + t3 * q3,
-        )))
-    return tuple(out)
+    q = tuple(z / det for z in _adj(p))
+    return tuple(MoebiusMap(_mul(_mul(p, m), q)) for m in mats)
 
 
 def other_fixed_point(index, data):

@@ -6,12 +6,12 @@ zero.  Moebius maps are 2x2 complex matrices acting on homogeneous
 coordinates; scalar multiples act identically (PGL), and sl_normalize
 produces a determinant-1 representative when one is wanted.
 
-A MoebiusMap stores its four entries as plain Python complex numbers and
-all 2x2 arithmetic here (products, inverses, determinants, three-point and
-axis maps) is written out entry by entry: for a single 2x2 matrix, numpy's
-per-call overhead is many times the arithmetic itself.  numpy is used only
-at the edges: to accept an array input and to build the read-only ``.m``
-array view on demand.
+A MoebiusMap stores its four entries as plain Python complex numbers, and
+the 2x2 and CP^1 rules every module uses (4-tuple product and adjugate,
+point pairing, distinct-triple test, trace roots) are written out entry by
+entry here, once: for a single 2x2 matrix, numpy's per-call overhead is
+many times the arithmetic itself.  numpy is used only at the edges: to
+accept an array input and to build the read-only ``.m`` view on demand.
 """
 
 import cmath
@@ -61,7 +61,7 @@ class ProjectivePoint:
     def same_as(self, other, tol=EQ_TOL):
         """Projective equality: vanishing of the 2x2 determinant, scaled."""
         other = as_point(other)
-        det = self.num * other.den - other.num * self.den
+        det = _pair(self, other)
         scale = max(abs(self.num), abs(self.den)) * max(abs(other.num), abs(other.den))
         return abs(det) <= tol * scale
 
@@ -81,6 +81,16 @@ class ProjectivePoint:
 
 
 INF = ProjectivePoint(1, 0)
+
+
+def _pair(p, q):
+    """p.num q.den - q.num p.den: zero exactly when the points p, q coincide."""
+    return p.num * q.den - q.num * p.den
+
+
+def _distinct(p, q, r):
+    """True iff the points p, q, r are pairwise distinct (same_as tolerance)."""
+    return not (p.same_as(q) or q.same_as(r) or p.same_as(r))
 
 
 def as_point(z):
@@ -162,12 +172,11 @@ class MoebiusMap:
     def inverse(self):
         # adjugate; in PGL the 1/det factor is irrelevant, and for an SL
         # input the adjugate IS the inverse, keeping determinant exactly 1
-        return MoebiusMap((self.d, -self.b, -self.c, self.a))
+        return MoebiusMap(_adj((self.a, self.b, self.c, self.d)))
 
     def __matmul__(self, other):
-        a, b, c, d = self.a, self.b, self.c, self.d
-        e, f, g, h = other.a, other.b, other.c, other.d
-        return MoebiusMap((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
+        return MoebiusMap(_mul((self.a, self.b, self.c, self.d),
+                               (other.a, other.b, other.c, other.d)))
 
     def __neg__(self):
         return MoebiusMap((-self.a, -self.b, -self.c, -self.d))
@@ -204,6 +213,19 @@ def _check_nonsingular(a, b, c, d):
 
 
 _IDENTITY = (1 + 0j, 0j, 0j, 1 + 0j)
+
+
+def _mul(m, n):
+    """The product m @ n of two row-major (a, b, c, d) tuples."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def _adj(m):
+    """The adjugate of a row-major (a, b, c, d): its inverse times its det."""
+    a, b, c, d = m
+    return d, -b, -c, a
 
 
 def _chain(factors, start=_IDENTITY):
@@ -268,12 +290,8 @@ def cross_ratio(x0, x1, x2, x3):
     Computed on homogeneous pairs so any argument may be infinity.
     """
     x0, x1, x2, x3 = (as_point(x) for x in (x0, x1, x2, x3))
-
-    def d(p, q):
-        return p.num * q.den - q.num * p.den
-
-    num = d(x3, x0) * d(x2, x1)
-    den = d(x3, x1) * d(x2, x0)
+    num = _pair(x3, x0) * _pair(x2, x1)
+    den = _pair(x3, x1) * _pair(x2, x0)
     if den == 0:
         raise DegenerateInputError("cross ratio of coincident points")
     return num / den
@@ -294,16 +312,10 @@ def mobius_with_axis(e, x, y):
         raise DegenerateInputError("axis endpoints coincide")
     # columns of p are homogeneous representatives of x and y; the map is
     # p diag(e, 1/e) adj(p) / det(p)
-    xn, xd, yn, yd = x.num, x.den, y.num, y.den
-    s = xn * yd - yn * xd
-    f = 1 / e
-    xe, yf, de, df = xn * e, yn * f, xd * e, yd * f
-    return MoebiusMap((
-        (xe * yd - yf * xd) / s,
-        (yf * xn - xe * yn) / s,
-        (de * yd - df * xd) / s,
-        (df * xn - de * yn) / s,
-    ))
+    p = (x.num, y.num, x.den, y.den)
+    s = _pair(x, y)
+    a, b, c, d = _mul(_mul(p, (e, 0j, 0j, 1 / e)), _adj(p))
+    return MoebiusMap((a / s, b / s, c / s, d / s))
 
 
 def axis_transport_squared(x, y, z1, z2):
@@ -320,8 +332,8 @@ def _map_from_standard(x1, x2, x3):
     # rows of the homogeneous pairs; the closed form
     #   ((x2(x3-x1), x1(x2-x3)), (x3-x1, x2-x3))
     # in homogeneous arithmetic:
-    d31 = x3.num * x1.den - x1.num * x3.den
-    d23 = x2.num * x3.den - x3.num * x2.den
+    d31 = _pair(x3, x1)
+    d23 = _pair(x2, x3)
     return (x2.num * d31, x1.num * d23, x2.den * d31, x1.den * d23)
 
 
@@ -329,18 +341,9 @@ def three_point_map(src, dst):
     """The unique PGL element sending the triple src to the triple dst."""
     src = tuple(as_point(p) for p in src)
     dst = tuple(as_point(p) for p in dst)
-    for t in (src, dst):
-        if t[0].same_as(t[1]) or t[1].same_as(t[2]) or t[0].same_as(t[2]):
-            raise DegenerateInputError("triple is not pairwise distinct")
-    a0, a1, a2, a3 = _map_from_standard(*src)
-    b0, b1, b2, b3 = _map_from_standard(*dst)
-    # b @ adj(a), adj(a) = ((a3, -a1), (-a2, a0))
-    return MoebiusMap((
-        b0 * a3 - b1 * a2,
-        b1 * a0 - b0 * a1,
-        b2 * a3 - b3 * a2,
-        b3 * a0 - b2 * a1,
-    ))
+    if not (_distinct(*src) and _distinct(*dst)):
+        raise DegenerateInputError("triple is not pairwise distinct")
+    return MoebiusMap(_mul(_map_from_standard(*dst), _adj(_map_from_standard(*src))))
 
 
 def fixed_points_with_eigs(m, tol=1e-9):
@@ -358,16 +361,9 @@ def _fixed_points_with_eigs(a, b, c, d, tol):
     """fixed_points_with_eigs on the entries of a row-major (a, b, c, d)."""
     if abs(a * d - b * c - 1) > 1e-8:
         raise ValueError("fixed_points_with_eigs expects an SL-normalized map")
-    tr = a + d
-    disc = tr * tr - 4
-    if abs(disc) <= tol * max(1.0, abs(tr) * abs(tr)):
-        raise DegenerateInputError(
-            "parabolic or scalar map: tr = %r" % (tr,), factor="tr^2 - 4"
-        )
-    root = sqrt_principal(disc)
-    e = (tr + root) / 2
+    e, other = _trace_roots(a + d, tol)
     if abs(e) < 1 or (abs(abs(e) - 1) <= 1e-12 and not (0 <= cmath.phase(e) < math.pi)):
-        e = (tr - root) / 2
+        e = other
     # eigenvector for eigenvalue lam solves (a - lam) u + b v = 0; of the
     # two candidate rows take the larger, the first on a tie or NaN
     def eigvec(lam):
@@ -378,3 +374,20 @@ def _fixed_points_with_eigs(a, b, c, d, tol):
     x = ProjectivePoint(*eigvec(e))
     y = ProjectivePoint(*eigvec(1 / e))
     return x, e, y
+
+
+def _trace_roots(tr, tol=1e-9):
+    """The roots ((tr + w)/2, (tr - w)/2) of x^2 - tr x + 1, w = sqrt_principal(tr^2 - 4).
+
+    The root of larger modulus is formed directly and the other as its
+    inverse (the roots multiply to 1), so neither loses digits to
+    cancellation.  A nearly double root, tr near +-2, raises.
+    """
+    disc = tr * tr - 4
+    if abs(disc) <= tol * max(1.0, abs(tr) * abs(tr)):
+        raise DegenerateInputError("parabolic or scalar: tr = %r" % (tr,), factor="tr^2 - 4")
+    w = sqrt_principal(disc)
+    plus, minus = (tr + w) / 2, (tr - w) / 2
+    if abs(plus) >= abs(minus):
+        return plus, 1 / plus
+    return 1 / minus, minus

@@ -10,6 +10,7 @@ group relation is read off by walking the boundary of the fattened tree.
 
 import json
 from collections import namedtuple
+from functools import cached_property
 
 Edge = namedtuple("Edge", ["id", "tail", "head"])
 Vertex = namedtuple("Vertex", ["id", "kind", "incident"])  # incident: ((edge_id, end), ...)
@@ -135,20 +136,21 @@ def _is_spanning_tree(graph, tree):
 
 def _connected(graph, eids=None):
     """True iff the edges eids (default: every edge) join all vertices."""
-    edges = [graph.edges[eid] for eid in (graph.edges if eids is None else eids)]
     verts = list(graph.vertices)
     if not verts:
         return False
+    nbrs = {}
+    for eid in graph.edges if eids is None else eids:
+        e = graph.edges[eid]
+        nbrs.setdefault(e.tail, []).append(e.head)
+        nbrs.setdefault(e.head, []).append(e.tail)
     seen = {verts[0]}
     stack = [verts[0]]
     while stack:
-        v = stack.pop()
-        for e in edges:
-            if v in (e.tail, e.head):
-                w = e.head if e.tail == v else e.tail
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+        for w in nbrs.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
     return len(seen) == len(graph.vertices)
 
 
@@ -342,6 +344,7 @@ class _GraphTables:
     """
 
     def __init__(self, graph):
+        self.graph = graph
         self.pictures = {f: _picture_slots(graph, f) for f in graph.interior_edges()}
         self.seen_by = {}
         for f, (_, _, nbrs) in self.pictures.items():
@@ -352,6 +355,13 @@ class _GraphTables:
                 self.seen_by.setdefault(eid, []).append((f, tuple(at)))
         self.default_tree = None
         self.plans = {}
+
+    @cached_property
+    def triples(self):
+        """The edge ids at each trivalent vertex, built on in_domain's first
+        call: a surface that a move creates is often only flipped."""
+        return [tuple([eid for eid, _ in v.incident])
+                for v in self.graph.vertices.values() if v.kind == "tri"]
 
 
 def _tables(surface):

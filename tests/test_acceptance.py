@@ -19,7 +19,7 @@ from pantsrep.projective import (
     three_point_map,
 )
 
-from conftest import (
+from helpers import (
     SURFACES,
     marking_words,
     rand_c,

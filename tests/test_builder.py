@@ -1,5 +1,7 @@
 """Building surface-group representations and recovering coordinates."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from pantsrep.coordinates import EdgeParams
 from pantsrep.moves import Move
 from pantsrep.projective import INF, DegenerateInputError, MoebiusMap, SingularMapError
 
-from conftest import SURFACES, max_residual, sample_params
+from helpers import SURFACES, caterpillar, handle_chain, max_residual, sample_params
 
 RNG = np.random.default_rng(20240904)
 
@@ -204,3 +206,53 @@ def test_move_results_never_reuse_the_source_plan():
         fresh = su.from_json(su.to_json(new_surf))
         assert (_outputs(builder.build(new_surf, new_params))
                 == _outputs(builder.build(fresh, new_params)))
+
+
+def test_deep_surfaces_have_no_nan_residuals():
+    # propagated points are scaled to max(|num|, |den|) = 1; unscaled, the
+    # homogeneous pairs overflow along a deep tree and residuals turn NaN
+    rng = np.random.default_rng(1)
+    for surf in (handle_chain(4), handle_chain(8), caterpillar(16)):
+        for _ in range(20):
+            params = sample_params(surf, rng)
+            try:
+                res = builder.verify_relations(builder.build(surf, params))
+            except (SingularMapError, DegenerateInputError):
+                continue  # the global matrices may still be too large to hold
+            assert not any(math.isnan(v) for v in res.values()), res
+
+
+def test_recover_rejects_images_with_a_common_fixed_point():
+    surf = su.four_holed_sphere()
+    rep = builder.build(surf, sample_params(surf, RNG))
+    # upper-triangular images all fix infinity, so every vertex restriction
+    # is reducible
+    images = {name: MoebiusMap((lam, 1.0, 0, 1 / lam))
+              for name, lam in zip(sorted(rep.images), (2.0, 3j, -1.5, 0.5 + 1j))}
+    bad = builder.SurfaceRepresentation(surf, rep.presentation, rep.params, images,
+                                        rep.points, rep.base)
+    with pytest.raises(DegenerateInputError) as info:
+        builder.recover_coordinates(bad)
+    assert info.value.factor == "tr[m,m']-2"
+
+
+def _norm(m):
+    return max(abs(z) for z in _entries(m))
+
+
+def test_vertex_commutator_traces_agree():
+    # m0 m1 m2 = +-I gives tr[m0,m1] = tr[m1,m2] = tr[m2,m0], so
+    # recover_coordinates tests reducibility on the first pair alone
+    rng = np.random.default_rng(6)
+    for make in SURFACES.values():
+        surf = make()
+        for _ in range(20):
+            rep = builder.build(surf, sample_params(surf, rng))
+            pres = rep.presentation
+            for vid, _ in pres.incidences:
+                ms = [rep.evaluate(pres.vertex_words[(vid, s)]) for s in range(3)]
+                pairs = list(zip(ms, ms[1:] + ms[:1]))
+                trs = [(p @ q @ p.inverse() @ q.inverse()).trace() for p, q in pairs]
+                # rounding grows with the operands: compare to |p|^2 |q|^2
+                scale = max(_norm(p) * _norm(q) for p, q in pairs) ** 2
+                assert max(abs(tr - trs[0]) for tr in trs) <= 1e-12 * scale

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from pantsrep import cli, coordinates as co, surface as su
 from pantsrep.coordinates import EdgeParams
 
-from conftest import SUBPROCESS_ENV, sample_params
+from helpers import SUBPROCESS_ENV, sample_params
 
 RNG = np.random.default_rng(20240909)
 

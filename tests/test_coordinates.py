@@ -8,7 +8,7 @@ from pantsrep.coordinates import EdgeParams
 from pantsrep.projective import (INF, DegenerateInputError, ProjectivePoint, as_point,
                                  cross_ratio)
 
-from conftest import rand_c, sample_params
+from helpers import rand_c, sample_params
 
 RNG = np.random.default_rng(20240903)
 

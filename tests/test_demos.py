@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import SUBPROCESS_ENV
+from helpers import SUBPROCESS_ENV
 
 DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
 

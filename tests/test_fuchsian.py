@@ -10,7 +10,7 @@ from pantsrep import builder, coordinates as co, fuchsian as fu, moves, surface 
 from pantsrep.coordinates import EdgeParams
 from pantsrep.moves import Move, apply_move
 
-from conftest import SURFACES, sample_fuchsian_params, sample_params
+from helpers import SURFACES, sample_fuchsian_params, sample_params
 
 RNG = np.random.default_rng(20240907)
 

@@ -6,9 +6,9 @@ import pytest
 from pantsrep import builder, coordinates as co, moves, surface as su
 from pantsrep.coordinates import EdgeParams
 from pantsrep.moves import Move, apply_move
-from pantsrep.projective import DegenerateInputError
+from pantsrep.projective import DegenerateInputError, sqrt_principal
 
-from conftest import SURFACES, marking_words, sample_params, squared_trace_table
+from helpers import SURFACES, marking_words, sample_params, squared_trace_table
 
 RNG = np.random.default_rng(20240906)
 
@@ -183,6 +183,17 @@ def test_new_eigenvalue_branches():
     # explicit branch choice
     e2 = moves.new_eigenvalue(tr, branch=e)
     assert abs(e2 - e) < 1e-12
+
+
+def test_new_eigenvalue_has_no_cancellation():
+    # the small root is the inverse of the large one, which is formed
+    # without cancellation
+    for tr in (1e3 + 2j, -4e6 + 1j):
+        e = moves.new_eigenvalue(tr)
+        assert abs(e + 1 / e - tr) <= 1e-15 * abs(tr)
+        # still the branch (tr - sqrt(tr^2 - 4)) / 2
+        naive = (tr - sqrt_principal(tr * tr - 4)) / 2
+        assert abs(e - naive) < abs(1 / e - naive)
 
 
 def test_elementary_four_holed_trace_bookkeeping():

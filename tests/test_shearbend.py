@@ -6,7 +6,7 @@ from pantsrep import builder, shearbend as sb, surface as su
 from pantsrep.coordinates import EdgeParams
 from pantsrep.projective import sqrt_principal
 
-from conftest import rand_c, sample_params
+from helpers import rand_c, sample_params
 
 RNG = np.random.default_rng(20240908)
 

@@ -18,7 +18,7 @@ from pantsrep.surface import (
     validate,
 )
 
-from conftest import caterpillar, handle_chain, sample_params
+from helpers import caterpillar, handle_chain, sample_params
 
 
 def test_fixtures_validate():

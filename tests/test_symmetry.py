@@ -6,7 +6,7 @@ import pytest
 from pantsrep import builder, symmetry as sym
 from pantsrep.coordinates import EdgeParams, local_picture
 
-from conftest import (SURFACES, caterpillar, handle_chain, marking_words, rand_c,
+from helpers import (SURFACES, caterpillar, handle_chain, marking_words, rand_c,
                       sample_params, squared_trace_table)
 
 RNG = np.random.default_rng(20240905)
