@@ -9,6 +9,7 @@ relations exactly up to rounding.
 """
 
 from .projective import (
+    SING_TOL,
     DegenerateInputError,
     INF,
     MoebiusMap,
@@ -168,7 +169,9 @@ def recover_coordinates(rep, eigen_choice=None, tol=1e-9):
     dominant branch returned by fixed_points_with_eigs).  Requires every
     curve image to be non-parabolic and every vertex restriction to be
     irreducible.  One commutator per vertex tests irreducibility: with
-    m0 m1 m2 = +-I, tr[m0,m1] = tr[m1,m2] = tr[m2,m0].
+    m0 m1 m2 = +-I, tr[m0,m1] = tr[m1,m2] = tr[m2,m0].  Its rounding grows
+    as (|m0| |m1|)^2 (largest entry moduli), so |tr - 2| counts as zero up
+    to max(tol, SING_TOL (|m0| |m1|)^2).
     """
     pres = rep.presentation
     eigen_choice = eigen_choice or {}
@@ -179,7 +182,7 @@ def recover_coordinates(rep, eigen_choice=None, tol=1e-9):
         ms = [_word(table, pres.vertex_words[(vid, s)]) for s in range(3)]
         p, q = ms[0], ms[1]
         comm = _chain((q, _adj(p), _adj(q)), p)
-        if abs(comm[0] + comm[3] - 2) <= tol:
+        if abs(comm[0] + comm[3] - 2) <= max(tol, SING_TOL * (_max_abs(*p) * _max_abs(*q)) ** 2):
             raise DegenerateInputError(
                 "reducible restriction at vertex %r" % (vid,), factor="tr[m,m']-2"
             )

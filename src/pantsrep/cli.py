@@ -63,7 +63,7 @@ def _load_params(path, surf, tol):
     try:
         ok = coordinates.in_domain(params, surf, tol=tol)
     except KeyError as ex:
-        raise SchemaError("parameter keys do not match the surface: %s" % ex)
+        raise SchemaError("parameter keys do not match the surface: %s" % ex.args[0])
     if not ok:
         raise DomainError("parameters violate the admissibility inequalities")
     return params

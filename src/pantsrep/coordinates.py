@@ -25,7 +25,7 @@ from .projective import (
     sqrt_principal,
 )
 from .pants import is_admissible_triple
-from .surface import _picture_slots, _tables
+from .surface import _picture_slots
 
 EdgeParams = namedtuple("EdgeParams", ["eigen", "twist"])
 
@@ -45,12 +45,12 @@ def in_domain(params, surface, tol=1e-9):
     Every eigenvalue avoids {0, +-1}, every vertex triple satisfies
     e_i^{+-1} e_j^{+-1} e_k^{+-1} != 1 (equivalently the admissibility
     inequalities, which are inversion-symmetric), and twists are nonzero.
+    Eigenvalues keyed by other than the edge ids, or twists by other than
+    the interior edge ids, raise KeyError naming the ids that differ.
     """
-    tables = _tables(surface)
-    if params.eigen.keys() != surface.graph.edges.keys():
-        raise KeyError("eigenvalue keys do not match the edge set")
-    if params.twist.keys() != tables.pictures.keys():
-        raise KeyError("twist keys do not match the interior edge set")
+    graph = surface.graph
+    _check_keys(params.eigen, graph.edges.keys(), "eigenvalue keys are not the edge ids")
+    _check_keys(params.twist, graph._interior, "twist keys are not the interior edge ids")
     for e in params.eigen.values():
         if abs(e) < tol or abs(e - 1) < tol or abs(e + 1) < tol:
             return False
@@ -58,10 +58,18 @@ def in_domain(params, surface, tol=1e-9):
         if abs(t) < tol:
             return False
     eigen = params.eigen
-    for i, j, k in tables.triples:
+    for i, j, k in graph._triples:
         if not is_admissible_triple(eigen[i], eigen[j], eigen[k], tol=tol):
             return False
     return True
+
+
+def _check_keys(values, ids, label):
+    """KeyError naming the missing and unexpected ids, unless values is keyed by ids."""
+    if values.keys() != ids:
+        missing = sorted(ids - values.keys())
+        unexpected = [key for key in values if key not in ids]
+        raise KeyError("%s: missing %r, unexpected %r" % (label, missing, unexpected))
 
 
 def _ratio_point(a, b, c, x1, x2, x3):

@@ -132,18 +132,18 @@ def elementary_one_holed(e1, e2, t1, branch=None):
     return e1p, t1p, t2_factor
 
 
-def _reverse_edge_in_graph(graph, edge):
-    e = graph.edges[edge]
-    new_edges = dict(graph.edges)
-    new_edges[edge] = Edge(edge, e.head, e.tail)
-    flip = {"tail": "head", "head": "tail"}
-    new_vertices = {}
-    for vid, rec in graph.vertices.items():
-        inc = tuple(
-            (eid, flip[end] if eid == edge else end) for eid, end in rec.incident
-        )
-        new_vertices[vid] = Vertex(vid, rec.kind, inc)
-    return FatGraph(list(new_vertices.values()), list(new_edges.values()))
+def _rewired(surface, vertices, edges, tree=None):
+    """A new surface whose graph replaces only the records a move changes.
+
+    vertices and edges map an old id to the record that takes its place,
+    in the same dict position; every other record is kept.  The tree is
+    surface's unless given.  The new surface and graph compile their own
+    presentations and graph facts.
+    """
+    graph = surface.graph
+    new_graph = FatGraph({**graph.vertices, **vertices}.values(), {**graph.edges, **edges}.values())
+    return PantsSurface(surface.genus, surface.boundary, new_graph,
+                        tree=surface.tree if tree is None else tree)
 
 
 def apply_move(surface, params, move):
@@ -160,11 +160,15 @@ def apply_move(surface, params, move):
         else:
             lp = local_picture(surface, params, edge)
             eigen[edge], twist[edge] = reverse_edge_formula(lp.es, lp.t1)
-        new_graph = _reverse_edge_in_graph(graph, edge)
-        return (
-            PantsSurface(surface.genus, surface.boundary, new_graph, tree=surface.tree),
-            EdgeParams(eigen, twist),
-        )
+        e = graph.edges[edge]
+        flip = {"tail": "head", "head": "tail"}
+        ends = {}
+        for vid in (e.tail, e.head):
+            rec = graph.vertices[vid]
+            ends[vid] = rec._replace(incident=tuple(
+                (eid, flip[end] if eid == edge else end) for eid, end in rec.incident))
+        new_surface = _rewired(surface, ends, {edge: Edge(edge, e.head, e.tail)})
+        return new_surface, EdgeParams(eigen, twist)
     if kind in ("twist-r", "twist-l"):
         edge = move.target
         if graph.is_boundary(edge):
@@ -187,39 +191,25 @@ def apply_move(surface, params, move):
             factor = half_twist_formula(es[s], es[(s + 1) % 3], es[(s + 2) % 3], 1)
             twist[eid] = factor * twist[eid]
         # the half twists reverse the counterclockwise order at the vertex
-        new_vertices = dict(graph.vertices)
-        new_vertices[vid] = Vertex(vid, "tri", (inc[0], inc[2], inc[1]))
-        new_graph = FatGraph(list(new_vertices.values()), list(graph.edges.values()))
-        return (
-            PantsSurface(surface.genus, surface.boundary, new_graph, tree=surface.tree),
-            EdgeParams(dict(params.eigen), twist),
-        )
+        new_surface = _rewired(surface, {vid: Vertex(vid, "tri", (inc[0], inc[2], inc[1]))}, {})
+        return new_surface, EdgeParams(dict(params.eigen), twist)
     if kind == "auto":
         vperm = move.data.get("vertices", {})
         eperm = move.data.get("edges", {})
-        new_vertices = [
-            Vertex(
-                vperm.get(v.id, v.id),
-                v.kind,
-                tuple((eperm.get(eid, eid), end) for eid, end in v.incident),
-            )
+        # a relabelling changes every record
+        new_vertices = {
+            v.id: Vertex(vperm.get(v.id, v.id), v.kind,
+                         tuple((eperm.get(eid, eid), end) for eid, end in v.incident))
             for v in graph.vertices.values()
-        ]
-        new_edges = [
-            Edge(eperm.get(e.id, e.id), vperm.get(e.tail, e.tail), vperm.get(e.head, e.head))
+        }
+        new_edges = {
+            e.id: Edge(eperm.get(e.id, e.id), vperm.get(e.tail, e.tail), vperm.get(e.head, e.head))
             for e in graph.edges.values()
-        ]
-        tree = (
-            {eperm.get(eid, eid) for eid in surface.tree}
-            if surface.tree is not None
-            else None
-        )
+        }
+        tree = {eperm.get(eid, eid) for eid in surface.tree} if surface.tree is not None else None
         eigen = {eperm.get(k, k): v for k, v in params.eigen.items()}
         twist = {eperm.get(k, k): v for k, v in params.twist.items()}
-        return (
-            PantsSurface(surface.genus, surface.boundary, FatGraph(new_vertices, new_edges), tree=tree),
-            EdgeParams(eigen, twist),
-        )
+        return _rewired(surface, new_vertices, new_edges, tree), EdgeParams(eigen, twist)
     if kind == "elem":
         return _elementary_move(surface, params, move.target, move.branch)
     raise ValueError("unknown move kind %r" % (kind,))
@@ -273,22 +263,11 @@ def _elementary_move(surface, params, edge, branch):
 
     # regroup the cuffs: tail keeps (old position-5, position-2) neighbors,
     # head keeps (position-3, position-4), matching the relabeled picture
-    (v, sv), (w, sw) = lp.tail_slots, lp.head_slots
+    (v, _), (w, _) = lp.tail_slots, lp.head_slots
     g2, g3, g4, g5 = lp.neighbor_slots
-    new_vertices = dict(graph.vertices)
-    new_vertices[v] = Vertex(v, "tri", ((edge, "tail"), g5, g2))
-    new_vertices[w] = Vertex(w, "tri", ((edge, "head"), g3, g4))
-    new_edges = {}
-    for eid2, rec in graph.edges.items():
-        tail, head = rec.tail, rec.head
-        if eid2 != edge:
-            for slot, old_v, new_v in ((g3, v, w), (g5, w, v)):
-                if eid2 == slot[0]:
-                    if slot[1] == "tail" and tail == old_v:
-                        tail = new_v
-                    elif slot[1] == "head" and head == old_v:
-                        head = new_v
-        new_edges[eid2] = Edge(eid2, tail, head)
-    new_graph = FatGraph(list(new_vertices.values()), list(new_edges.values()))
-    new_surface = PantsSurface(surface.genus, surface.boundary, new_graph, tree=surface.tree)
+    # the position-3 end moves from v to w, the position-5 end from w to v;
+    # the four neighbor edges are distinct and none is the edge itself
+    moved = {eid: graph.edges[eid]._replace(**{end: new_v}) for (eid, end), new_v in ((g3, w), (g5, v))}
+    new_surface = _rewired(surface, {v: Vertex(v, "tri", ((edge, "tail"), g5, g2)),
+                                     w: Vertex(w, "tri", ((edge, "head"), g3, g4))}, moved)
     return new_surface, EdgeParams(eigen, twist)

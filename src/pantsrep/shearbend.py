@@ -8,8 +8,6 @@ triangulation through a layered pair of ideal tetrahedra, and the holonomy
 can be rebuilt directly from the triangulation.
 """
 
-import cmath
-
 from .projective import MoebiusMap, sqrt_principal
 
 

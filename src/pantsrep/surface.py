@@ -35,8 +35,23 @@ class FatGraph:
             or self.vertices[e.head].kind == "uni"
         )
 
+    # What the graph alone fixes, compiled on first use: a graph is treated
+    # as immutable once used, and a move makes a new one.  Lazy, because a
+    # graph that a move creates is often only flipped.
+
+    @cached_property
+    def _interior(self):
+        """The interior edge ids, as a frozenset."""
+        return frozenset(eid for eid in self.edges if not self.is_boundary(eid))
+
+    @cached_property
+    def _triples(self):
+        """The edge ids at each trivalent vertex, in vertex id order."""
+        return tuple(tuple([eid for eid, _ in self.vertices[vid].incident])
+                     for vid in self.trivalent_vertices())
+
     def interior_edges(self):
-        return sorted(eid for eid in self.edges if not self.is_boundary(eid))
+        return sorted(self._interior)
 
     def boundary_edges(self):
         return sorted(eid for eid in self.edges if self.is_boundary(eid))
@@ -65,6 +80,9 @@ class PantsSurface:
         self.boundary = boundary
         self.graph = graph
         self.tree = set(tree) if tree is not None else None
+        # kept by _plan: maximal_tree once computed, one Presentation per tree
+        self._default_tree = None
+        self._plans = {}
 
     def euler_characteristic(self):
         return 2 - 2 * self.genus - self.boundary
@@ -243,7 +261,7 @@ class Presentation:
             uni_head = graph.vertices[graph.edges[eid].head].kind == "uni"
             gen[(eid, "tail" if uni_head else "head")] = "d%d" % j
         self.image_slots = tuple((name,) + graph.slot_of[key] for key, name in gen.items())
-        pictures = _tables(surface).pictures
+        pictures = {f: _picture_slots(graph, f) for f in graph.interior_edges()}
         vertex_words = self.vertex_words = {}
         walk = []
 
@@ -317,9 +335,9 @@ def presentation(surface, tree):
 
 
 # ---------------------------------------------------------------------------
-# Compiled combinatorics: what build, verify_relations, recover_coordinates
-# and flip_eigenvalue read of the graph, compiled once per surface and tree.
-# A surface is treated as immutable once something has been built on it.
+# Compiled combinatorics: the local-picture slots of an edge, and the
+# Presentation of each tree, kept on its surface by _plan.  A surface is
+# treated as immutable once something has been built on it.
 
 
 def _picture_slots(graph, edge):
@@ -334,44 +352,6 @@ def _picture_slots(graph, edge):
                               graph.slot(w, sw + 1), graph.slot(w, sw + 2))
 
 
-class _GraphTables:
-    """What the fat graph alone fixes, kept on its surface by _tables.
-
-    pictures maps each interior edge to its _picture_slots; seen_by maps
-    an edge id to the interior edges whose picture holds it, each with the
-    positions (2..5) it fills there, in edge id order.  default_tree is
-    maximal_tree once computed; plans caches one Presentation per tree.
-    """
-
-    def __init__(self, graph):
-        self.graph = graph
-        self.pictures = {f: _picture_slots(graph, f) for f in graph.interior_edges()}
-        self.seen_by = {}
-        for f, (_, _, nbrs) in self.pictures.items():
-            positions = {}
-            for position, (eid, _end) in zip((2, 3, 4, 5), nbrs):
-                positions.setdefault(eid, []).append(position)
-            for eid, at in positions.items():
-                self.seen_by.setdefault(eid, []).append((f, tuple(at)))
-        self.default_tree = None
-        self.plans = {}
-
-    @cached_property
-    def triples(self):
-        """The edge ids at each trivalent vertex, built on in_domain's first
-        call: a surface that a move creates is often only flipped."""
-        return [tuple([eid for eid, _ in v.incident])
-                for v in self.graph.vertices.values() if v.kind == "tri"]
-
-
-def _tables(surface):
-    """The surface's _GraphTables, compiled on first use and kept on it."""
-    tables = surface.__dict__.get("_graph_tables")
-    if tables is None:
-        tables = surface._graph_tables = _GraphTables(surface.graph)
-    return tables
-
-
 def _plan(surface, tree=None):
     """The Presentation of surface and tree, compiled on first use.
 
@@ -379,17 +359,16 @@ def _plan(surface, tree=None):
     once per surface).  Raises ValueError, as presentation does, for a tree
     that is not a maximal tree of the graph.
     """
-    tables = _tables(surface)
     if tree is None:
         tree = surface.tree
         if tree is None:
-            if tables.default_tree is None:
-                tables.default_tree = frozenset(maximal_tree(surface))
-            tree = tables.default_tree
+            if surface._default_tree is None:
+                surface._default_tree = frozenset(maximal_tree(surface))
+            tree = surface._default_tree
     key = frozenset(tree)
-    pres = tables.plans.get(key)
+    pres = surface._plans.get(key)
     if pres is None:
-        pres = tables.plans[key] = presentation(surface, key)
+        pres = surface._plans[key] = presentation(surface, key)
     return pres
 
 

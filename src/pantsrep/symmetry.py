@@ -7,7 +7,7 @@ vertex, which acts on eigenvalues only.
 """
 
 from .coordinates import EdgeParams, _picture_es
-from .surface import _tables
+from .surface import _picture_slots
 
 
 def _occurrence_factor(es, position):
@@ -33,48 +33,43 @@ def flip_eigenvalue(params, surface, edge):
     interior edge seeing the flipped edge in its local picture picks up
     the rescaling factor once per occurrence (so self-glued pictures are
     handled by the same rule through the covering trick).  Only those
-    edges are visited, from the surface's compiled neighbor index.
+    edges are visited: they are the interior edges that meet the flipped
+    edge at a vertex.
     """
-    if edge not in surface.graph.edges:
+    graph = surface.graph
+    if edge not in graph.edges:
         raise KeyError("unknown edge %r" % (edge,))
-    tables = _tables(surface)
     eigen = dict(params.eigen)
     twist = dict(params.twist)
-    for f, positions in tables.seen_by.get(edge, ()):
-        _, _, nbrs = tables.pictures[f]
-        es = _picture_es(params.eigen, f, nbrs)
-        scale = 1.0
-        for position in positions:
-            scale *= _occurrence_factor(es, position)
-        twist[f] = twist[f] * scale
-    if edge in tables.pictures:
+    e = graph.edges[edge]
+    near = {eid for vid in (e.tail, e.head) for eid, _ in graph.vertices[vid].incident}
+    for f in near & graph._interior:
+        _, _, nbrs = _picture_slots(graph, f)
+        positions = [pos for pos, (eid, _) in zip((2, 3, 4, 5), nbrs) if eid == edge]
+        if positions:
+            es = _picture_es(params.eigen, f, nbrs)
+            scale = 1.0
+            for position in positions:
+                scale *= _occurrence_factor(es, position)
+            twist[f] = twist[f] * scale
+    if edge in graph._interior:
         twist[edge] = 1 / twist[edge]
     eigen[edge] = 1 / eigen[edge]
     return EdgeParams(eigen, twist)
-
-
-def vertex_sign_conditions(surface):
-    """One GF(2) row per trivalent vertex: edges with odd incidence count."""
-    graph = surface.graph
-    rows = []
-    for vid in graph.trivalent_vertices():
-        counts = {}
-        for eid, _end in graph.vertices[vid].incident:
-            counts[eid] = counts.get(eid, 0) + 1
-        rows.append({eid for eid, c in counts.items() if c % 2 == 1})
-    return rows
 
 
 def epsilon_basis(surface):
     """Basis of the sign vectors with product +1 around every vertex.
 
     Returned as dicts edge -> +-1.  Gaussian elimination over GF(2) on the
-    vertex-parity system; the solution space has dimension g when the
-    surface is closed and g + b - 1 otherwise.
+    vertex-parity system, one row per trivalent vertex: the XOR of its
+    three edges' bits, so an edge met twice drops out.  The solution space
+    has dimension g when the surface is closed and g + b - 1 otherwise.
     """
     edges = sorted(surface.graph.edges)
     index = {eid: i for i, eid in enumerate(edges)}
-    rows = [sum(1 << index[eid] for eid in row) for row in vertex_sign_conditions(surface)]
+    rows = [(1 << index[i]) ^ (1 << index[j]) ^ (1 << index[k])
+            for i, j, k in surface.graph._triples]
     pivots = {}
     for row in rows:
         for col in pivots:
@@ -98,13 +93,12 @@ def epsilon_basis(surface):
 
 
 def check_epsilon(surface, eps):
-    for row in vertex_sign_conditions(surface):
-        prod = 1
-        for eid in row:
-            prod *= eps.get(eid, 1)
-        if prod != 1:
-            return False
-    return True
+    """True iff the signs at each trivalent vertex multiply to +1.
+
+    An edge met twice at a vertex contributes a square, so it cancels.
+    """
+    return all(eps.get(i, 1) * eps.get(j, 1) * eps.get(k, 1) == 1
+               for i, j, k in surface.graph._triples)
 
 
 def act_epsilon(params, eps, surface=None):

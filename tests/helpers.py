@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import os
+import random
 
 import numpy as np
 
@@ -118,3 +119,60 @@ def caterpillar(b):
         vertices.append(surface.Vertex(vid, "tri", (left, leg(vid), right)))
     edges += [surface.Edge(i, i, i + 1) for i in range(1, n)]
     return surface.PantsSurface(0, b, surface.FatGraph(vertices, edges))
+
+
+def random_ribbon_graph(rng, pants, legs):
+    """A seeded random cubic ribbon graph: S_{g,legs} cut into `pants` pants.
+
+    The 3 * pants + legs half-edges (slot s of trivalent vertex v is the
+    half-edge (v, s); univalent vertices pants..pants + legs - 1 have one
+    each) are paired at random, and each edge gets a random orientation.
+    Pairings that join two legs, or that validate rejects (a disconnected
+    graph), are drawn again.  Loops and edges met twice at one vertex are
+    kept: they give self-glued local pictures and trees that are not paths.
+    rng is a random.Random; pants - legs must be even and pants >= legs - 2.
+    """
+    genus, odd = divmod(pants - legs + 2, 2)
+    if odd or genus < 0 or pants < 1:
+        raise ValueError("no cubic ribbon graph with %d pants and %d legs" % (pants, legs))
+    halves = [(v, s) for v in range(pants) for s in range(3)]
+    halves += [(pants + j, 0) for j in range(legs)]
+    while True:
+        rng.shuffle(halves)
+        pairs = [halves[i:i + 2] for i in range(0, len(halves), 2)]
+        if any(a[0] >= pants and b[0] >= pants for a, b in pairs):
+            continue
+        ends, edges = {}, []
+        for eid, pair in enumerate(pairs, start=1):
+            if rng.random() < 0.5:
+                pair.reverse()
+            (tail, ts), (head, hs) = pair
+            edges.append(surface.Edge(eid, tail, head))
+            ends[(tail, ts)], ends[(head, hs)] = (eid, "tail"), (eid, "head")
+        vertices = [surface.Vertex(v, "tri", tuple(ends[(v, s)] for s in range(3)))
+                    for v in range(pants)]
+        vertices += [surface.Vertex(pants + j, "uni", (ends[(pants + j, 0)],))
+                     for j in range(legs)]
+        surf = surface.PantsSurface(genus, legs, surface.FatGraph(vertices, edges))
+        if not surface.validate(surf):
+            break
+    graph = surf.graph
+    # Euler counts: 2g - 2 + b pants, 3g - 3 + 2b edges, and a first Betti
+    # number E - V + 1 of g: one cut curve per handle off a maximal tree
+    assert len(graph.trivalent_vertices()) == 2 * genus - 2 + legs
+    assert len(graph.edges) == 3 * genus - 3 + 2 * legs
+    assert len(graph.edges) - len(graph.vertices) + 1 == genus
+    return surf
+
+
+def ribbon_graphs():
+    """60 seeded random ribbon graphs with 1-12 pants and 0-4 legs."""
+    sizes = [(n, b) for n in range(1, 13) for b in range(5) if (n - b) % 2 == 0 and n >= b - 2]
+    return [random_ribbon_graph(random.Random(seed), *sizes[seed % len(sizes)])
+            for seed in range(60)]
+
+
+def reference_surfaces():
+    """The fixtures, hc1-hc16, cat4-cat33 and the random ribbon graphs."""
+    return ([make() for make in SURFACES.values()] + [handle_chain(g) for g in range(1, 17)]
+            + [caterpillar(b) for b in range(4, 34)] + ribbon_graphs())

@@ -202,7 +202,8 @@ def test_move_results_never_reuse_the_source_plan():
         new_surf, new_params = moves.apply_move(surf, params, move)
         assert new_surf is not surf
         assert su._plan(new_surf) is not su._plan(surf)
-        assert su._tables(new_surf) is not su._tables(surf)
+        # graph facts live on the graph, presentations on the surface
+        assert new_surf.graph is not surf.graph and new_surf._plans is not surf._plans
         fresh = su.from_json(su.to_json(new_surf))
         assert (_outputs(builder.build(new_surf, new_params))
                 == _outputs(builder.build(fresh, new_params)))
@@ -234,6 +235,30 @@ def test_recover_rejects_images_with_a_common_fixed_point():
     with pytest.raises(DegenerateInputError) as info:
         builder.recover_coordinates(bad)
     assert info.value.factor == "tr[m,m']-2"
+
+
+def test_recover_rejects_conjugated_reducible_images():
+    # the images above conjugated by (k z, 1, 1, 2/(k z)) stay reducible,
+    # but their entries grow as k^2, and the commutator's rounding with them
+    surf = su.four_holed_sphere()
+    rng = np.random.default_rng(12)
+    rep = builder.build(surf, sample_params(surf, rng))
+    rejected = 0
+    for k in np.geomspace(3, 600, 60):
+        z = complex(*rng.normal(size=2))
+        try:
+            c = MoebiusMap((k * z, 1.0, 1.0, 2 / (k * z)))
+            images = {name: c @ MoebiusMap((lam, 1.0, 0, 1 / lam)) @ c.inverse()
+                      for name, lam in zip(sorted(rep.images), (2.0, 3j, -1.5, 0.5 + 1j))}
+            bad = builder.SurfaceRepresentation(surf, rep.presentation, rep.params, images,
+                                                rep.points, rep.base)
+            with pytest.raises(DegenerateInputError) as info:
+                builder.recover_coordinates(bad)
+        except SingularMapError:
+            continue  # an image or a vertex word too large for det = 1 to be held
+        assert info.value.factor == "tr[m,m']-2", k
+        rejected += 1
+    assert rejected >= 50
 
 
 def _norm(m):

@@ -211,6 +211,21 @@ def test_bad_parameter_value_is_a_schema_error(tmp_path, four_holed_files, part,
     assert strict_json(r.stdout)["error"] == "schema"
 
 
+@pytest.mark.parametrize("part, key", [("twist", "9"), ("eigen", "3")])
+def test_parameter_key_mismatch_names_the_id(tmp_path, capsys, part, key):
+    spath, ppath = _fixture_files(tmp_path, su.four_holed_sphere, 20261021)
+    doc = json.loads(open(ppath).read())
+    if key in doc[part]:
+        del doc[part][key]  # a missing key
+    else:
+        doc[part][key] = [0.5, 0.25]  # an unexpected one
+    with open(ppath, "w") as fh:
+        json.dump(doc, fh)
+    assert cli.main(["generators", "--surface", spath, "--params", ppath]) == 2
+    out = strict_json(capsys.readouterr().out)
+    assert out["error"] == "schema" and "[%s]" % key in out["detail"], out
+
+
 def test_non_finite_output_is_a_numeric_error(capsys):
     from pantsrep import cli
 

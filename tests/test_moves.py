@@ -8,7 +8,8 @@ from pantsrep.coordinates import EdgeParams
 from pantsrep.moves import Move, apply_move
 from pantsrep.projective import DegenerateInputError, sqrt_principal
 
-from helpers import SURFACES, marking_words, sample_params, squared_trace_table
+from helpers import (SURFACES, marking_words, rand_c, reference_surfaces, sample_params,
+                     squared_trace_table)
 
 RNG = np.random.default_rng(20240906)
 
@@ -285,3 +286,75 @@ def test_unknown_move_kind():
     params = sample_params(surf, RNG)
     with pytest.raises(ValueError):
         apply_move(surf, params, Move("slide", 1))
+
+
+def _reference_graph(graph, move):
+    """A move's new graph as it was written before: every record rebuilt."""
+    target = move.target
+    vertices, edges = list(graph.vertices.values()), list(graph.edges.values())
+    if move.kind == "reverse":
+        e = graph.edges[target]
+        flip = {"tail": "head", "head": "tail"}
+        edges = [su.Edge(target, e.head, e.tail) if r.id == target else r for r in edges]
+        vertices = [su.Vertex(v.id, v.kind, tuple((eid, flip[end] if eid == target else end)
+                                                  for eid, end in v.incident))
+                    for v in vertices]
+    elif move.kind == "vertex":
+        inc = graph.vertices[target].incident
+        vertices = [su.Vertex(target, "tri", (inc[0], inc[2], inc[1])) if v.id == target else v
+                    for v in vertices]
+    elif move.kind == "auto":
+        vperm, eperm = move.data["vertices"], move.data["edges"]
+        vertices = [su.Vertex(vperm.get(v.id, v.id), v.kind,
+                              tuple((eperm.get(eid, eid), end) for eid, end in v.incident))
+                    for v in vertices]
+        edges = [su.Edge(eperm.get(e.id, e.id), vperm.get(e.tail, e.tail), vperm.get(e.head, e.head))
+                 for e in edges]
+    elif graph.edges[target].tail != graph.edges[target].head:  # elem, four-holed
+        (v, sv), (w, sw), (g2, g3, g4, g5) = su._picture_slots(graph, target)
+        new = {v: su.Vertex(v, "tri", ((target, "tail"), g5, g2)),
+               w: su.Vertex(w, "tri", ((target, "head"), g3, g4))}
+        vertices = [new.get(r.id, r) for r in vertices]
+        rebuilt = []
+        for rec in edges:
+            tail, head = rec.tail, rec.head
+            if rec.id != target:
+                for slot, old_v, new_v in ((g3, v, w), (g5, w, v)):
+                    if rec.id == slot[0]:
+                        if slot[1] == "tail" and tail == old_v:
+                            tail = new_v
+                        elif slot[1] == "head" and head == old_v:
+                            head = new_v
+            rebuilt.append(su.Edge(rec.id, tail, head))
+        edges = rebuilt
+    return su.FatGraph(vertices, edges)
+
+
+def test_moves_rewrite_only_the_records_they_change():
+    rng = np.random.default_rng(99)
+    applied = {"reverse": 0, "vertex": 0, "auto": 0, "elem": 0}
+    for surf in reference_surfaces():
+        g = surf.graph
+        params = EdgeParams({eid: rand_c(rng) for eid in g.edges},
+                            {eid: rand_c(rng) for eid in g.interior_edges()})
+        vids, eids = list(g.vertices), list(g.edges)
+        autos = [Move("auto", None, data={"vertices": dict(zip(vids, rng.permutation(vids).tolist())),
+                                          "edges": dict(zip(eids, rng.permutation(eids).tolist()))})
+                 for _ in range(2)]
+        tree = surf.tree
+        for move in ([Move("reverse", eid) for eid in eids] + [Move("elem", eid) for eid in eids]
+                     + [Move("vertex", vid) for vid in g.trivalent_vertices()] + autos):
+            try:
+                new, _ = apply_move(surf, params, move)
+            except (ValueError, ArithmeticError):
+                continue  # elem on a boundary edge, a self-glued or degenerate picture
+            ref = _reference_graph(g, move)
+            assert list(new.graph.vertices.items()) == list(ref.vertices.items())
+            assert list(new.graph.edges.items()) == list(ref.edges.items())
+            assert new.graph.slot_of == ref.slot_of
+            if move.kind == "auto" and tree is not None:
+                assert new.tree == {move.data["edges"].get(eid, eid) for eid in tree}
+            else:
+                assert new.tree == tree
+            applied[move.kind] += 1
+    assert min(applied.values()) > 100, applied

@@ -18,7 +18,7 @@ from pantsrep.surface import (
     validate,
 )
 
-from helpers import caterpillar, handle_chain, sample_params
+from helpers import caterpillar, handle_chain, ribbon_graphs, sample_params
 
 
 def test_fixtures_validate():
@@ -223,7 +223,7 @@ def _reference_tree_walk(graph, tree):
 def test_presentation_walk_matches_reference_tree_walk():
     surfaces = [four_holed_sphere(), one_holed_torus(), genus_two()]
     surfaces += [handle_chain(g) for g in range(1, 17)]
-    surfaces += [caterpillar(b) for b in range(4, 34)]
+    surfaces += [caterpillar(b) for b in range(4, 34)] + ribbon_graphs()
     for surf in surfaces:
         tree = surf.tree if surf.tree is not None else maximal_tree(surf)
         pres = presentation(surf, tree)

@@ -7,7 +7,7 @@ from pantsrep import builder, symmetry as sym
 from pantsrep.coordinates import EdgeParams, local_picture
 
 from helpers import (SURFACES, caterpillar, handle_chain, marking_words, rand_c,
-                      sample_params, squared_trace_table)
+                      reference_surfaces, ribbon_graphs, sample_params, squared_trace_table)
 
 RNG = np.random.default_rng(20240905)
 
@@ -133,10 +133,71 @@ def test_flip_visits_only_affected_edges_with_the_same_result():
     rng = np.random.default_rng(97)
     surfaces = [make() for make in SURFACES.values()]
     surfaces += [handle_chain(g) for g in (1, 2, 3, 6)]
-    surfaces += [caterpillar(b) for b in (4, 5, 9)]
+    surfaces += [caterpillar(b) for b in (4, 5, 9)] + ribbon_graphs()
     for surf in surfaces:
         g = surf.graph
         params = EdgeParams({eid: rand_c(rng) for eid in g.edges},
                             {eid: rand_c(rng) for eid in g.interior_edges()})
         for edge in g.edges:
             assert sym.flip_eigenvalue(params, surf, edge) == _reference_flip(params, surf, edge)
+
+
+def _reference_sign_rows(surface):
+    """One GF(2) row per trivalent vertex: the edges met an odd number of times."""
+    graph = surface.graph
+    rows = []
+    for vid in graph.trivalent_vertices():
+        counts = {}
+        for eid, _end in graph.vertices[vid].incident:
+            counts[eid] = counts.get(eid, 0) + 1
+        rows.append({eid for eid, c in counts.items() if c % 2 == 1})
+    return rows
+
+
+def _reference_check_epsilon(surface, eps):
+    for row in _reference_sign_rows(surface):
+        prod = 1
+        for eid in row:
+            prod *= eps.get(eid, 1)
+        if prod != 1:
+            return False
+    return True
+
+
+def _reference_epsilon_basis(surface):
+    """epsilon_basis as it was with the odd-incidence rows above."""
+    edges = sorted(surface.graph.edges)
+    index = {eid: i for i, eid in enumerate(edges)}
+    rows = [sum(1 << index[eid] for eid in row) for row in _reference_sign_rows(surface)]
+    pivots = {}
+    for row in rows:
+        for col in pivots:
+            if (row >> col) & 1:
+                row ^= pivots[col]
+        for col in reversed(range(len(edges))):
+            if (row >> col) & 1:
+                for pcol, prow in pivots.items():
+                    if (prow >> col) & 1:
+                        pivots[pcol] = prow ^ row
+                pivots[col] = row
+                break
+    basis = []
+    for f in (c for c in range(len(edges)) if c not in pivots):
+        vec = 1 << f
+        for col, row in pivots.items():
+            if (row >> f) & 1:
+                vec |= 1 << col
+        basis.append({eid: (-1 if (vec >> index[eid]) & 1 else 1) for eid in edges})
+    return basis
+
+
+def test_sign_group_matches_the_odd_incidence_rule():
+    rng = np.random.default_rng(98)
+    for surf in reference_surfaces():
+        basis = sym.epsilon_basis(surf)
+        assert basis == _reference_epsilon_basis(surf)
+        edges = sorted(surf.graph.edges)
+        vectors = [{eid: int(s) for eid, s in zip(edges, rng.choice([-1, 1], len(edges)))}
+                   for _ in range(50)]
+        for eps in basis + vectors:
+            assert sym.check_epsilon(surf, eps) == _reference_check_epsilon(surf, eps)
