@@ -9,7 +9,6 @@ relations exactly up to rounding.
 """
 
 from .projective import (
-    SING_TOL,
     DegenerateInputError,
     INF,
     MoebiusMap,
@@ -35,6 +34,8 @@ from .coordinates import (
 )
 
 DEFAULT_BASE = (as_point(0), as_point(1), INF)
+#: tr[m0,m1] rounds by up to 16 double rounding units times (|m0| |m1|)^2
+_COMM_TOL = 16 * 2.0 ** -53
 
 
 class SurfaceRepresentation:
@@ -171,7 +172,7 @@ def recover_coordinates(rep, eigen_choice=None, tol=1e-9):
     irreducible.  One commutator per vertex tests irreducibility: with
     m0 m1 m2 = +-I, tr[m0,m1] = tr[m1,m2] = tr[m2,m0].  Its rounding grows
     as (|m0| |m1|)^2 (largest entry moduli), so |tr - 2| counts as zero up
-    to max(tol, SING_TOL (|m0| |m1|)^2).
+    to max(tol, _COMM_TOL (|m0| |m1|)^2).
     """
     pres = rep.presentation
     eigen_choice = eigen_choice or {}
@@ -182,7 +183,7 @@ def recover_coordinates(rep, eigen_choice=None, tol=1e-9):
         ms = [_word(table, pres.vertex_words[(vid, s)]) for s in range(3)]
         p, q = ms[0], ms[1]
         comm = _chain((q, _adj(p), _adj(q)), p)
-        if abs(comm[0] + comm[3] - 2) <= max(tol, SING_TOL * (_max_abs(*p) * _max_abs(*q)) ** 2):
+        if abs(comm[0] + comm[3] - 2) <= max(tol, _COMM_TOL * (_max_abs(*p) * _max_abs(*q)) ** 2):
             raise DegenerateInputError(
                 "reducible restriction at vertex %r" % (vid,), factor="tr[m,m']-2"
             )

@@ -42,8 +42,9 @@ def flip_eigenvalue(params, surface, edge):
     eigen = dict(params.eigen)
     twist = dict(params.twist)
     e = graph.edges[edge]
-    near = {eid for vid in (e.tail, e.head) for eid, _ in graph.vertices[vid].incident}
-    for f in near & graph._interior:
+    near = {eid for vid in (e.tail, e.head) for eid, _ in graph.vertices[vid].incident
+            if not graph.is_boundary(eid)}
+    for f in near:
         _, _, nbrs = _picture_slots(graph, f)
         positions = [pos for pos, (eid, _) in zip((2, 3, 4, 5), nbrs) if eid == edge]
         if positions:
@@ -52,7 +53,7 @@ def flip_eigenvalue(params, surface, edge):
             for position in positions:
                 scale *= _occurrence_factor(es, position)
             twist[f] = twist[f] * scale
-    if edge in graph._interior:
+    if not graph.is_boundary(edge):
         twist[edge] = 1 / twist[edge]
     eigen[edge] = 1 / eigen[edge]
     return EdgeParams(eigen, twist)

@@ -261,6 +261,28 @@ def test_recover_rejects_conjugated_reducible_images():
     assert rejected >= 50
 
 
+@pytest.mark.parametrize("make, seed", [(lambda: handle_chain(4), 5), (lambda: caterpillar(8), 39)],
+                         ids=["hc4", "cat8"])
+def test_recover_inverts_band_points_with_large_vertex_words(make, seed):
+    # the first point of the domain within 0.2 of its boundary: one vertex
+    # has |tr[m0,m1] - 2| under 1e-12 (|m0| |m1|)^2 but far above its
+    # rounding, and points of the domain have irreducible vertices
+    surf = make()
+    rng = np.random.default_rng(seed)
+    params = sample_params(surf, rng)
+    while co.in_domain(params, surf, 0.2):
+        params = sample_params(surf, rng)
+    rep = builder.build(surf, params)
+    first = builder.recover_coordinates(rep)
+    choice = {eid: 1 if abs(first.eigen[eid] - e) <= abs(1 / first.eigen[eid] - e) else -1
+              for eid, e in params.eigen.items()}
+    rec = builder.recover_coordinates(rep, eigen_choice=choice)
+    for got, want in ((rec.eigen, params.eigen), (rec.twist, params.twist)):
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert abs(got[key] - value) <= 1e-8 * max(1.0, abs(value)), key
+
+
 def _norm(m):
     return max(abs(z) for z in _entries(m))
 

@@ -142,6 +142,18 @@ def test_flip_visits_only_affected_edges_with_the_same_result():
             assert sym.flip_eigenvalue(params, surf, edge) == _reference_flip(params, surf, edge)
 
 
+def test_flip_compiles_no_whole_graph_fact():
+    # a flip reads the records at the flipped edge's two ends, so on a fresh
+    # surface (as a move makes) it compiles neither graph fact
+    rng = np.random.default_rng(98)
+    for make in [*SURFACES.values(), lambda: handle_chain(3), lambda: caterpillar(5)]:
+        params = sample_params(make(), rng)
+        for edge in make().graph.edges:
+            surf = make()
+            sym.flip_eigenvalue(params, surf, edge)
+            assert not {"_interior", "_triples"} & vars(surf.graph).keys(), edge
+
+
 def _reference_sign_rows(surface):
     """One GF(2) row per trivalent vertex: the edges met an odd number of times."""
     graph = surface.graph
