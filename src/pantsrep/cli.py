@@ -2,7 +2,11 @@
 
 Thin adapters over the library: every subcommand reads JSON, calls one or
 two library functions, and prints JSON.  Exit codes: 0 success, 2 schema
-violation, 3 domain violation, 4 numeric degeneracy.
+violation, 3 domain violation, 4 numeric degeneracy.  A usage error
+(unknown command, bad choice, non-integer count) is a schema violation.
+
+A cold process pays for every module it imports, so each handler imports
+the modules only it uses, and numpy is loaded only by ``sample``.
 """
 
 import argparse
@@ -10,9 +14,7 @@ import cmath
 import json
 import sys
 
-import numpy as np
-
-from . import builder, coordinates, fuchsian, moves, shearbend, surface, symmetry
+from . import builder, coordinates, surface
 from .coordinates import EdgeParams
 from .projective import DegenerateInputError, SingularMapError
 
@@ -149,6 +151,8 @@ def cmd_recover(args):
 
 
 def cmd_act(args):
+    from . import symmetry
+
     surf = _load_surface(args.surface)
     params = _load_params(args.params, surf, args.tol)
     if args.flip is None and not args.epsilon:
@@ -172,6 +176,8 @@ def cmd_act(args):
 
 
 def cmd_move(args):
+    from . import moves
+
     surf = _load_surface(args.surface)
     params = _load_params(args.params, surf, args.tol)
     if args.kind is None or args.target is None:
@@ -208,6 +214,8 @@ def cmd_move(args):
 
 
 def cmd_fn(args):
+    from . import fuchsian
+
     surf = _load_surface(args.surface)
     params = _load_params(args.params, surf, args.tol)
     fn = fuchsian.to_fenchel_nielsen(params, surf, require_domain=False)
@@ -230,6 +238,8 @@ def cmd_fn(args):
 
 
 def cmd_shearbend(args):
+    from . import shearbend
+
     surf = _load_surface(args.surface)
     params = _load_params(args.params, surf, args.tol)
     g = surf.graph
@@ -254,6 +264,8 @@ def cmd_shearbend(args):
 
 
 def sample_params(surf, rng, fuchsian_mode):
+    import numpy as np
+
     g = surf.graph
     eigen, twist = {}, {}
     for eid in sorted(g.edges):
@@ -283,6 +295,10 @@ def sample_params(surf, rng, fuchsian_mode):
 
 
 def cmd_sample(args):
+    import numpy as np
+
+    if args.n < 0:
+        raise SchemaError("--n must not be negative, got %d" % args.n)
     surf = _load_surface(args.surface)
     rng = np.random.default_rng(args.seed)
     points = []
@@ -326,8 +342,16 @@ def cmd_example(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise SchemaError, so main
+    reports them as JSON on stdout with exit code 2."""
+
+    def error(self, message):
+        raise SchemaError(message)
+
+
 def make_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="pantsrep",
         description="Matrix representations of surface groups from "
                     "eigenvalue-twist coordinates on pants decompositions.")
@@ -364,8 +388,8 @@ def make_parser():
 
 
 def main(argv=None):
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return args.fn(args)
     except SchemaError as ex:
         _emit({"error": "schema", "detail": str(ex)}, None)

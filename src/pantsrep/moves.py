@@ -132,18 +132,13 @@ def elementary_one_holed(e1, e2, t1, branch=None):
     return e1p, t1p, t2_factor
 
 
-def _rewired(surface, vertices, edges, tree=None):
-    """A new surface whose graph replaces only the records a move changes.
-
-    vertices and edges map an old id to the record that takes its place,
-    in the same dict position; every other record is kept.  The tree is
-    surface's unless given.  The new surface and graph compile their own
-    presentations and graph facts.
+def _rewired(surface, vertices, edges):
+    """A new surface, on surface's tree, whose graph replaces only the
+    records a move changes (``FatGraph._rewired``).  The new surface and
+    graph compile their own presentations and graph facts.
     """
-    graph = surface.graph
-    new_graph = FatGraph({**graph.vertices, **vertices}.values(), {**graph.edges, **edges}.values())
-    return PantsSurface(surface.genus, surface.boundary, new_graph,
-                        tree=surface.tree if tree is None else tree)
+    return PantsSurface(surface.genus, surface.boundary, surface.graph._rewired(vertices, edges),
+                        tree=surface.tree)
 
 
 def apply_move(surface, params, move):
@@ -196,20 +191,18 @@ def apply_move(surface, params, move):
     if kind == "auto":
         vperm = move.data.get("vertices", {})
         eperm = move.data.get("edges", {})
-        # a relabelling changes every record
-        new_vertices = {
-            v.id: Vertex(vperm.get(v.id, v.id), v.kind,
-                         tuple((eperm.get(eid, eid), end) for eid, end in v.incident))
-            for v in graph.vertices.values()
-        }
-        new_edges = {
-            e.id: Edge(eperm.get(e.id, e.id), vperm.get(e.tail, e.tail), vperm.get(e.head, e.head))
-            for e in graph.edges.values()
-        }
+        # a relabelling changes every record, so the graph is built anew
+        new_graph = FatGraph(
+            [Vertex(vperm.get(v.id, v.id), v.kind,
+                    tuple((eperm.get(eid, eid), end) for eid, end in v.incident))
+             for v in graph.vertices.values()],
+            [Edge(eperm.get(e.id, e.id), vperm.get(e.tail, e.tail), vperm.get(e.head, e.head))
+             for e in graph.edges.values()])
         tree = {eperm.get(eid, eid) for eid in surface.tree} if surface.tree is not None else None
         eigen = {eperm.get(k, k): v for k, v in params.eigen.items()}
         twist = {eperm.get(k, k): v for k, v in params.twist.items()}
-        return _rewired(surface, new_vertices, new_edges, tree), EdgeParams(eigen, twist)
+        return (PantsSurface(surface.genus, surface.boundary, new_graph, tree=tree),
+                EdgeParams(eigen, twist))
     if kind == "elem":
         return _elementary_move(surface, params, move.target, move.branch)
     raise ValueError("unknown move kind %r" % (kind,))

@@ -10,14 +10,14 @@ A MoebiusMap stores its four entries as plain Python complex numbers, and
 the 2x2 and CP^1 rules every module uses (4-tuple product and adjugate,
 point pairing, distinct-triple test, trace roots) are written out entry by
 entry here, once: for a single 2x2 matrix, numpy's per-call overhead is
-many times the arithmetic itself.  numpy is used only at the edges: to
-accept an array input and to build the read-only ``.m`` view on demand.
+many times the arithmetic itself.  numpy is used only at the edges, and
+imported on demand there: to accept an array input, to build the read-only
+``.m`` view and to print a map.  Importing this module does not load it.
 """
 
 import cmath
 import math
-
-import numpy as np
+import numbers
 
 #: default tolerance for projective comparisons
 EQ_TOL = 1e-9
@@ -94,15 +94,19 @@ def _distinct(p, q, r):
 
 
 def as_point(z):
-    """Coerce a complex number, 'inf', or ProjectivePoint into a point."""
+    """Coerce a number, 'inf', or ProjectivePoint into a point.
+
+    A number is any ``numbers.Complex`` (numpy scalars, fractions and bool
+    included); a real infinity of either sign is the point at infinity.
+    """
     if isinstance(z, ProjectivePoint):
         return z
     if isinstance(z, str):
         if z == "inf":
             return INF
         raise ValueError("unknown point literal %r" % (z,))
-    if isinstance(z, (int, float, complex, np.complexfloating, np.floating, np.integer)):
-        if isinstance(z, (float, np.floating)) and math.isinf(z):
+    if isinstance(z, numbers.Complex):
+        if isinstance(z, numbers.Real) and math.isinf(z):
             return INF
         return ProjectivePoint(complex(z), 1)
     raise TypeError("cannot interpret %r as a point of CP^1" % (z,))
@@ -145,6 +149,8 @@ class MoebiusMap:
                 except (TypeError, ValueError):
                     raise ValueError("MoebiusMap entries must be numbers: %r" % (m,)) from None
         else:
+            import numpy as np
+
             arr = np.asarray(m, dtype=complex)
             if arr.shape != (2, 2):
                 raise ValueError("MoebiusMap needs a 2x2 matrix or a flat 4-tuple")
@@ -155,6 +161,8 @@ class MoebiusMap:
     @property
     def m(self):
         """The matrix as a read-only (2, 2) complex array (a fresh copy)."""
+        import numpy as np
+
         arr = np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
         arr.setflags(write=False)
         return arr
@@ -191,6 +199,8 @@ class MoebiusMap:
         return self.apply(p)
 
     def __repr__(self):
+        import numpy as np
+
         return "MoebiusMap(%s)" % np.array2string(self.m, separator=", ")
 
 

@@ -101,6 +101,6 @@ def shear_rep_one_holed(a, b, c):
         raise ValueError("edge parameters must be nonzero")
     sac = sqrt_principal(a * c)
     sab = sqrt_principal(a * b)
-    m_alpha_inv = MoebiusMap([[(c - 1) / sac, -c / sac], [a * c / sac, -a * c / sac]])
-    m_beta = MoebiusMap([[1 / sab, -1 / sab], [a / sab, a * (b - 1) / sab]])
+    m_alpha_inv = MoebiusMap(((c - 1) / sac, -c / sac, a * c / sac, -a * c / sac))
+    m_beta = MoebiusMap((1 / sab, -1 / sab, a / sab, a * (b - 1) / sab))
     return m_alpha_inv, m_beta

@@ -28,6 +28,28 @@ class FatGraph:
             for i, (eid, end) in enumerate(v.incident):
                 self.slot_of[(eid, end)] = (v.id, i)
 
+    def _rewired(self, vertices, edges):
+        """A new graph with some records replaced.
+
+        vertices and edges map an id to the record with that id that takes
+        its place; every other record is kept, in the same dict position.
+        The slot table is this graph's, less the slots of the replaced
+        vertices, plus those of their replacements, so a move that changes
+        two vertices does not walk every vertex.
+        """
+        slot_of = dict(self.slot_of)
+        for vid in vertices:
+            for key in self.vertices[vid].incident:
+                slot_of.pop(key, None)
+        for v in vertices.values():
+            for i, key in enumerate(v.incident):
+                slot_of[key] = (v.id, i)
+        new = FatGraph.__new__(FatGraph)
+        new.vertices = {**self.vertices, **vertices}
+        new.edges = {**self.edges, **edges}
+        new.slot_of = slot_of
+        return new
+
     def is_boundary(self, eid):
         e = self.edges[eid]
         return (

@@ -87,6 +87,32 @@ def test_sample_is_deterministic(four_holed_files):
     assert r3.stdout != r1.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    [], ["nope"], ["example"], ["example", "nope"], ["move", "--kind", "nope"],
+    ["sample", "--n", "x"], ["sample", "--seed", "1.5"], ["act", "--flip", "a"],
+    ["validate", "--nope"],
+], ids=["no-command", "unknown-command", "example-without-name", "example-bad-name",
+        "bad-kind", "non-integer-n", "non-integer-seed", "non-integer-flip", "unknown-flag"])
+def test_usage_error_is_a_schema_error(capsys, argv):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert strict_json(out)["error"] == "schema" and err == ""
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as ex:
+        cli.main(["--help"])
+    assert ex.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pantsrep")
+
+
+def test_sample_negative_n_is_a_schema_error(capsys, four_holed_files):
+    _, _, spath, _ = four_holed_files
+    assert cli.main(["sample", "--surface", spath, "--n", "-1"]) == 2
+    doc = strict_json(capsys.readouterr().out)
+    assert doc["error"] == "schema" and "--n" in doc["detail"]
+
+
 def test_fn_on_fuchsian_point(tmp_path):
     surf = su.one_holed_torus()
     params = EdgeParams({1: -2.5, 2: -3.0}, {1: 1.5})

@@ -1,5 +1,8 @@
 """Moebius maps, projective points and cross ratios."""
 
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -40,6 +43,29 @@ def test_point_identifications():
     assert INF.same_as(ProjectivePoint(-3, 0))
     assert not INF.same_as(as_point(0))
     assert as_point(INF) is INF or as_point(INF).same_as(INF)
+
+
+@pytest.mark.parametrize("z, want", [
+    (np.float64(2.5), 2.5), (np.complex128(1 - 2j), 1 - 2j), (np.int64(-3), -3),
+    (np.float32(0.5), 0.5), (Fraction(3, 4), 0.75), (True, 1),
+])
+def test_as_point_takes_any_complex_number(z, want):
+    p = as_point(z)
+    assert p.den == 1 and p.num == want and type(p.num) is complex
+
+
+@pytest.mark.parametrize("z", [np.float64("inf"), -np.float64("inf"), float("inf"), "inf"])
+def test_as_point_maps_infinity_to_inf(z):
+    assert as_point(z) is INF
+
+
+@pytest.mark.parametrize("z, error", [
+    (np.bool_(True), TypeError), (Decimal(1), TypeError), (None, TypeError), ([1, 0], TypeError),
+    ("x", ValueError), ("1", ValueError),
+])
+def test_as_point_rejects_non_numbers(z, error):
+    with pytest.raises(error):
+        as_point(z)
 
 
 def test_singular_matrix_rejected():
