@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Thin adapters over the library: every subcommand reads JSON, calls one or
-two library functions, and prints JSON.  Exit codes: 0 success, 2 schema
-violation, 3 domain violation, 4 numeric degeneracy.  A usage error
-(unknown command, bad choice, non-integer count) is a schema violation.
+Thin adapters over the library.  ``main`` is the only code that reads the
+inputs and writes the output: it parses the arguments, loads and checks
+the surface and parameter files the subcommand declares, and prints (or
+writes to ``--out``) the JSON document the handler returns.  A handler
+``cmd_x(args, surf, params)`` only calls the library.  Exit codes: 0
+success, 2 schema violation, 3 domain violation, 4 numeric degeneracy.  A
+usage error (unknown command, bad choice, non-integer count) is a schema
+violation.
 
 A cold process pays for every module it imports, so each handler imports
 the modules only it uses, and numpy is loaded only by ``sample``.
@@ -40,6 +44,16 @@ def _matrix(m):
     return [[_c(m.a), _c(m.b)], [_c(m.c), _c(m.d)]]
 
 
+def _tolerance(text):
+    """A --tol value: NaN, an infinity or a negative would switch off the domain check."""
+    try:
+        if 0 <= float(text) < float("inf"):
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("must be a finite non-negative number, got %r" % text)
+
+
 def _load_surface(path):
     if path is None:
         raise SchemaError("--surface is required for this command")
@@ -60,7 +74,7 @@ def _load_params(path, surf, tol):
         raise SchemaError("--params is required for this command")
     try:
         params = coordinates.load_params(path)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as ex:
+    except (OSError, KeyError, TypeError, ValueError) as ex:
         raise SchemaError("cannot read parameter file %s: %s" % (path, ex))
     try:
         ok = coordinates.in_domain(params, surf, tol=tol)
@@ -79,8 +93,11 @@ def _emit(doc, out):
         # numeric degeneracy (exit 4), never a bare NaN token on stdout
         raise FloatingPointError("result is not finite: %s" % ex)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as ex:
+            raise SchemaError("cannot write %s: %s" % (out, ex))
     else:
         sys.stdout.write(text)
 
@@ -99,44 +116,30 @@ def _word_list(pres):
     return words
 
 
-def cmd_validate(args):
-    surf = _load_surface(args.surface)
-    doc = {"surface": "ok", "genus": surf.genus, "boundary": surf.boundary}
-    if args.params:
-        _load_params(args.params, surf, args.tol)
-        doc["params"] = "ok"
-    _emit(doc, args.out)
-    return 0
-
-
-def cmd_generators(args):
-    surf = _load_surface(args.surface)
-    params = _load_params(args.params, surf, args.tol)
-    rep = builder.build(surf, params)
-    residuals = builder.verify_relations(rep)
-    doc = {
+def _generators_doc(rep):
+    """The generator matrices of a representation and its relation residuals."""
+    return {
         "generators": {name: _matrix(rep.image(name)) for name in sorted(rep.images)},
-        "relation_residuals": {k: float(v) for k, v in residuals.items()},
+        "relation_residuals": {k: float(v) for k, v in builder.verify_relations(rep).items()},
     }
-    _emit(doc, args.out)
-    return 0
 
 
-def cmd_traces(args):
-    surf = _load_surface(args.surface)
-    params = _load_params(args.params, surf, args.tol)
+def cmd_validate(args, surf, params):
+    doc = {"surface": "ok", "genus": surf.genus, "boundary": surf.boundary}
+    return doc if params is None else dict(doc, params="ok")
+
+
+def cmd_generators(args, surf, params):
+    return _generators_doc(builder.build(surf, params))
+
+
+def cmd_traces(args, surf, params):
     rep = builder.build(surf, params)
-    out = {}
-    for label, word in _word_list(rep.presentation):
-        m = rep.evaluate(word)
-        out["*".join(str(x) for x in label)] = _c(m.trace())
-    _emit({"traces": out}, args.out)
-    return 0
+    return {"traces": {"*".join(str(x) for x in label): _c(rep.evaluate(word).trace())
+                       for label, word in _word_list(rep.presentation)}}
 
 
-def cmd_recover(args):
-    surf = _load_surface(args.surface)
-    params = _load_params(args.params, surf, args.tol)
+def cmd_recover(args, surf, params):
     rep = builder.build(surf, params)
     recovered = builder.recover_coordinates(rep, tol=args.tol)
     err = 0.0
@@ -144,17 +147,13 @@ def cmd_recover(args):
         cand = (abs(recovered.eigen[eid] - params.eigen[eid]),
                 abs(1 / recovered.eigen[eid] - params.eigen[eid]))
         err = max(err, min(cand))
-    doc = {"recovered": coordinates.params_to_json(recovered),
-           "max_eigen_error_up_to_inversion": err}
-    _emit(doc, args.out)
-    return 0
+    return {"recovered": coordinates.params_to_json(recovered),
+            "max_eigen_error_up_to_inversion": err}
 
 
-def cmd_act(args):
+def cmd_act(args, surf, params):
     from . import symmetry
 
-    surf = _load_surface(args.surface)
-    params = _load_params(args.params, surf, args.tol)
     if args.flip is None and not args.epsilon:
         raise SchemaError("act needs --flip and/or --epsilon")
     try:
@@ -171,15 +170,12 @@ def cmd_act(args):
         if not symmetry.check_epsilon(surf, eps):
             raise DomainError("sign vector %s is not admissible" % sorted(ids))
         params = symmetry.act_epsilon(params, eps, surf)
-    _emit(coordinates.params_to_json(params), args.out)
-    return 0
+    return coordinates.params_to_json(params)
 
 
-def cmd_move(args):
+def cmd_move(args, surf, params):
     from . import moves
 
-    surf = _load_surface(args.surface)
-    params = _load_params(args.params, surf, args.tol)
     if args.kind is None or args.target is None:
         raise SchemaError("move needs --kind and --target")
     branch = None
@@ -189,17 +185,12 @@ def cmd_move(args):
             branch = complex(re, im)
         except ValueError as ex:
             raise SchemaError("--branch must be re,im: %s" % ex)
-    target = args.target
-    if args.kind != "auto":
-        try:
-            target = int(target)
-        except ValueError:
-            raise SchemaError("--target must be an edge or vertex id")
-        pool = surf.graph.vertices if args.kind == "vertex" else surf.graph.edges
-        if target not in pool:
-            raise DomainError("target %r does not exist in the surface" % target)
-    else:
-        raise SchemaError("automorphism moves need programmatic data; use the library")
+    try:
+        target = int(args.target)
+    except ValueError:
+        raise SchemaError("--target must be an edge or vertex id")
+    if target not in (surf.graph.vertices if args.kind == "vertex" else surf.graph.edges):
+        raise DomainError("target %r does not exist in the surface" % target)
     try:
         new_surf, new_params = moves.apply_move(surf, params, moves.Move(args.kind, target, branch))
     except (DegenerateInputError, SingularMapError):
@@ -208,16 +199,13 @@ def cmd_move(args):
         # a move that is not defined on this target, e.g. a Dehn twist
         # along a boundary edge
         raise DomainError(str(ex)) from None
-    _emit({"surface": surface.to_json(new_surf),
-           "params": coordinates.params_to_json(new_params)}, args.out)
-    return 0
+    return {"surface": surface.to_json(new_surf),
+            "params": coordinates.params_to_json(new_params)}
 
 
-def cmd_fn(args):
+def cmd_fn(args, surf, params):
     from . import fuchsian
 
-    surf = _load_surface(args.surface)
-    params = _load_params(args.params, surf, args.tol)
     fn = fuchsian.to_fenchel_nielsen(params, surf, require_domain=False)
     back = fuchsian.from_fenchel_nielsen(fn, surf)
     err = max(
@@ -229,19 +217,16 @@ def cmd_fn(args):
         v = complex(v)
         return v.real if abs(v.imag) < 1e-12 else [v.real, v.imag]
 
-    _emit({"lengths": {str(k): emit_val(v) for k, v in sorted(fn.lengths.items())},
-           "twists": {str(k): emit_val(v) for k, v in sorted(fn.fn_twists.items())},
-           "meta": {"normalization": fn.meta["normalization"],
-                    "on_locus": fn.meta["on_locus"]},
-           "roundtrip_error": err}, args.out)
-    return 0
+    return {"lengths": {str(k): emit_val(v) for k, v in sorted(fn.lengths.items())},
+            "twists": {str(k): emit_val(v) for k, v in sorted(fn.fn_twists.items())},
+            "meta": {"normalization": fn.meta["normalization"],
+                     "on_locus": fn.meta["on_locus"]},
+            "roundtrip_error": err}
 
 
-def cmd_shearbend(args):
+def cmd_shearbend(args, surf, params):
     from . import shearbend
 
-    surf = _load_surface(args.surface)
-    params = _load_params(args.params, surf, args.tol)
     g = surf.graph
     loops = [e for e in g.interior_edges() if g.edges[e].tail == g.edges[e].head]
     if surf.genus != 1 or surf.boundary != 1 or len(loops) != 1:
@@ -258,9 +243,8 @@ def cmd_shearbend(args):
         ref = rep.image(name).trace() ** 2
         report[name] = {"shear_tr2": _c(got), "builder_tr2": _c(ref),
                         "difference": abs(complex(got) - complex(ref))}
-    _emit({"a": _c(a), "b": _c(b), "c": _c(c), "z1": _c(z1), "z2": _c(z2),
-           "trace_check": report}, args.out)
-    return 0
+    return {"a": _c(a), "b": _c(b), "c": _c(c), "z1": _c(z1), "z2": _c(z2),
+            "trace_check": report}
 
 
 def sample_params(surf, rng, fuchsian_mode):
@@ -294,12 +278,11 @@ def sample_params(surf, rng, fuchsian_mode):
     return EdgeParams(eigen, twist)
 
 
-def cmd_sample(args):
+def cmd_sample(args, surf, params):
     import numpy as np
 
     if args.n < 0:
         raise SchemaError("--n must not be negative, got %d" % args.n)
-    surf = _load_surface(args.surface)
     rng = np.random.default_rng(args.seed)
     points = []
     worst = 0.0
@@ -310,9 +293,7 @@ def cmd_sample(args):
         worst = max(worst, res)
         points.append({"params": coordinates.params_to_json(params),
                        "relation_residual": float(res)})
-    _emit({"seed": args.seed, "n": args.n, "worst_residual": float(worst),
-           "points": points}, args.out)
-    return 0
+    return {"seed": args.seed, "n": args.n, "worst_residual": float(worst), "points": points}
 
 
 EXAMPLES = {
@@ -322,24 +303,14 @@ EXAMPLES = {
 }
 
 
-def cmd_example(args):
-    if args.which not in EXAMPLES:
-        raise SchemaError("unknown example %r; choose from %s"
-                          % (args.which, sorted(EXAMPLES)))
+def cmd_example(args, surf, params):
     surf = EXAMPLES[args.which]()
     g = surf.graph
     eigen = {eid: complex(-2.0 - 0.5 * i) for i, eid in enumerate(sorted(g.edges))}
     twist = {eid: complex(1.0 + 0.25 * i) for i, eid in enumerate(sorted(g.interior_edges()))}
     params = EdgeParams(eigen, twist)
-    rep = builder.build(surf, params)
-    doc = {
-        "surface": surface.to_json(surf),
-        "params": coordinates.params_to_json(params),
-        "generators": {name: _matrix(rep.image(name)) for name in sorted(rep.images)},
-        "relation_residuals": {k: float(v) for k, v in builder.verify_relations(rep).items()},
-    }
-    _emit(doc, args.out)
-    return 0
+    return dict(_generators_doc(builder.build(surf, params)),
+                surface=surface.to_json(surf), params=coordinates.params_to_json(params))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -357,40 +328,46 @@ def make_parser():
                     "eigenvalue-twist coordinates on pants decompositions.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **flags):
+    def add(name, fn, with_surface=True, params="required", **flags):
+        # only the flags the handler reads; main loads the files they name
         sp = sub.add_parser(name)
-        sp.set_defaults(fn=fn)
-        sp.add_argument("--surface")
-        sp.add_argument("--params")
-        sp.add_argument("--tol", type=float, default=1e-9)
+        sp.set_defaults(fn=fn, params_required=params == "required")
+        if with_surface:
+            sp.add_argument("--surface")
+        if params:
+            sp.add_argument("--params")
+            sp.add_argument("--tol", type=_tolerance, default=1e-9)
         sp.add_argument("--out")
         for flag, kw in flags.items():
             sp.add_argument(flag, **kw)
         return sp
 
-    add("validate", cmd_validate)
+    add("validate", cmd_validate, params="optional")
     add("generators", cmd_generators)
     add("traces", cmd_traces)
     add("recover", cmd_recover)
     add("act", cmd_act, **{"--flip": {"type": int}, "--epsilon": {}})
-    add("move", cmd_move, **{"--kind": {"choices": ["reverse", "twist-l", "twist-r", "vertex", "auto", "elem"]},
+    add("move", cmd_move, **{"--kind": {"choices": ["reverse", "twist-l", "twist-r", "vertex", "elem"]},
                              "--target": {}, "--branch": {}})
     add("fn", cmd_fn)
     add("shearbend", cmd_shearbend)
-    add("sample", cmd_sample, **{"--n": {"type": int, "default": 10},
-                                 "--seed": {"type": int, "default": 0},
-                                 "--fuchsian": {"action": "store_true"}})
-    sp = sub.add_parser("example")
-    sp.set_defaults(fn=cmd_example)
-    sp.add_argument("which", choices=sorted(EXAMPLES))
-    sp.add_argument("--out")
+    add("sample", cmd_sample, params=None, **{"--n": {"type": int, "default": 10},
+                                              "--seed": {"type": int, "default": 0},
+                                              "--fuchsian": {"action": "store_true"}})
+    add("example", cmd_example, with_surface=False, params=None).add_argument("which", choices=sorted(EXAMPLES))
     return p
 
 
 def main(argv=None):
     try:
         args = make_parser().parse_args(argv)
-        return args.fn(args)
+        surf = params = None
+        if "surface" in args:
+            surf = _load_surface(args.surface)
+        if "params" in args and (args.params_required or args.params is not None):
+            params = _load_params(args.params, surf, args.tol)
+        _emit(args.fn(args, surf, params), args.out)
+        return 0
     except SchemaError as ex:
         _emit({"error": "schema", "detail": str(ex)}, None)
         return EXIT_SCHEMA

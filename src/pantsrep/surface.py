@@ -288,20 +288,32 @@ class Presentation:
         walk = []
 
         def excursion(vid, s):
-            """Generators emitted while departing vertex vid through slot s."""
-            eid, end = graph.slot(vid, s)
-            name = gen.get((eid, end))
-            if name is not None:
-                word = ((name, 1),)
-            else:
-                # cross a tree edge; the slot it arrives through faces back
-                # toward the root: m_sw = (m_(sw+1) m_(sw+2))^-1
-                wid, sw = graph.slot_of[(eid, "head" if end == "tail" else "tail")]
-                walk.append((eid, pictures[eid][2], vid, s, wid, sw, end == "tail"))
-                word = excursion(wid, (sw + 1) % 3) + excursion(wid, (sw + 2) % 3)
-                vertex_words[(wid, sw)] = inverse_word(word)
-            vertex_words[(vid, s)] = word
-            return word
+            """Generators emitted while departing vertex vid through slot s.
+
+            The walk keeps an explicit stack, so a deep tree cannot overflow
+            the call stack; departures come in depth-first order.  A task
+            with a far end (wid, sw) joins the two words beyond that tree edge.
+            """
+            todo, words = [(vid, s, None)], []
+            while todo:
+                vid, s, far = todo.pop()
+                if far is not None:
+                    word = words.pop(-2) + words.pop()
+                    vertex_words[far] = inverse_word(word)
+                else:
+                    eid, end = graph.slot(vid, s)
+                    name = gen.get((eid, end))
+                    if name is None:
+                        # cross a tree edge; the slot it arrives through faces
+                        # back toward the root: m_sw = (m_(sw+1) m_(sw+2))^-1
+                        wid, sw = far = graph.slot_of[(eid, "head" if end == "tail" else "tail")]
+                        walk.append((eid, pictures[eid][2], vid, s, wid, sw, end == "tail"))
+                        todo += [(vid, s, far), (wid, (sw + 2) % 3, None), (wid, (sw + 1) % 3, None)]
+                        continue
+                    word = ((name, 1),)
+                vertex_words[(vid, s)] = word
+                words.append(word)
+            return words.pop()
 
         tri = graph.trivalent_vertices()
         self.root = root = min(tri)

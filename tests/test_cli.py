@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from pantsrep import cli, coordinates as co, surface as su
 from pantsrep.coordinates import EdgeParams
 
-from helpers import SUBPROCESS_ENV, sample_params
+from helpers import SUBPROCESS_ENV, caterpillar, sample_params
 
 RNG = np.random.default_rng(20240909)
 
@@ -316,6 +318,97 @@ def test_non_spanning_stored_tree_is_a_schema_error(tmp_path, capsys, make, tree
     assert cli.main(["generators", "--surface", spath, "--params", ppath]) == 2
     doc = strict_json(capsys.readouterr().out)
     assert doc["error"] == "schema" and "spanning tree" in doc["detail"]
+
+
+COMMANDS = ("example", "validate", "generators", "traces", "recover", "act", "move", "fn",
+            "shearbend", "sample")
+
+
+def _command_argvs(tmp_path):
+    """One valid invocation of each command."""
+    (tmp_path / "four").mkdir()
+    (tmp_path / "one").mkdir()
+    s4, p4 = _fixture_files(tmp_path / "four", su.four_holed_sphere, 8)
+    s1, _ = _fixture_files(tmp_path / "one", su.one_holed_torus, 8)
+    pf = str(tmp_path / "one" / "fuchsian.json")
+    co.save_params(EdgeParams({1: -2.5, 2: -3.0}, {1: 1.5}), pf)
+    f4, f1 = ["--surface", s4, "--params", p4], ["--surface", s1, "--params", pf]
+    return {"example": ["example", "genus2"], "validate": ["validate"] + f4,
+            "generators": ["generators"] + f4, "traces": ["traces"] + f1,
+            "recover": ["recover"] + f4, "act": ["act", "--flip", "2"] + f4,
+            "move": ["move", "--kind", "reverse", "--target", "1"] + f4,
+            "fn": ["fn"] + f1, "shearbend": ["shearbend"] + f1,
+            "sample": ["sample", "--surface", s4, "--n", "2"]}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_out_writes_exactly_what_stdout_shows(tmp_path, capsys, command):
+    argv = _command_argvs(tmp_path)[command]
+    assert cli.main(argv) == 0
+    shown = capsys.readouterr().out
+    out = tmp_path / "out.json"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == shown.encode()
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_out_is_a_schema_error(tmp_path, capsys, where):
+    out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    assert cli.main(["example", "genus2", "--out", str(out)]) == 2
+    shown = capsys.readouterr()
+    doc = strict_json(shown.out)
+    assert doc["error"] == "schema" and doc["detail"].startswith("cannot write") and shown.err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--params", "{p}"], ["sample", "--tol", "1e-3"],
+    ["move", "--params", "{p}", "--kind", "auto", "--target", "1"],
+], ids=["sample-params", "sample-tol", "move-auto"])
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, four_holed_files, argv):
+    _, _, spath, ppath = four_holed_files
+    assert cli.main([a.format(p=ppath) for a in argv] + ["--surface", spath]) == 2
+    out, err = capsys.readouterr()
+    assert strict_json(out)["error"] == "schema" and err == ""
+
+
+@pytest.mark.parametrize("command", ["validate", "generators"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+def test_tol_must_be_finite_and_non_negative(tmp_path, capsys, command, tol):
+    spath, ppath = _fixture_files(tmp_path, su.four_holed_sphere, 20261022)
+    doc = json.loads(open(ppath).read())
+    doc["eigen"]["2"] = [1.0, 0.0]  # outside the domain
+    with open(ppath, "w") as fh:
+        json.dump(doc, fh)
+    argv = [command, "--surface", spath, "--params", ppath]
+    assert cli.main(argv) == 3
+    capsys.readouterr()
+    assert cli.main(argv + ["--tol=" + tol]) == 2
+    out, err = capsys.readouterr()
+    assert strict_json(out)["error"] == "schema" and err == ""
+
+
+def test_generators_on_a_deep_tree_answers_in_json(tmp_path):
+    surf = caterpillar(1000)
+    spath, ppath = tmp_path / "s.json", tmp_path / "p.json"
+    su.save(surf, spath)
+    co.save_params(sample_params(surf, np.random.default_rng(1)), ppath)
+    r = run_cli("generators", "--surface", str(spath), "--params", str(ppath))
+    assert r.returncode in (2, 3, 4) and r.stderr == "", r.stderr[-500:]
+    assert strict_json(r.stdout)["error"] in ("schema", "domain", "numeric")
+
+
+def test_readme_command_block_parses():
+    """Every `pantsrep` line of README's command-line block parses, and
+    together they show every command of the parser."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Command line (", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    argvs = [shlex.split(line, comments=True) for line in block.splitlines()
+             if line.startswith("pantsrep ")]
+    for argv in argvs:
+        cli.make_parser().parse_args(argv[1:])
+    sub = next(a for a in cli.make_parser()._actions if a.dest == "command")
+    assert sorted(argv[1] for argv in argvs) == sorted(COMMANDS) == sorted(sub.choices)
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,16 @@ def test_presentation_walk_matches_reference_tree_walk():
             reached.add(far)
 
 
+def test_a_deep_tree_compiles():
+    """The 1,000-leg caterpillar's tree is a 997-edge path: the walk that
+    compiles the presentation must not recurse once per tree level."""
+    surf = caterpillar(1000)
+    assert validate(surf) == []
+    pres = presentation(surf, maximal_tree(surf))
+    assert len(pres.walk) == 997
+    assert sorted(name for name, _ in pres.one_relator()) == sorted(pres.delta)
+
+
 def _hc2():
     return handle_chain(2)
 
