@@ -122,7 +122,7 @@ def build(surface, params, tree=None, base=None):
     """
     pres = _plan(surface, tree)
     if not in_domain(params, surface):
-        raise DegenerateInputError("parameters outside the admissible domain")
+        raise DegenerateInputError("parameters outside the admissible domain", factor="in_domain")
     if base is None:
         base = DEFAULT_BASE
     base = tuple(as_point(p) for p in base)

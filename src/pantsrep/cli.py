@@ -267,7 +267,8 @@ def sample_params(surf, rng, fuchsian_mode):
             if coordinates.in_domain(probe, surf):
                 break
         else:
-            raise DegenerateInputError("rejection sampling failed to hit the domain")
+            raise DegenerateInputError("rejection sampling failed to hit the domain",
+                                       factor="in_domain")
     for eid in sorted(g.interior_edges()):
         if fuchsian_mode:
             twist[eid] = complex(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
@@ -374,7 +375,7 @@ def main(argv=None):
     except DomainError as ex:
         _emit({"error": "domain", "detail": str(ex)}, None)
         return EXIT_DOMAIN
-    except (DegenerateInputError, SingularMapError, ZeroDivisionError, ArithmeticError) as ex:
+    except (DegenerateInputError, SingularMapError, ArithmeticError) as ex:
         doc = {"error": "numeric", "detail": str(ex)}
         factor = getattr(ex, "factor", None)
         if factor:

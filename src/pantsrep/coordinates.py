@@ -11,6 +11,7 @@ orientation-adjusted (invert e for an edge pointing into its vertex);
 _end_eigen owns that adjustment.
 """
 
+import cmath
 import json
 import math
 from collections import namedtuple
@@ -19,6 +20,7 @@ from .projective import (
     DegenerateInputError,
     ProjectivePoint,
     _pair,
+    _vanishing,
     as_point,
     cross_ratio,
     mobius_with_axis,
@@ -28,6 +30,10 @@ from .pants import is_admissible_triple
 from .surface import _picture_slots
 
 EdgeParams = namedtuple("EdgeParams", ["eigen", "twist"])
+
+#: a factor of the propagation and twist formulas vanishes at or below this,
+#: relative to its scale
+_FACTOR_TOL = 1e-9
 
 
 def _end_eigen(e, end):
@@ -45,6 +51,7 @@ def in_domain(params, surface, tol=1e-9):
     Every eigenvalue avoids {0, +-1}, every vertex triple satisfies
     e_i^{+-1} e_j^{+-1} e_k^{+-1} != 1 (equivalently the admissibility
     inequalities, which are inversion-symmetric), and twists are nonzero.
+    Every value must be finite.
     Eigenvalues keyed by other than the edge ids, or twists by other than
     the interior edge ids, raise KeyError naming the ids that differ.
     """
@@ -52,10 +59,10 @@ def in_domain(params, surface, tol=1e-9):
     _check_keys(params.eigen, graph.edges.keys(), "eigenvalue keys are not the edge ids")
     _check_keys(params.twist, graph._interior, "twist keys are not the interior edge ids")
     for e in params.eigen.values():
-        if abs(e) < tol or abs(e - 1) < tol or abs(e + 1) < tol:
+        if not cmath.isfinite(e) or abs(e) < tol or abs(e - 1) < tol or abs(e + 1) < tol:
             return False
     for t in params.twist.values():
-        if abs(t) < tol:
+        if not cmath.isfinite(t) or abs(t) < tol:
             return False
     eigen = params.eigen
     for i, j, k in graph._triples:
@@ -83,16 +90,8 @@ def _ratio_point(a, b, c, x1, x2, x3):
     w1, w2, w3 = a * _pair(x2, x3), b * _pair(x3, x1), c * _pair(x1, x2)
     num = w1 * x1.num + w2 * x2.num + w3 * x3.num
     den = w1 * x1.den + w2 * x2.den + w3 * x3.den
-    if num == 0 and den == 0:
-        raise DegenerateInputError("propagation formula degenerates")
-    s = max(abs(num), abs(den))
+    s = _vanishing(max(abs(num), abs(den)), "(num : den)")
     return ProjectivePoint(num / s, den / s)
-
-
-def _check_factor(value, label, scale=1.0, tol=1e-9):
-    if abs(value) <= tol * scale:
-        raise DegenerateInputError("vanishing factor %s" % label, factor=label)
-    return value
 
 
 def propagate_forward(es, t1, x1, x2, x3):
@@ -103,7 +102,7 @@ def propagate_forward(es, t1, x1, x2, x3):
     a4 = e1 * (-(e1 * e3 - e2) * (e1 * e4 - e5) * t1 + e3 * f15_4)
     b4 = e1 * e1 * e2 * f15_4
     c4 = e2 * f15_4
-    _check_factor(f15_4, "e1 e5 - e4", scale=abs(e1 * e5) + abs(e4))
+    _vanishing(f15_4, "e1 e5 - e4", _FACTOR_TOL * (abs(e1 * e5) + abs(e4)))
     x4 = _ratio_point(a4, b4, c4, x1, x2, x3)
     a5 = (e1 * e3 - e2) * t1 + e1 * e3
     b5 = e1 * e1 * e2
@@ -119,7 +118,7 @@ def propagate_backward(es, t1, x1, x4, x5):
     a2 = (e1 * e5 - e4) * s + e1 * e5
     x2 = _ratio_point(a2, e1 * e1 * e4, e4, x1, x5, x4)
     f13_2 = e1 * e3 - e2
-    _check_factor(f13_2, "e1 e3 - e2", scale=abs(e1 * e3) + abs(e2))
+    _vanishing(f13_2, "e1 e3 - e2", _FACTOR_TOL * (abs(e1 * e3) + abs(e2)))
     a3 = e1 * (-(e1 * e5 - e4) * (e1 * e2 - e3) * s + e5 * f13_2)
     b3 = e1 * e1 * e4 * f13_2
     c3 = e4 * f13_2
@@ -129,10 +128,7 @@ def propagate_backward(es, t1, x1, x4, x5):
 
 def gluing_map(t1, x1, y1):
     """M(sqrt(-t1); x1, y1), the map carrying x2 to x5 across the edge."""
-    t1 = complex(t1)
-    if t1 == 0:
-        raise DegenerateInputError("twist parameter must be nonzero")
-    return mobius_with_axis(sqrt_principal(-t1), x1, y1)
+    return mobius_with_axis(sqrt_principal(-_vanishing(complex(t1), "t1")), x1, y1)
 
 
 def twist_from_fixed_points(variant, es, xs):
@@ -144,25 +140,23 @@ def twist_from_fixed_points(variant, es, xs):
     e1, e2, e3, e4, e5 = (complex(e) for e in es)
     x = {k: as_point(v) for k, v in xs.items() if v is not None}
     if variant == 1:
-        den = _check_factor(e2 - e1 * e3, "e2 - e1 e3")
+        den = _vanishing(e2 - e1 * e3, "e2 - e1 e3", _FACTOR_TOL)
         return -1 + e2 * (1 - e1 * e1) / den * cross_ratio(x[5], x[3], x[1], x[2])
     if variant == 2:
-        den = _check_factor(e2 - e1 * e3, "e2 - e1 e3")
-        den2 = _check_factor(e1 * e4 - e5, "e1 e4 - e5")
+        den = _vanishing(e2 - e1 * e3, "e2 - e1 e3", _FACTOR_TOL)
+        den2 = _vanishing(e1 * e4 - e5, "e1 e4 - e5", _FACTOR_TOL)
         inner = -1 + e2 * (1 - e1 * e1) / den * cross_ratio(x[4], x[3], x[1], x[2])
         return -(e1 * e5 - e4) / (e1 * den2) * inner
     if variant == 3:
-        den = _check_factor(e4 - e1 * e5, "e4 - e1 e5")
+        den = _vanishing(e4 - e1 * e5, "e4 - e1 e5", _FACTOR_TOL)
         inv = -1 + e4 * (1 - e1 * e1) / den * cross_ratio(x[2], x[4], x[1], x[5])
-        _check_factor(inv, "1/t1")
-        return 1 / inv
+        return 1 / _vanishing(inv, "1/t1", _FACTOR_TOL)
     if variant == 4:
-        den = _check_factor(e4 - e1 * e5, "e4 - e1 e5")
-        den2 = _check_factor(e1 * e2 - e3, "e1 e2 - e3")
+        den = _vanishing(e4 - e1 * e5, "e4 - e1 e5", _FACTOR_TOL)
+        den2 = _vanishing(e1 * e2 - e3, "e1 e2 - e3", _FACTOR_TOL)
         inner = -1 + e4 * (1 - e1 * e1) / den * cross_ratio(x[3], x[4], x[1], x[5])
         inv = -(e1 * e3 - e2) / (e1 * den2) * inner
-        _check_factor(inv, "1/t1")
-        return 1 / inv
+        return 1 / _vanishing(inv, "1/t1", _FACTOR_TOL)
     raise ValueError("variant must be 1, 2, 3 or 4")
 
 
@@ -208,7 +202,8 @@ def best_twist_from_fixed_points(es, xs):
         if m > score:
             best, score = variant, m
     if best is None:
-        raise DegenerateInputError("no variant has all four points available")
+        raise DegenerateInputError("no variant has all four points available",
+                                   factor="x1 .. x5")
     return twist_from_fixed_points(best, es, xs)
 
 
@@ -220,7 +215,7 @@ def four_holed_traces(es, t1):
     """(tr(g3 g4), tr(g2 g4), tr(g3 g5)) of the four-holed sphere closed forms."""
     e1, e2, e3, e4, e5 = (complex(e) for e in es)
     t1 = complex(t1)
-    _check_factor(e1 - 1 / e1, "e1 - 1/e1")
+    _vanishing(e1 - 1 / e1, "e1 - 1/e1", _FACTOR_TOL)
     p = (e2 * e3 - e1) * (e1 * e3 - e2) / (e1 * e2 * e3) * (e4 * e5 - e1) * (e1 * e4 - e5) / (e1 * e4 * e5)
     q = (1 - e1 * e2 * e3) * (e1 * e2 - e3) / (e1 * e2 * e3) * (1 - e1 * e4 * e5) * (e1 * e5 - e4) / (e1 * e4 * e5)
     s1 = _chi(e3) * _chi(e5) + _chi(e2) * _chi(e4)
@@ -236,9 +231,9 @@ def four_holed_traces(es, t1):
 def twist_from_traces_four_holed(es, tr24, tr35):
     """t1 from tr(rho(g2 g4)) and tr(rho(g3 g5))."""
     e1, e2, e3, e4, e5 = (complex(e) for e in es)
-    _check_factor(_chi(e1), "e1 + 1/e1")
-    _check_factor((e2 * e3 - e1) * (e1 * e3 - e2), "(e2 e3 - e1)(e1 e3 - e2)")
-    _check_factor((e4 * e5 - e1) * (e1 * e4 - e5), "(e4 e5 - e1)(e1 e4 - e5)")
+    _vanishing(_chi(e1), "e1 + 1/e1", _FACTOR_TOL)
+    _vanishing((e2 * e3 - e1) * (e1 * e3 - e2), "(e2 e3 - e1)(e1 e3 - e2)", _FACTOR_TOL)
+    _vanishing((e4 * e5 - e1) * (e1 * e4 - e5), "(e4 e5 - e1)(e1 e4 - e5)", _FACTOR_TOL)
     s2 = _chi(e2) * _chi(e5) + _chi(e3) * _chi(e4)
     s3 = _chi(e2) * _chi(e4) + _chi(e3) * _chi(e5)
     lead = (
@@ -271,7 +266,7 @@ def one_holed_traces(e1, e2, t1):
 def twist_from_traces_one_holed(e1, e2, trb, trab):
     """t1 = -e2/(e1^2 - e2)^2 (tr(beta_1) - e1 tr(alpha_1 beta_1))^2."""
     e1, e2 = complex(e1), complex(e2)
-    den = _check_factor(e1 * e1 - e2, "e1^2 - e2")
+    den = _vanishing(e1 * e1 - e2, "e1^2 - e2", _FACTOR_TOL)
     return -e2 / den ** 2 * (complex(trb) - e1 * complex(trab)) ** 2
 
 

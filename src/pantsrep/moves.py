@@ -9,7 +9,7 @@ transformation of the eigenvalue-twist parameters.
 
 from collections import namedtuple
 
-from .projective import DegenerateInputError, _trace_roots, sqrt_principal
+from .projective import DegenerateInputError, _trace_roots, _vanishing, sqrt_principal
 from .surface import Edge, FatGraph, PantsSurface, Vertex
 from .coordinates import (
     EdgeParams,
@@ -83,15 +83,14 @@ def elementary_four_holed(es, t1, t_other, branch=None):
     den = (e3 * e1p - e4) * (
         (e1 * f13_2 * t1 - f12_3) * e1p + e3 * e5 * (-f13_2 * t1 + e1 * f12_3)
     )
-    if den == 0:
-        raise DegenerateInputError("vanishing denominator in the new twist")
-    t1p = num / den
+    t1p = num / _vanishing(den, "den t1'")
 
     # consistency with the trace-based expression: the new local picture is
     # (e1'; e5, e2 | e3, e4) with curve pairs swapped accordingly
     t1p_alt = twist_from_traces_four_holed((e1p, e5, e2, e3, e4), tr35, tr24)
     if abs(t1p - t1p_alt) > 1e-6 * max(1.0, abs(t1p)):
-        raise DegenerateInputError("twist formulas disagree; parameters near a degeneracy")
+        raise DegenerateInputError("twist formulas disagree; parameters near a degeneracy",
+                                   factor="t1' - t1'(traces)")
 
     factors = {
         2: (f12_3 * f13_2 * (t1 + 1))
@@ -118,8 +117,7 @@ def elementary_one_holed(e1, e2, t1, branch=None):
     e1, e2, t1 = complex(e1), complex(e2), complex(t1)
     trb, _ = one_holed_traces(e1, e2, t1)
     e1p = new_eigenvalue(trb, branch)
-    if abs(e1p * e1p - e2) < 1e-12 * max(1.0, abs(e2)):
-        raise DegenerateInputError("e1'^2 = e2 degeneracy", factor="e1'^2 - e2")
+    _vanishing(e1p * e1p - e2, "e1'^2 - e2", 1e-12 * max(1.0, abs(e2)))
     root = sqrt_principal(-e2 * t1)
     trab_inv = -((e1 * e1 - e2) * t1 + e1 * e1 * (1 - e1 * e1 * e2)) / (
         e1 * (e1 * e1 - 1) * root

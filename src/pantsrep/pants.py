@@ -19,6 +19,7 @@ from .projective import (
     _map_from_standard,
     _max_abs,
     _mul,
+    _vanishing,
     as_point,
 )
 
@@ -30,9 +31,9 @@ def make_pants_data(eigen, fixed):
     fixed = tuple(as_point(x) for x in fixed)
     for e in eigen:
         if e == 0 or abs(e - 1) < 1e-13 or abs(e + 1) < 1e-13:
-            raise DegenerateInputError("eigenvalue %r in {0, +1, -1}" % (e,))
+            raise DegenerateInputError("eigenvalue %r in {0, +1, -1}" % (e,), factor="e (e^2 - 1)")
     if not _distinct(*fixed):
-        raise DegenerateInputError("fixed points coincide")
+        raise DegenerateInputError("fixed points coincide", factor="x_i - x_j")
     return PantsData(eigen, fixed)
 
 
@@ -60,14 +61,8 @@ def _normalized_other_fixed_points(e1, e2, e3):
         (e2 - e1 * e3, "e2 - e1 e3"),
     ]
     nums = [e1 - 1 / e1, e2 - e1 / e3, e2 - e1 / e3]
-    out = []
-    for (den, label), num in zip(dens, nums):
-        if abs(den) <= 1e-13 * max(1.0, abs(num)):
-            raise DegenerateInputError(
-                "companion fixed point degenerates (reducible triple)", factor=label
-            )
-        out.append(num / den)
-    return tuple(out)
+    return tuple(num / _vanishing(den, label, 1e-13 * max(1.0, abs(num)))
+                 for (den, label), num in zip(dens, nums))
 
 
 def pants_rep(data):
@@ -87,13 +82,7 @@ def pants_rep(data):
     # property of the normalized matrices exactly
     s = _max_abs(conj.a, conj.b, conj.c, conj.d)
     p0, p1, p2, p3 = conj.a / s, conj.b / s, conj.c / s, conj.d / s
-    det = p0 * p3 - p1 * p2
-    if abs(det) < SING_TOL:
-        raise DegenerateInputError(
-            "fixed points %r give a singular conjugating map" % (data.fixed,),
-            factor="det(conj)",
-        )
-    r = math.sqrt(abs(det))
+    r = math.sqrt(abs(_vanishing(p0 * p3 - p1 * p2, "det(conj)", SING_TOL)))
     p = p0, p1, p2, p3 = p0 / r, p1 / r, p2 / r, p3 / r
     det = p0 * p3 - p1 * p2
     q = tuple(z / det for z in _adj(p))

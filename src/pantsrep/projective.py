@@ -13,6 +13,9 @@ entry here, once: for a single 2x2 matrix, numpy's per-call overhead is
 many times the arithmetic itself.  numpy is used only at the edges, and
 imported on demand there: to accept an array input, to build the read-only
 ``.m`` view and to print a map.  Importing this module does not load it.
+
+Every numeric degeneracy is a named factor of a source formula reaching
+zero; _vanishing is the one rule that tests it and names it in the error.
 """
 
 import cmath
@@ -28,6 +31,8 @@ SING_TOL = 1e-12
 class SingularMapError(ValueError):
     """Raised when a Moebius map is numerically singular."""
 
+    factor = "det"
+
 
 class DegenerateInputError(ValueError):
     """Raised when input points coincide or a named denominator vanishes.
@@ -39,6 +44,17 @@ class DegenerateInputError(ValueError):
     def __init__(self, message, factor=None):
         super().__init__(message)
         self.factor = factor
+
+
+def _vanishing(value, factor, bound=0.0):
+    """The library's one degeneracy rule: value, unless the named factor vanishes.
+
+    |value| <= bound raises DegenerateInputError naming factor; a NaN
+    never vanishes.
+    """
+    if abs(value) <= bound:
+        raise DegenerateInputError("vanishing factor %s = %r" % (factor, value), factor=factor)
+    return value
 
 
 class ProjectivePoint:
@@ -301,10 +317,7 @@ def cross_ratio(x0, x1, x2, x3):
     """
     x0, x1, x2, x3 = (as_point(x) for x in (x0, x1, x2, x3))
     num = _pair(x3, x0) * _pair(x2, x1)
-    den = _pair(x3, x1) * _pair(x2, x0)
-    if den == 0:
-        raise DegenerateInputError("cross ratio of coincident points")
-    return num / den
+    return num / _vanishing(_pair(x3, x1) * _pair(x2, x0), "(x3 - x1)(x2 - x0)")
 
 
 def mobius_with_axis(e, x, y):
@@ -313,13 +326,11 @@ def mobius_with_axis(e, x, y):
     Built from the conjugated diagonal form, so infinity among {x, y} is
     exact; the result has determinant 1.
     """
-    e = complex(e)
-    if e == 0:
-        raise DegenerateInputError("eigenvalue e must be nonzero")
+    e = _vanishing(complex(e), "e")
     x = as_point(x)
     y = as_point(y)
     if x.same_as(y):
-        raise DegenerateInputError("axis endpoints coincide")
+        raise DegenerateInputError("axis endpoints coincide", factor="x - y")
     # columns of p are homogeneous representatives of x and y; the map is
     # p diag(e, 1/e) adj(p) / det(p)
     p = (x.num, y.num, x.den, y.den)
@@ -333,7 +344,8 @@ def axis_transport_squared(x, y, z1, z2):
     x, y, z1, z2 = (as_point(p) for p in (x, y, z1, z2))
     for z in (z1, z2):
         if z.same_as(x) or z.same_as(y):
-            raise DegenerateInputError("transported point lies on the axis")
+            raise DegenerateInputError("transported point lies on the axis",
+                                       factor="(z - x)(z - y)")
     return cross_ratio(y, x, z1, z2)
 
 
@@ -352,7 +364,7 @@ def three_point_map(src, dst):
     src = tuple(as_point(p) for p in src)
     dst = tuple(as_point(p) for p in dst)
     if not (_distinct(*src) and _distinct(*dst)):
-        raise DegenerateInputError("triple is not pairwise distinct")
+        raise DegenerateInputError("triple is not pairwise distinct", factor="x_i - x_j")
     return MoebiusMap(_mul(_map_from_standard(*dst), _adj(_map_from_standard(*src))))
 
 
@@ -370,7 +382,8 @@ def fixed_points_with_eigs(m, tol=1e-9):
 def _fixed_points_with_eigs(a, b, c, d, tol):
     """fixed_points_with_eigs on the entries of a row-major (a, b, c, d)."""
     if abs(a * d - b * c - 1) > 1e-8:
-        raise ValueError("fixed_points_with_eigs expects an SL-normalized map")
+        raise DegenerateInputError("fixed_points_with_eigs expects an SL-normalized map",
+                                   factor="det - 1")
     e, other = _trace_roots(a + d, tol)
     if abs(e) < 1 or (abs(abs(e) - 1) <= 1e-12 and not (0 <= cmath.phase(e) < math.pi)):
         e = other
@@ -393,10 +406,7 @@ def _trace_roots(tr, tol=1e-9):
     inverse (the roots multiply to 1), so neither loses digits to
     cancellation.  A nearly double root, tr near +-2, raises.
     """
-    disc = tr * tr - 4
-    if abs(disc) <= tol * max(1.0, abs(tr) * abs(tr)):
-        raise DegenerateInputError("parabolic or scalar: tr = %r" % (tr,), factor="tr^2 - 4")
-    w = sqrt_principal(disc)
+    w = sqrt_principal(_vanishing(tr * tr - 4, "tr^2 - 4", tol * max(1.0, abs(tr) * abs(tr))))
     plus, minus = (tr + w) / 2, (tr - w) / 2
     if abs(plus) >= abs(minus):
         return plus, 1 / plus

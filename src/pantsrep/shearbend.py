@@ -8,7 +8,7 @@ triangulation through a layered pair of ideal tetrahedra, and the holonomy
 can be rebuilt directly from the triangulation.
 """
 
-from .projective import MoebiusMap, sqrt_principal
+from .projective import MoebiusMap, _vanishing, sqrt_principal
 
 
 def pants_shear_params(e1, e2, e3):
@@ -35,9 +35,8 @@ def eigenvalues_from_shear(p1, p2, p3):
 def tetrahedron_edge_params(z):
     """The three edge parameters (z, 1/(1-z), 1-1/z) of an ideal
     tetrahedron; opposite edges share a parameter."""
-    z = complex(z)
-    if z == 0 or z == 1:
-        raise ValueError("tetrahedron parameter must avoid 0 and 1")
+    z = _vanishing(complex(z), "z")
+    _vanishing(1 - z, "1 - z")
     return z, 1 / (1 - z), 1 - 1 / z
 
 
@@ -65,13 +64,9 @@ def one_holed_to_shear(e1, e2, t1):
     triangulation, z1, z2 parametrize the layered ideal tetrahedra.
     """
     e1, e2, t1 = complex(e1), complex(e2), complex(t1)
-    den = t1 * e1 * e1 + 1
-    if den == 0:
-        raise ValueError("t1*e1^2 = -1 makes the layered tetrahedra degenerate")
-    if e1 * e1 == 1:
-        raise ValueError("e1 = +-1 is outside the coordinate domain")
-    if t1 == -1:
-        raise ValueError("t1 = -1 makes the edge parameter a vanish")
+    den = _vanishing(t1 * e1 * e1 + 1, "t1 e1^2 + 1")
+    _vanishing(e1 * e1 - 1, "e1^2 - 1")
+    _vanishing(t1 + 1, "t1 + 1")
     z1 = (1 - e1 * e1) / den
     z2 = -t1 * (1 - e1 * e1) / den
     a = -e1 * e1 * (1 + t1) ** 2 / (t1 * (1 - e1 * e1) ** 2)
@@ -96,9 +91,7 @@ def one_holed_gluing_rows(e1):
 
 def shear_rep_one_holed(a, b, c):
     """Holonomy matrices (m_alpha_inv, m_beta) from the edge parameters."""
-    a, b, c = complex(a), complex(b), complex(c)
-    if a == 0 or b == 0 or c == 0:
-        raise ValueError("edge parameters must be nonzero")
+    a, b, c = _vanishing(complex(a), "a"), _vanishing(complex(b), "b"), _vanishing(complex(c), "c")
     sac = sqrt_principal(a * c)
     sab = sqrt_principal(a * b)
     m_alpha_inv = MoebiusMap(((c - 1) / sac, -c / sac, a * c / sac, -a * c / sac))

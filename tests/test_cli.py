@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from pantsrep import cli, coordinates as co, surface as su
 from pantsrep.coordinates import EdgeParams
 
-from helpers import SUBPROCESS_ENV, caterpillar, sample_params
+from helpers import SUBPROCESS_ENV, caterpillar, handle_chain, sample_params
 
 RNG = np.random.default_rng(20240909)
 
@@ -173,6 +173,37 @@ def test_numeric_error_exit_4(tmp_path):
                 "--kind", "elem", "--target", "1")
     assert r.returncode == 4, (r.stdout, r.stderr)
     assert json.loads(r.stdout)["error"] == "numeric"
+
+
+def _four_holed(eigen, twist):
+    return su.four_holed_sphere(), EdgeParams(dict(enumerate(eigen, start=1)), {1: twist})
+
+
+def _one_holed(t1):
+    return su.one_holed_torus(), EdgeParams({1: -2 + 0j, 2: -1.5 + 0j}, {1: t1})
+
+
+@pytest.mark.parametrize("command, case, flags, factor", [
+    # build: a generator image fails MoebiusMap's singularity rule
+    ("generators", _four_holed((-2, 3.00003, -1.5, -2.5, -1.75), 1.3 + 0.2j), (), "det"),
+    # a deep image drifts off det = 1 before its fixed points are read
+    ("recover", (handle_chain(8), sample_params(handle_chain(8), np.random.default_rng(1))),
+     (), "det - 1"),
+    # a vertex restriction whose commutator trace is within --tol of 2
+    ("recover", _four_holed((-1.32 - 0.236j, 0.752 + 1.294j, 0.772 - 1.072j, -1.047 - 0.093j,
+                             1.149 - 0.242j), 0.64), ("--tol", "0.05"), "tr[m,m']-2"),
+    # the shear-bend edge parameter a and the layered tetrahedra degenerate
+    ("shearbend", _one_holed(-1), (), "t1 + 1"),
+    ("shearbend", _one_holed(-0.25), (), "t1 e1^2 + 1"),
+])
+def test_numeric_error_names_the_vanishing_factor(tmp_path, command, case, flags, factor):
+    spath, ppath = tmp_path / "s.json", tmp_path / "p.json"
+    su.save(case[0], spath)
+    co.save_params(case[1], ppath)
+    r = run_cli(command, "--surface", str(spath), "--params", str(ppath), *flags)
+    assert (r.returncode, r.stderr) == (4, ""), (r.stdout, r.stderr[-500:])
+    doc = strict_json(r.stdout)
+    assert (doc["error"], doc["factor"]) == ("numeric", factor)
 
 
 def test_act_flip(four_holed_files):

@@ -42,6 +42,18 @@ def test_in_domain_and_key_checks():
         co.in_domain(EdgeParams(dict(params.eigen), {}), surf)
 
 
+@pytest.mark.parametrize("part, value", [("eigen", complex("nan")), ("twist", complex("nan")),
+                                         ("twist", complex("inf")), ("twist", complex("-inf"))])
+def test_in_domain_rejects_non_finite_values(part, value):
+    # build checks the domain first, so it raises instead of returning NaN images
+    surf = su.four_holed_sphere()
+    params = sample_params(surf, np.random.default_rng(20261018))
+    getattr(params, part)[1] = value
+    assert not co.in_domain(params, surf)
+    with pytest.raises(DegenerateInputError):
+        builder.build(surf, params)
+
+
 def test_propagation_forward_backward_inverse():
     for _ in range(50):
         es, t1, (x1, x2, x3) = random_edge_data()

@@ -1,10 +1,11 @@
 """Shear parameters, tetrahedron gluing equations and the one-holed example."""
 
 import numpy as np
+import pytest
 
 from pantsrep import builder, shearbend as sb, surface as su
 from pantsrep.coordinates import EdgeParams
-from pantsrep.projective import sqrt_principal
+from pantsrep.projective import DegenerateInputError, sqrt_principal
 
 from helpers import rand_c, sample_params
 
@@ -100,3 +101,17 @@ def test_shear_rep_closed_form_traces():
         trb2 = complex(np.trace(mb.m)) ** 2
         assert abs(tra2 - (c * a - c + 1) ** 2 / (c * a)) < 1e-8 * max(1.0, abs(tra2))
         assert abs(trb2 - (a * b - a + 1) ** 2 / (a * b)) < 1e-8 * max(1.0, abs(trb2))
+
+
+@pytest.mark.parametrize("fn, args, factor", [
+    (sb.tetrahedron_edge_params, (0,), "z"),
+    (sb.tetrahedron_edge_params, (1,), "1 - z"),
+    (sb.one_holed_to_shear, (-2, -1.5, -0.25), "t1 e1^2 + 1"),
+    (sb.one_holed_to_shear, (-1, -1.5, 2), "e1^2 - 1"),
+    (sb.one_holed_to_shear, (-2, -1.5, -1), "t1 + 1"),
+    (sb.shear_rep_one_holed, (1, 2, 0), "c"),
+])
+def test_degenerate_shear_input_names_the_factor(fn, args, factor):
+    with pytest.raises(DegenerateInputError) as info:
+        fn(*args)
+    assert info.value.factor == factor
