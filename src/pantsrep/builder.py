@@ -47,7 +47,9 @@ class SurfaceRepresentation:
     presentation is the surface's compiled Presentation for the tree.
     The letter table (name, +-1) -> (a, b, c, d) that evaluate,
     verify_relations, recover_coordinates and stiefel_whitney read is built
-    once here, so a representation is treated as immutable.
+    once here, and recover_coordinates keeps the vertex spectra it reads
+    per tol, so a representation is treated as immutable: for other images,
+    make a new one.
     """
 
     def __init__(self, surface, presentation, params, images, points, base, beta_signs=None):
@@ -63,6 +65,7 @@ class SurfaceRepresentation:
         for name, m in self.images.items():
             table[(name, 1)] = entries = (m.a, m.b, m.c, m.d)
             table[(name, -1)] = _adj(entries)
+        self._spectra = {}
 
     def evaluate(self, word):
         return MoebiusMap(_word(self._letters, word))
@@ -162,20 +165,15 @@ def verify_relations(rep):
     return out
 
 
-def recover_coordinates(rep, eigen_choice=None, tol=1e-9):
-    """Invert build: eigenvalue and twist parameters from the matrices.
+def _vertex_spectra(rep, tol):
+    """Fixed points and eigenvalues of the three vertex words at every vertex.
 
-    eigen_choice maps an edge id to +-1 and selects which of the two
-    eigenvalue branches of the curve image is reported (default: the
-    dominant branch returned by fixed_points_with_eigs).  Requires every
-    curve image to be non-parabolic and every vertex restriction to be
-    irreducible.  One commutator per vertex tests irreducibility: with
-    m0 m1 m2 = +-I, tr[m0,m1] = tr[m1,m2] = tr[m2,m0].  Its rounding grows
-    as (|m0| |m1|)^2 (largest entry moduli), so |tr - 2| counts as zero up
-    to max(tol, _COMM_TOL (|m0| |m1|)^2).
+    Returns (slot_fixed, slot_eigen), keyed by (vid, slot): the fixed-point
+    pair (x, y) and the eigenvalue e of x that fixed_points_with_eigs
+    returns.  Raises DegenerateInputError for a reducible vertex, and
+    re-raises a numeric error of a vertex word naming its vertex and slot.
     """
     pres = rep.presentation
-    eigen_choice = eigen_choice or {}
     table = rep._letters
     slot_fixed = {}
     slot_eigen = {}
@@ -188,9 +186,39 @@ def recover_coordinates(rep, eigen_choice=None, tol=1e-9):
                 "reducible restriction at vertex %r" % (vid,), factor="tr[m,m']-2"
             )
         for s, m in enumerate(ms):
-            x, e, y = _fixed_points_with_eigs(*m, tol)
+            try:
+                x, e, y = _fixed_points_with_eigs(*m, tol)
+            except DegenerateInputError as ex:
+                raise DegenerateInputError("vertex %r slot %d: %s" % (vid, s, ex),
+                                           factor=ex.factor) from ex
             slot_fixed[(vid, s)] = (x, y)
             slot_eigen[(vid, s)] = e
+    return slot_fixed, slot_eigen
+
+
+def recover_coordinates(rep, eigen_choice=None, tol=1e-9):
+    """Invert build: eigenvalue and twist parameters from the matrices.
+
+    eigen_choice maps an edge id to +-1 and selects which of the two
+    eigenvalue branches of the curve image is reported (default: the
+    dominant branch returned by fixed_points_with_eigs).  Requires every
+    curve image to be non-parabolic and every vertex restriction to be
+    irreducible.  One commutator per vertex tests irreducibility: with
+    m0 m1 m2 = +-I, tr[m0,m1] = tr[m1,m2] = tr[m2,m0].  Its rounding grows
+    as (|m0| |m1|)^2 (largest entry moduli), so |tr - 2| counts as zero up
+    to max(tol, _COMM_TOL (|m0| |m1|)^2).
+
+    The vertex spectra (fixed points and eigenvalues of the vertex words)
+    do not depend on eigen_choice: the first successful call for a tol
+    keeps them on rep, and later calls with that tol only choose branches
+    and read twists.  A call that raises keeps nothing.
+    """
+    pres = rep.presentation
+    eigen_choice = eigen_choice or {}
+    spectra = rep._spectra.get(tol)
+    if spectra is None:
+        spectra = rep._spectra[tol] = _vertex_spectra(rep, tol)
+    slot_fixed, slot_eigen = spectra
 
     eigen = {}
     branch_points = {}

@@ -1,6 +1,8 @@
 """Building surface-group representations and recovering coordinates."""
 
+import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from pantsrep.coordinates import EdgeParams
 from pantsrep.moves import Move
 from pantsrep.projective import INF, DegenerateInputError, MoebiusMap, SingularMapError
 
-from helpers import SURFACES, caterpillar, handle_chain, max_residual, sample_params
+from helpers import (SURFACES, caterpillar, handle_chain, max_residual, ribbon_graphs,
+                     sample_params)
 
 RNG = np.random.default_rng(20240904)
 
@@ -303,3 +306,66 @@ def test_vertex_commutator_traces_agree():
                 # rounding grows with the operands: compare to |p|^2 |q|^2
                 scale = max(_norm(p) * _norm(q) for p, q in pairs) ** 2
                 assert max(abs(tr - trs[0]) for tr in trs) <= 1e-12 * scale
+
+
+def _outcome(rep, **kw):
+    """recover_coordinates' result with NaN made comparable, or what it raised."""
+    try:
+        rec = builder.recover_coordinates(rep, **kw)
+    except (ValueError, ArithmeticError) as ex:
+        return type(ex), getattr(ex, "factor", None), str(ex)
+    return tuple({k: "nan" if cmath.isnan(v) else v for k, v in part.items()} for part in rec)
+
+
+def test_recover_gives_the_same_result_whatever_was_recovered_before():
+    # the vertex spectra kept on the representation by an earlier call
+    # change neither a later call with another branch choice nor a repeat
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    surfaces = [make() for make in SURFACES.values()] + ribbon_graphs()
+    for surf in surfaces + [handle_chain(2), handle_chain(4), caterpillar(4), caterpillar(8)]:
+        for _ in range(3):
+            params = sample_params(surf, rng)
+            try:
+                rep = builder.build(surf, params)
+            except SingularMapError:
+                continue
+            first = _outcome(rep)
+            if isinstance(first[0], dict):
+                choice = {eid: 1 if abs(first[0][eid] - e) <= abs(1 / first[0][eid] - e) else -1
+                          for eid, e in params.eigen.items()}
+            else:
+                choice = {eid: 1 for eid in params.eigen}
+            assert _outcome(rep, eigen_choice=choice) == _outcome(
+                builder.build(surf, params), eigen_choice=choice)
+            _outcome(rep, eigen_choice={eid: -1 for eid in params.eigen})
+            assert _outcome(rep) == first
+            outcomes.add(isinstance(first[0], dict))
+    assert outcomes == {True, False}
+
+
+def _reducible_at_tol_005():
+    # the CLI's `recover --tol 0.05` case: tr[m,m'] is within 0.05 of 2
+    eigen = (-1.32 - 0.236j, 0.752 + 1.294j, 0.772 - 1.072j, -1.047 - 0.093j, 1.149 - 0.242j)
+    params = EdgeParams(dict(enumerate(eigen, start=1)), {1: 0.64})
+    return builder.build(su.four_holed_sphere(), params)
+
+
+def test_recover_keeps_spectra_per_tol():
+    wide = (DegenerateInputError, "tr[m,m']-2")
+    rep = _reducible_at_tol_005()
+    default = _outcome(rep)
+    assert isinstance(default[0], dict)
+    assert _outcome(rep, tol=0.05)[:2] == wide
+    rep = _reducible_at_tol_005()
+    assert _outcome(rep, tol=0.05)[:2] == wide
+    assert _outcome(rep) == default
+
+
+def test_failing_recover_raises_on_every_call_and_names_the_vertex():
+    surf = handle_chain(8)
+    rep = builder.build(surf, sample_params(surf, np.random.default_rng(1)))
+    first = _outcome(rep)
+    assert first[:2] == (DegenerateInputError, "det - 1")
+    assert re.match(r"vertex \d+ slot [012]: ", first[2]), first
+    assert _outcome(rep) == first

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -204,6 +205,19 @@ def test_numeric_error_names_the_vanishing_factor(tmp_path, command, case, flags
     assert (r.returncode, r.stderr) == (4, ""), (r.stdout, r.stderr[-500:])
     doc = strict_json(r.stdout)
     assert (doc["error"], doc["factor"]) == ("numeric", factor)
+
+
+def test_recover_numeric_error_names_the_vertex(tmp_path):
+    # the deep hc8 point above: the vertex word whose det drifts is named
+    surf = handle_chain(8)
+    spath, ppath = tmp_path / "s.json", tmp_path / "p.json"
+    su.save(surf, spath)
+    co.save_params(sample_params(surf, np.random.default_rng(1)), ppath)
+    r = run_cli("recover", "--surface", str(spath), "--params", str(ppath))
+    assert (r.returncode, r.stderr) == (4, ""), (r.stdout, r.stderr[-500:])
+    doc = strict_json(r.stdout)
+    assert doc["factor"] == "det - 1"
+    assert re.match(r"vertex \d+ slot [012]: ", doc["detail"]), doc
 
 
 def test_act_flip(four_holed_files):
