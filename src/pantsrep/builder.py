@@ -5,35 +5,41 @@ base triple of fixed points from the root vertex, applies the pants
 representation at each trivalent vertex, and closes up each complement
 edge with a Moebius map carrying the tree-side triple to its translate
 across the edge.  The resulting generator images satisfy the surface-group
-relations exactly up to rounding.
+relations exactly up to rounding.  Past build's coercion of its input,
+points and matrices are the kernels' tuples; only rep.points and rep.images
+are objects.
 """
 
 from .projective import (
     DegenerateInputError,
     INF,
     MoebiusMap,
+    ProjectivePoint,
     _adj,
+    _apply,
     _chain,
     _distinct,
     _fixed_points_with_eigs,
     _max_abs,
+    _sl_normalize,
+    _three_point_map,
     as_point,
-    sl_normalize,
-    three_point_map,
 )
 from .pants import make_pants_data, pants_rep
 from .surface import _plan
 from .coordinates import (
     EdgeParams,
+    _backward,
+    _best_variant,
     _end_eigen,
+    _forward,
     _picture_es,
-    best_twist_from_fixed_points,
+    _twist,
     in_domain,
-    propagate_backward,
-    propagate_forward,
 )
 
 DEFAULT_BASE = (as_point(0), as_point(1), INF)
+_DEFAULT_PAIRS = [(p.num, p.den) for p in DEFAULT_BASE]
 #: tr[m0,m1] rounds by up to 16 double rounding units times (|m0| |m1|)^2
 _COMM_TOL = 16 * 2.0 ** -53
 
@@ -74,9 +80,15 @@ class SurfaceRepresentation:
         return self.images[name]
 
 
+def _at(where, ex):
+    """ex, its message prefixed by where: the class and factor stay."""
+    ex.args = ("%s: %s" % (where, ex),)
+    return ex
+
+
 def _word(table, word):
     """The product of a presentation word, as (a, b, c, d)."""
-    return _chain([table[letter] for letter in word])
+    return _chain(map(table.__getitem__, word))
 
 
 def _from_slot(triple, s):
@@ -91,7 +103,7 @@ def _across(es, t1, xs, forward):
     counterclockwise from the edge: (x1, x2, x3) at the tail and
     (x1, x4, x5) at the head.  forward crosses from tail to head.
     """
-    step = propagate_forward if forward else propagate_backward
+    step = _forward if forward else _backward
     return (xs[0],) + step(es, t1, *xs)
 
 
@@ -105,8 +117,11 @@ def _vertex_points(pres, params, base):
     eigen, twist = params.eigen, params.twist
     points = {pres.root: list(base)}
     for eid, nbrs, near, sn, far, sf, forward in pres.walk:
-        xs = _across(_picture_es(eigen, eid, nbrs), twist[eid],
-                     _from_slot(points[near], sn), forward)
+        try:
+            xs = _across(_picture_es(eigen, eid, nbrs), twist[eid],
+                         _from_slot(points[near], sn), forward)
+        except ValueError as ex:
+            raise _at("edge %r" % (eid,), ex)
         triple = [None, None, None]
         for k in range(3):
             triple[(sf + k) % 3] = xs[k]
@@ -122,28 +137,43 @@ def build(surface, params, tree=None, base=None):
     triple placed at the root vertex, slot order counterclockwise from
     slot 0; differing bases give conjugate results.  A tree that is not a
     maximal tree raises ValueError before the parameters are looked at.
+    In-domain parameter values are coerced to complex (rep.params keeps them).  A
+    numeric error's message starts "vertex <id>: ", "edge <id>: " or "edge <id> (b<i>): ".
     """
     pres = _plan(surface, tree)
     if not in_domain(params, surface):
         raise DegenerateInputError("parameters outside the admissible domain", factor="in_domain")
+    params = EdgeParams({k: complex(v) for k, v in params.eigen.items()},
+                        {k: complex(v) for k, v in params.twist.items()})
     if base is None:
-        base = DEFAULT_BASE
-    base = tuple(as_point(p) for p in base)
-    if not _distinct(*base):
-        raise ValueError("base triple must be three distinct points")
+        base, base_pairs = DEFAULT_BASE, _DEFAULT_PAIRS
+    else:
+        base = tuple(as_point(p) for p in base)
+        base_pairs = [(p.num, p.den) for p in base]
+        if not _distinct(*base_pairs):
+            raise ValueError("base triple must be three distinct points")
 
-    points = _vertex_points(pres, params, base)
+    pairs = _vertex_points(pres, params, base_pairs)
+    points = {vid: list(base) if vid == pres.root else [ProjectivePoint(*x) for x in triple]
+              for vid, triple in pairs.items()}
     eigen = params.eigen
     mats = {}
     for vid, inc in pres.incidences:
         es = tuple([_end_eigen(eigen[eid], end) for eid, end in inc])
-        mats[vid] = pants_rep(make_pants_data(es, points[vid]))
+        try:
+            mats[vid] = pants_rep(make_pants_data(es, points[vid]))
+        except ValueError as ex:
+            raise _at("vertex %r" % (vid,), ex)
     images = {name: mats[vid][slot] for name, vid, slot in pres.image_slots}
     for eid, name, (v, sv), (w, sw), nbrs in pres.letters:
         # b_i carries the head-side triple to its translate across the edge
-        target = _across(_picture_es(eigen, eid, nbrs), params.twist[eid],
-                         _from_slot(points[v], sv), True)
-        images[name] = sl_normalize(three_point_map(_from_slot(points[w], sw), target))
+        try:
+            target = _across(_picture_es(eigen, eid, nbrs), params.twist[eid],
+                             _from_slot(pairs[v], sv), True)
+            images[name] = MoebiusMap(
+                _sl_normalize(*_three_point_map(_from_slot(pairs[w], sw), target)))
+        except ValueError as ex:
+            raise _at("edge %r (%s)" % (eid, name), ex)
     return SurfaceRepresentation(surface, pres, params, images, points, base)
 
 
@@ -189,8 +219,7 @@ def _vertex_spectra(rep, tol):
             try:
                 x, e, y = _fixed_points_with_eigs(*m, tol)
             except DegenerateInputError as ex:
-                raise DegenerateInputError("vertex %r slot %d: %s" % (vid, s, ex),
-                                           factor=ex.factor) from ex
+                raise _at("vertex %r slot %d" % (vid, s), ex)
             slot_fixed[(vid, s)] = (x, y)
             slot_eigen[(vid, s)] = e
     return slot_fixed, slot_eigen
@@ -245,11 +274,10 @@ def recover_coordinates(rep, eigen_choice=None, tol=1e-9):
         x1, x2, x3, x4, x5 = (branch_points[k] for k in keys)
         if letter is not None:
             # the head-side points live on the far lift: push them across
-            bmap = rep.images[letter]
-            x4, x5 = bmap.apply(x4), bmap.apply(x5)
-        twist[eid] = best_twist_from_fixed_points(
-            _picture_es(eigen, eid, nbrs), {1: x1, 2: x2, 3: x3, 4: x4, 5: x5}
-        )
+            bmap = rep._letters[(letter, 1)]
+            x4, x5 = _apply(bmap, x4), _apply(bmap, x5)
+        xs = {1: x1, 2: x2, 3: x3, 4: x4, 5: x5}
+        twist[eid] = _twist(_best_variant(xs), _picture_es(eigen, eid, nbrs), xs)
     return EdgeParams(eigen, twist)
 
 

@@ -8,7 +8,9 @@ the vertex carrying (x1, x4, x5), both triples counterclockwise starting at
 the shared edge, the forward equations give (x4, x5) and the backward ones
 (x2, x3).  All eigenvalues entering these formulas must already be
 orientation-adjusted (invert e for an edge pointing into its vertex);
-_end_eigen owns that adjustment.
+_end_eigen owns that adjustment.  The public functions coerce their input
+once and wrap kernels on complex numbers and (num, den) points, which
+builder calls directly.
 """
 
 import cmath
@@ -19,10 +21,10 @@ from collections import namedtuple
 from .projective import (
     DegenerateInputError,
     ProjectivePoint,
+    _cross_ratio,
     _pair,
     _vanishing,
-    as_point,
-    cross_ratio,
+    as_pair,
     mobius_with_axis,
     sqrt_principal,
 )
@@ -86,18 +88,23 @@ def _ratio_point(a, b, c, x1, x2, x3):
     pair is scaled to max(|num|, |den|) = 1, so that points carried along a
     deep tree neither overflow nor underflow.
     """
-    x1, x2, x3 = as_point(x1), as_point(x2), as_point(x3)
     w1, w2, w3 = a * _pair(x2, x3), b * _pair(x3, x1), c * _pair(x1, x2)
-    num = w1 * x1.num + w2 * x2.num + w3 * x3.num
-    den = w1 * x1.den + w2 * x2.den + w3 * x3.den
+    num = w1 * x1[0] + w2 * x2[0] + w3 * x3[0]
+    den = w1 * x1[1] + w2 * x2[1] + w3 * x3[1]
     s = _vanishing(max(abs(num), abs(den)), "(num : den)")
-    return ProjectivePoint(num / s, den / s)
+    return num / s, den / s
 
 
 def propagate_forward(es, t1, x1, x2, x3):
     """Fixed points (x4, x5) across the edge, from (x1, x2, x3)."""
-    e1, e2, e3, e4, e5 = (complex(e) for e in es)
-    t1 = complex(t1)
+    x4, x5 = _forward(tuple(complex(e) for e in es), complex(t1),
+                      as_pair(x1), as_pair(x2), as_pair(x3))
+    return ProjectivePoint(*x4), ProjectivePoint(*x5)
+
+
+def _forward(es, t1, x1, x2, x3):
+    """propagate_forward on complex numbers and (num, den) points."""
+    e1, e2, e3, e4, e5 = es
     f15_4 = e1 * e5 - e4
     a4 = e1 * (-(e1 * e3 - e2) * (e1 * e4 - e5) * t1 + e3 * f15_4)
     b4 = e1 * e1 * e2 * f15_4
@@ -113,8 +120,15 @@ def propagate_forward(es, t1, x1, x2, x3):
 
 def propagate_backward(es, t1, x1, x4, x5):
     """Fixed points (x2, x3) on the near side, from (x1, x4, x5)."""
-    e1, e2, e3, e4, e5 = (complex(e) for e in es)
-    s = 1 / complex(t1)
+    x2, x3 = _backward(tuple(complex(e) for e in es), complex(t1),
+                       as_pair(x1), as_pair(x4), as_pair(x5))
+    return ProjectivePoint(*x2), ProjectivePoint(*x3)
+
+
+def _backward(es, t1, x1, x4, x5):
+    """propagate_backward on complex numbers and (num, den) points."""
+    e1, e2, e3, e4, e5 = es
+    s = 1 / t1
     a2 = (e1 * e5 - e4) * s + e1 * e5
     x2 = _ratio_point(a2, e1 * e1 * e4, e4, x1, x5, x4)
     f13_2 = e1 * e3 - e2
@@ -137,74 +151,73 @@ def twist_from_fixed_points(variant, es, xs):
     xs maps the index i (1..5) to the fixed point x_i; the variants use
     {x1,x2,x3,x5}, {x1,x2,x3,x4}, {x1,x2,x4,x5}, {x1,x3,x4,x5} respectively.
     """
-    e1, e2, e3, e4, e5 = (complex(e) for e in es)
-    x = {k: as_point(v) for k, v in xs.items() if v is not None}
+    return _twist(variant, tuple(complex(e) for e in es),
+                  {k: as_pair(v) for k, v in xs.items() if v is not None})
+
+
+def _twist(variant, es, x):
+    """twist_from_fixed_points on complex numbers and (num, den) points."""
+    e1, e2, e3, e4, e5 = es
     if variant == 1:
         den = _vanishing(e2 - e1 * e3, "e2 - e1 e3", _FACTOR_TOL)
-        return -1 + e2 * (1 - e1 * e1) / den * cross_ratio(x[5], x[3], x[1], x[2])
+        return -1 + e2 * (1 - e1 * e1) / den * _cross_ratio(x[5], x[3], x[1], x[2])
     if variant == 2:
         den = _vanishing(e2 - e1 * e3, "e2 - e1 e3", _FACTOR_TOL)
         den2 = _vanishing(e1 * e4 - e5, "e1 e4 - e5", _FACTOR_TOL)
-        inner = -1 + e2 * (1 - e1 * e1) / den * cross_ratio(x[4], x[3], x[1], x[2])
+        inner = -1 + e2 * (1 - e1 * e1) / den * _cross_ratio(x[4], x[3], x[1], x[2])
         return -(e1 * e5 - e4) / (e1 * den2) * inner
     if variant == 3:
         den = _vanishing(e4 - e1 * e5, "e4 - e1 e5", _FACTOR_TOL)
-        inv = -1 + e4 * (1 - e1 * e1) / den * cross_ratio(x[2], x[4], x[1], x[5])
+        inv = -1 + e4 * (1 - e1 * e1) / den * _cross_ratio(x[2], x[4], x[1], x[5])
         return 1 / _vanishing(inv, "1/t1", _FACTOR_TOL)
     if variant == 4:
         den = _vanishing(e4 - e1 * e5, "e4 - e1 e5", _FACTOR_TOL)
         den2 = _vanishing(e1 * e2 - e3, "e1 e2 - e3", _FACTOR_TOL)
-        inner = -1 + e4 * (1 - e1 * e1) / den * cross_ratio(x[3], x[4], x[1], x[5])
+        inner = -1 + e4 * (1 - e1 * e1) / den * _cross_ratio(x[3], x[4], x[1], x[5])
         inv = -(e1 * e3 - e2) / (e1 * den2) * inner
         return 1 / _vanishing(inv, "1/t1", _FACTOR_TOL)
     raise ValueError("variant must be 1, 2, 3 or 4")
 
 
-def _variant(variant, idx):
-    """(variant, its points, its point pairs in reading order, each sorted)."""
-    pairs = tuple(tuple(sorted((p, q))) for i, p in enumerate(idx) for q in idx[i + 1:])
-    return variant, idx, pairs
-
-
-#: the four points each variant of twist_from_fixed_points reads
-_VARIANTS = (_variant(1, (5, 3, 1, 2)), _variant(2, (4, 3, 1, 2)),
-             _variant(3, (2, 4, 1, 5)), _variant(4, (3, 4, 1, 5)))
-
-
 def best_twist_from_fixed_points(es, xs):
-    """The variant whose cross ratio is best conditioned, then its value.
+    """The variant whose cross ratio is best conditioned, then its value (xs holds x1..x5)."""
+    x = {i: as_pair(xs[i]) for i in (5, 3, 1, 2, 4)}
+    return twist_from_fixed_points(_best_variant(x), es, xs)
 
-    The four formulas agree exactly; this picks the one whose four points
-    are most spread out (largest minimal pairwise determinant).  Each
-    point's scale max(|num|, |den|) and each pair's spread are computed
-    once, however many variants read them; a pair's spread does not depend
-    on the order of its points, and each variant takes the min over its
-    pairs in the same order as ever, so ties and NaN pick the same variant.
+
+def _best_variant(x):
+    """The variant of twist_from_fixed_points to use on the five (num, den) points x.
+
+    The four formulas agree exactly; this picks the one whose points are most
+    spread out (largest min over its pairs of |det| / (scale scale)).  Each
+    scale and spread is computed once, in the order the variants first read
+    them; a tie keeps the lower variant and a NaN minimum never wins.
     """
-    scaled, spread = {}, {}
+    x1, x2, x3, x4, x5 = x[1], x[2], x[3], x[4], x[5]
+    s5, s3 = max(abs(x5[0]), abs(x5[1])), max(abs(x3[0]), abs(x3[1]))
+    s1, s2 = max(abs(x1[0]), abs(x1[1])), max(abs(x2[0]), abs(x2[1]))
+    d35, d15 = abs(_pair(x3, x5)) / (s3 * s5), abs(_pair(x1, x5)) / (s1 * s5)
+    d25, d13 = abs(_pair(x2, x5)) / (s2 * s5), abs(_pair(x1, x3)) / (s1 * s3)
+    d23, d12 = abs(_pair(x2, x3)) / (s2 * s3), abs(_pair(x1, x2)) / (s1 * s2)
     best, score = None, -1.0
-    for variant, idx, pairs in _VARIANTS:
-        try:
-            for i in idx:
-                if i not in scaled:
-                    p = as_point(xs[i])
-                    scaled[i] = (p, max(abs(p.num), abs(p.den)))
-        except KeyError:
-            continue
-        spreads = []
-        for pair in pairs:
-            s = spread.get(pair)
-            if s is None:
-                (p, ps), (q, qs) = scaled[pair[0]], scaled[pair[1]]
-                s = spread[pair] = abs(_pair(p, q)) / (ps * qs)
-            spreads.append(s)
-        m = min(spreads)
-        if m > score:
-            best, score = variant, m
+    m = min([d35, d15, d25, d13, d23, d12])
+    if m > score:
+        best, score = 1, m
+    s4 = max(abs(x4[0]), abs(x4[1]))
+    d34, d14 = abs(_pair(x3, x4)) / (s3 * s4), abs(_pair(x1, x4)) / (s1 * s4)
+    d24 = abs(_pair(x2, x4)) / (s2 * s4)
+    m = min([d34, d14, d24, d13, d23, d12])
+    if m > score:
+        best, score = 2, m
+    d45 = abs(_pair(x4, x5)) / (s4 * s5)
+    m = min([d24, d12, d25, d14, d45, d15])
+    if m > score:
+        best, score = 3, m
+    if min([d34, d13, d35, d14, d45, d15]) > score:
+        best = 4
     if best is None:
-        raise DegenerateInputError("no variant has all four points available",
-                                   factor="x1 .. x5")
-    return twist_from_fixed_points(best, es, xs)
+        raise DegenerateInputError("no variant has a finite spread", factor="x1 .. x5")
+    return best
 
 
 def _chi(e):

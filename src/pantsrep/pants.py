@@ -15,6 +15,7 @@ from .projective import (
     DegenerateInputError,
     MoebiusMap,
     _adj,
+    _check_nonsingular,
     _distinct,
     _map_from_standard,
     _max_abs,
@@ -27,12 +28,12 @@ PantsData = namedtuple("PantsData", ["eigen", "fixed"])
 
 
 def make_pants_data(eigen, fixed):
-    eigen = tuple(complex(e) for e in eigen)
-    fixed = tuple(as_point(x) for x in fixed)
+    eigen = tuple([complex(e) for e in eigen])
+    fixed = tuple([as_point(x) for x in fixed])
     for e in eigen:
         if e == 0 or abs(e - 1) < 1e-13 or abs(e + 1) < 1e-13:
             raise DegenerateInputError("eigenvalue %r in {0, +1, -1}" % (e,), factor="e (e^2 - 1)")
-    if not _distinct(*fixed):
+    if not _distinct(*[(x.num, x.den) for x in fixed]):
         raise DegenerateInputError("fixed points coincide", factor="x_i - x_j")
     return PantsData(eigen, fixed)
 
@@ -75,18 +76,19 @@ def pants_rep(data):
     # _map_from_standard(0, inf, 1) is the identity, so this is
     # three_point_map((0, INF, 1), data.fixed), on points make_pants_data
     # has already checked
-    conj = MoebiusMap(_map_from_standard(*data.fixed))
+    a, b, c, d = _map_from_standard(*[(x.num, x.den) for x in data.fixed])
+    _check_nonsingular(a, b, c, d)
     # conjugation is scale-invariant: bring the largest entry to modulus 1,
     # so det stays finite when the fixed points' homogeneous coordinates are
     # huge, then |det| to 1; the adjugate divided by det below keeps the SL
     # property of the normalized matrices exactly
-    s = _max_abs(conj.a, conj.b, conj.c, conj.d)
-    p0, p1, p2, p3 = conj.a / s, conj.b / s, conj.c / s, conj.d / s
+    s = _max_abs(a, b, c, d)
+    p0, p1, p2, p3 = a / s, b / s, c / s, d / s
     r = math.sqrt(abs(_vanishing(p0 * p3 - p1 * p2, "det(conj)", SING_TOL)))
     p = p0, p1, p2, p3 = p0 / r, p1 / r, p2 / r, p3 / r
     det = p0 * p3 - p1 * p2
-    q = tuple(z / det for z in _adj(p))
-    return tuple(MoebiusMap(_mul(_mul(p, m), q)) for m in mats)
+    q = tuple([z / det for z in _adj(p)])
+    return tuple([MoebiusMap(_mul(_mul(p, m), q)) for m in mats])
 
 
 def other_fixed_point(index, data):
@@ -95,7 +97,7 @@ def other_fixed_point(index, data):
         raise ValueError("index must be 1, 2 or 3")
     e1, e2, e3 = data.eigen
     yp = _normalized_other_fixed_points(e1, e2, e3)[index - 1]
-    return MoebiusMap(_map_from_standard(*data.fixed)).apply(yp)
+    return MoebiusMap(_map_from_standard(*[(x.num, x.den) for x in data.fixed])).apply(yp)
 
 
 def is_admissible_triple(e1, e2, e3, tol=1e-9):

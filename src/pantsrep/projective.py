@@ -6,13 +6,13 @@ zero.  Moebius maps are 2x2 complex matrices acting on homogeneous
 coordinates; scalar multiples act identically (PGL), and sl_normalize
 produces a determinant-1 representative when one is wanted.
 
-A MoebiusMap stores its four entries as plain Python complex numbers, and
-the 2x2 and CP^1 rules every module uses (4-tuple product and adjugate,
-point pairing, distinct-triple test, trace roots) are written out entry by
-entry here, once: for a single 2x2 matrix, numpy's per-call overhead is
-many times the arithmetic itself.  numpy is used only at the edges, and
-imported on demand there: to accept an array input, to build the read-only
-``.m`` view and to print a map.  Importing this module does not load it.
+Each formula is written once, in a private kernel (here and in pants,
+coordinates and builder) that takes points as plain ``(num, den)`` tuples,
+matrices as row-major ``(a, b, c, d)`` tuples of Python complex numbers,
+and coerces nothing: for a 2x2 matrix, an object or a numpy call per step
+costs many times the arithmetic.  The public functions coerce their inputs
+once (as_point, complex()), call the kernel and wrap its result.  numpy is
+imported on demand, only to accept an array, build ``.m`` or print a map.
 
 Every numeric degeneracy is a named factor of a source formula reaching
 zero; _vanishing is the one rule that tests it and names it in the error.
@@ -57,18 +57,20 @@ def _vanishing(value, factor, bound=0.0):
     return value
 
 
+def _point(num, den):
+    """The pair (num, den), unless it is (0 : 0), which is no point of CP^1."""
+    if num == 0 and den == 0:
+        raise ValueError("(0 : 0) is not a point of CP^1")
+    return num, den
+
+
 class ProjectivePoint:
     """A point of CP^1 as a homogeneous pair (num : den)."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
-        num = complex(num)
-        den = complex(den)
-        if num == 0 and den == 0:
-            raise ValueError("(0 : 0) is not a point of CP^1")
-        self.num = num
-        self.den = den
+        self.num, self.den = _point(complex(num), complex(den))
 
     @property
     def is_infinity(self):
@@ -77,7 +79,7 @@ class ProjectivePoint:
     def same_as(self, other, tol=EQ_TOL):
         """Projective equality: vanishing of the 2x2 determinant, scaled."""
         other = as_point(other)
-        det = _pair(self, other)
+        det = _pair((self.num, self.den), (other.num, other.den))
         scale = max(abs(self.num), abs(self.den)) * max(abs(other.num), abs(other.den))
         return abs(det) <= tol * scale
 
@@ -100,13 +102,15 @@ INF = ProjectivePoint(1, 0)
 
 
 def _pair(p, q):
-    """p.num q.den - q.num p.den: zero exactly when the points p, q coincide."""
-    return p.num * q.den - q.num * p.den
+    """p_num q_den - q_num p_den: zero exactly when the points p, q coincide."""
+    return p[0] * q[1] - q[0] * p[1]
 
 
 def _distinct(p, q, r):
     """True iff the points p, q, r are pairwise distinct (same_as tolerance)."""
-    return not (p.same_as(q) or q.same_as(r) or p.same_as(r))
+    sp, sq, sr = [max(abs(x[0]), abs(x[1])) for x in (p, q, r)]
+    return not (abs(_pair(p, q)) <= EQ_TOL * (sp * sq) or abs(_pair(q, r)) <= EQ_TOL * (sq * sr)
+                or abs(_pair(p, r)) <= EQ_TOL * (sp * sr))
 
 
 def as_point(z):
@@ -126,6 +130,12 @@ def as_point(z):
             return INF
         return ProjectivePoint(complex(z), 1)
     raise TypeError("cannot interpret %r as a point of CP^1" % (z,))
+
+
+def as_pair(z):
+    """as_point(z) as the (num, den) tuple the private kernels take."""
+    p = as_point(z)
+    return p.num, p.den
 
 
 def sqrt_principal(z):
@@ -206,10 +216,7 @@ class MoebiusMap:
         return MoebiusMap((-self.a, -self.b, -self.c, -self.d))
 
     def apply(self, p):
-        p = as_point(p)
-        num = self.a * p.num + self.b * p.den
-        den = self.c * p.num + self.d * p.den
-        return ProjectivePoint(num, den)
+        return ProjectivePoint(*_apply((self.a, self.b, self.c, self.d), as_pair(p)))
 
     def __call__(self, p):
         return self.apply(p)
@@ -223,18 +230,22 @@ class MoebiusMap:
 def _check_nonsingular(a, b, c, d):
     """The singularity rule of MoebiusMap: raise SingularMapError or return.
 
-    |ad - bc| < SING_TOL * max|entry|^2 is singular.  det == 0 covers the
+    |ad - bc| < SING_TOL * max|entry|^2 is singular.  |det| == 0 covers the
     zero matrix; a NaN entry makes det NaN and passes, as the numpy check
     did; norm * norm is inf past the float range, where ** would raise.
     """
     det = a * d - b * c
     try:
-        norm = max(abs(a), abs(b), abs(c), abs(d))
-        adet = abs(det)
+        adet, norm, mb, mc, md = abs(det), abs(a), abs(b), abs(c), abs(d)
     except OverflowError:
-        norm = max(_mod(a), _mod(b), _mod(c), _mod(d))
-        adet = _mod(det)
-    if det == 0 or adet < SING_TOL * norm * norm:
+        adet, norm, mb, mc, md = _mod(det), _mod(a), _mod(b), _mod(c), _mod(d)
+    if mb > norm:  # max(), compared as it compares, without the call: this runs per product
+        norm = mb
+    if mc > norm:
+        norm = mc
+    if md > norm:
+        norm = md
+    if adet == 0 or adet < SING_TOL * norm * norm:
         raise SingularMapError("singular matrix %r" % (((a, b), (c, d)),))
 
 
@@ -252,6 +263,12 @@ def _adj(m):
     """The adjugate of a row-major (a, b, c, d): its inverse times its det."""
     a, b, c, d = m
     return d, -b, -c, a
+
+
+def _apply(m, p):
+    """The image of the point p under the row-major (a, b, c, d) m."""
+    (a, b, c, d), (num, den) = m, p
+    return _point(a * num + b * den, c * num + d * den)
 
 
 def _chain(factors, start=_IDENTITY):
@@ -280,14 +297,18 @@ def _mod(z):
         return math.inf
 
 
-def _max_abs(*entries):
-    """Largest modulus among the entries; NaN if any entry is NaN.
+def _max_abs(a, b, c, d):
+    """Largest modulus among four entries; NaN if any entry is NaN.
 
     Python's max() drops a NaN that is not its first argument, so the sum
     of the moduli (NaN exactly when one of them is) decides first.  This
-    keeps the NaN propagation of numpy's ``np.abs(m).max()``.
+    keeps the NaN propagation of numpy's ``np.abs(m).max()``; a modulus
+    past the float range counts as inf, as in _mod.
     """
-    mods = [_mod(z) for z in entries]
+    try:
+        mods = abs(a), abs(b), abs(c), abs(d)
+    except OverflowError:
+        mods = _mod(a), _mod(b), _mod(c), _mod(d)
     total = sum(mods)
     return total if total != total else max(mods)
 
@@ -299,15 +320,20 @@ def sl_normalize(m):
     modulus above tolerance has argument in [0, pi).  This is a repo
     convention: PSL elements have no canonical SL lift.
     """
-    r = sqrt_principal(m.det())
-    s = (m.a / r, m.b / r, m.c / r, m.d / r)
+    return MoebiusMap(_sl_normalize(m.a, m.b, m.c, m.d))
+
+
+def _sl_normalize(a, b, c, d):
+    """sl_normalize on the entries of a row-major (a, b, c, d), as (a, b, c, d)."""
+    r = sqrt_principal(a * d - b * c)
+    s = (a / r, b / r, c / r, d / r)
     scale = _max_abs(*s)
     for v in s:
         if abs(v) > 1e-12 * scale:
             if v.imag < 0 or (v.imag == 0 and v.real < 0):
                 s = (-s[0], -s[1], -s[2], -s[3])
             break
-    return MoebiusMap(s)
+    return s
 
 
 def cross_ratio(x0, x1, x2, x3):
@@ -315,7 +341,11 @@ def cross_ratio(x0, x1, x2, x3):
 
     Computed on homogeneous pairs so any argument may be infinity.
     """
-    x0, x1, x2, x3 = (as_point(x) for x in (x0, x1, x2, x3))
+    return _cross_ratio(as_pair(x0), as_pair(x1), as_pair(x2), as_pair(x3))
+
+
+def _cross_ratio(x0, x1, x2, x3):
+    """cross_ratio of four (num, den) points."""
     num = _pair(x3, x0) * _pair(x2, x1)
     return num / _vanishing(_pair(x3, x1) * _pair(x2, x0), "(x3 - x1)(x2 - x0)")
 
@@ -334,7 +364,7 @@ def mobius_with_axis(e, x, y):
     # columns of p are homogeneous representatives of x and y; the map is
     # p diag(e, 1/e) adj(p) / det(p)
     p = (x.num, y.num, x.den, y.den)
-    s = _pair(x, y)
+    s = _pair((x.num, x.den), (y.num, y.den))
     a, b, c, d = _mul(_mul(p, (e, 0j, 0j, 1 / e)), _adj(p))
     return MoebiusMap((a / s, b / s, c / s, d / s))
 
@@ -356,16 +386,21 @@ def _map_from_standard(x1, x2, x3):
     # in homogeneous arithmetic:
     d31 = _pair(x3, x1)
     d23 = _pair(x2, x3)
-    return (x2.num * d31, x1.num * d23, x2.den * d31, x1.den * d23)
+    return (x2[0] * d31, x1[0] * d23, x2[1] * d31, x1[1] * d23)
 
 
 def three_point_map(src, dst):
     """The unique PGL element sending the triple src to the triple dst."""
-    src = tuple(as_point(p) for p in src)
-    dst = tuple(as_point(p) for p in dst)
+    return MoebiusMap(_three_point_map([as_pair(p) for p in src], [as_pair(p) for p in dst]))
+
+
+def _three_point_map(src, dst):
+    """three_point_map on (num, den) triples, as a nonsingular (a, b, c, d)."""
     if not (_distinct(*src) and _distinct(*dst)):
         raise DegenerateInputError("triple is not pairwise distinct", factor="x_i - x_j")
-    return MoebiusMap(_mul(_map_from_standard(*dst), _adj(_map_from_standard(*src))))
+    m = _mul(_map_from_standard(*dst), _adj(_map_from_standard(*src)))
+    _check_nonsingular(*m)
+    return m
 
 
 def fixed_points_with_eigs(m, tol=1e-9):
@@ -376,7 +411,8 @@ def fixed_points_with_eigs(m, tol=1e-9):
     arg(e) in [0, pi)).  The other branch is reached through the flip
     action, not here.
     """
-    return _fixed_points_with_eigs(m.a, m.b, m.c, m.d, tol)
+    x, e, y = _fixed_points_with_eigs(m.a, m.b, m.c, m.d, tol)
+    return ProjectivePoint(*x), e, ProjectivePoint(*y)
 
 
 def _fixed_points_with_eigs(a, b, c, d, tol):
@@ -392,11 +428,9 @@ def _fixed_points_with_eigs(a, b, c, d, tol):
     def eigvec(lam):
         r1 = (b, lam - a)
         r2 = (lam - d, c)
-        return r2 if abs(r2[0]) + abs(r2[1]) > abs(r1[0]) + abs(r1[1]) else r1
+        return _point(*(r2 if abs(r2[0]) + abs(r2[1]) > abs(r1[0]) + abs(r1[1]) else r1))
 
-    x = ProjectivePoint(*eigvec(e))
-    y = ProjectivePoint(*eigvec(1 / e))
-    return x, e, y
+    return eigvec(e), e, eigvec(1 / e)
 
 
 def _trace_roots(tr, tol=1e-9):

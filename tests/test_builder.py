@@ -1,8 +1,12 @@
 """Building surface-group representations and recovering coordinates."""
 
 import cmath
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,10 +14,11 @@ import pytest
 from pantsrep import builder, coordinates as co, moves, surface as su
 from pantsrep.coordinates import EdgeParams
 from pantsrep.moves import Move
-from pantsrep.projective import INF, DegenerateInputError, MoebiusMap, SingularMapError
+from pantsrep.projective import (INF, DegenerateInputError, MoebiusMap, ProjectivePoint,
+                                  SingularMapError)
 
-from helpers import (SURFACES, caterpillar, handle_chain, max_residual, ribbon_graphs,
-                     sample_params)
+from helpers import (SUBPROCESS_ENV, SURFACES, caterpillar, handle_chain, max_residual,
+                     ribbon_graphs, sample_fuchsian_params, sample_params)
 
 RNG = np.random.default_rng(20240904)
 
@@ -369,3 +374,106 @@ def test_failing_recover_raises_on_every_call_and_names_the_vertex():
     assert first[:2] == (DegenerateInputError, "det - 1")
     assert re.match(r"vertex \d+ slot [012]: ", first[2]), first
     assert _outcome(rep) == first
+
+
+def _round_trip(surf, params):
+    """Everything build, verify_relations and both recovers give, as one repr."""
+    rep = builder.build(surf, params)
+    out = [{name: (m.a, m.b, m.c, m.d) for name, m in rep.images.items()},
+           {vid: [(p.num, p.den) for p in triple] for vid, triple in rep.points.items()},
+           rep.params, builder.verify_relations(rep)]
+    for choice in ({}, {eid: -1 for eid in params.eigen}):
+        out.append(_outcome(rep, eigen_choice=choice))
+    return repr(out)
+
+
+def _with(params, kind):
+    return EdgeParams({k: kind(v) for k, v in params.eigen.items()},
+                      {k: kind(v) for k, v in params.twist.items()})
+
+
+def _integer_params(surf, rng):
+    g = surf.graph
+    while True:
+        params = EdgeParams(
+            {eid: int(rng.choice([-5, -4, -3, -2, 2, 3, 4, 5])) for eid in g.edges},
+            {eid: int(rng.choice([-3, -2, -1, 1, 2, 3])) for eid in g.interior_edges()})
+        if co.in_domain(params, surf):
+            return params
+
+
+@pytest.mark.parametrize("name", sorted(SURFACES))
+def test_number_types_give_exactly_the_complex_result(name):
+    # build coerces every parameter once, so no formula runs in int, float
+    # or numpy arithmetic and the result is the complex values' to the bit
+    surf = SURFACES[name]()
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        params = sample_params(surf, rng)
+        assert _round_trip(surf, _with(params, np.complex128)) == _round_trip(surf, params)
+        for given in (sample_fuchsian_params(surf, rng), _integer_params(surf, rng)):
+            assert _round_trip(surf, given) == _round_trip(surf, _with(given, complex))
+
+
+def _construction_census():
+    """Print, as JSON, the ProjectivePoints and MoebiusMaps each stage makes.
+
+    Every way of making one (a call, copy, pickle, or a bare cls.__new__
+    that skips __init__) goes through the class's __new__, which is
+    replaced here by one that records the new object.  A replaced __new__
+    cannot be put back, so this runs in a fresh interpreter.
+    """
+    import copy
+    import pickle
+
+    made = []
+
+    def recording(klass, *args, **kwargs):
+        made.append(object.__new__(klass))
+        return made[-1]
+
+    def taken():
+        out = list(made)
+        made.clear()
+        return out
+
+    for cls in (ProjectivePoint, MoebiusMap):
+        cls.__new__ = staticmethod(recording)
+    copy.copy(ProjectivePoint(1, 2))
+    pickle.loads(pickle.dumps(MoebiusMap((1, 2, 3, 4))))
+    ProjectivePoint.__new__(ProjectivePoint)
+    doc = {"hook": sorted(type(o).__name__ for o in taken()), "build": [], "later": []}
+    rng = np.random.default_rng(13)
+    for surf in [make() for make in SURFACES.values()] + ribbon_graphs():
+        for _ in range(3):
+            params = sample_params(surf, rng)
+            try:
+                rep = builder.build(surf, params)
+            except (ValueError, ArithmeticError):
+                taken()
+                continue
+            points = {id(p) for triple in rep.points.values() for p in triple}
+            new = taken()
+            doc["build"].append([sum(type(o) is ProjectivePoint and id(o) not in points
+                                     for o in new), sum(type(o) is MoebiusMap for o in new)])
+            builder.verify_relations(rep)
+            for choice in ({}, {eid: -1 for eid in params.eigen}):
+                _outcome(rep, eigen_choice=choice)
+            doc["later"].append(len(taken()))
+    print(json.dumps(doc))
+
+
+def test_only_the_api_edge_makes_point_and_map_objects():
+    # build makes ProjectivePoints only for rep.points; verify_relations and
+    # recover_coordinates run on tuples and make neither kind of object
+    r = subprocess.run(
+        [sys.executable, "-c", "import test_builder; test_builder._construction_census()"],
+        cwd=os.path.dirname(os.path.abspath(__file__)), env=SUBPROCESS_ENV,
+        capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr[-2000:]
+    doc = json.loads(r.stdout)
+    assert doc["hook"] == ["MoebiusMap", "MoebiusMap", "ProjectivePoint", "ProjectivePoint",
+                           "ProjectivePoint"]
+    assert len(doc["build"]) > 150
+    assert all(stray == 0 and maps > 0 for stray, maps in doc["build"])
+    assert doc["later"] == [0] * len(doc["build"])

@@ -220,6 +220,19 @@ def test_recover_numeric_error_names_the_vertex(tmp_path):
     assert re.match(r"vertex \d+ slot [012]: ", doc["detail"]), doc
 
 
+def test_build_numeric_error_names_the_vertex(tmp_path):
+    # the generators case above fails in pants_rep: the error names its vertex
+    surf, params = _four_holed((-2, 3.00003, -1.5, -2.5, -1.75), 1.3 + 0.2j)
+    spath, ppath = tmp_path / "s.json", tmp_path / "p.json"
+    su.save(surf, spath)
+    co.save_params(params, ppath)
+    r = run_cli("generators", "--surface", str(spath), "--params", str(ppath))
+    assert (r.returncode, r.stderr) == (4, ""), (r.stdout, r.stderr[-500:])
+    doc = strict_json(r.stdout)
+    assert doc["factor"] == "det"
+    assert re.match(r"vertex \d+: ", doc["detail"]), doc
+
+
 def test_act_flip(four_holed_files):
     surf, params, spath, ppath = four_holed_files
     r = run_cli("act", "--surface", spath, "--params", ppath, "--flip", "2")
