@@ -17,6 +17,7 @@ from .projective import (
     ProjectivePoint,
     _adj,
     _apply,
+    _at,
     _chain,
     _distinct,
     _fixed_points_with_eigs,
@@ -78,12 +79,6 @@ class SurfaceRepresentation:
 
     def image(self, name):
         return self.images[name]
-
-
-def _at(where, ex):
-    """ex, its message prefixed by where: the class and factor stay."""
-    ex.args = ("%s: %s" % (where, ex),)
-    return ex
 
 
 def _word(table, word):

@@ -169,7 +169,7 @@ def cmd_act(args, surf, params):
         eps = {eid: (-1 if eid in ids else 1) for eid in surf.graph.edges}
         if not symmetry.check_epsilon(surf, eps):
             raise DomainError("sign vector %s is not admissible" % sorted(ids))
-        params = symmetry.act_epsilon(params, eps, surf)
+        params = symmetry.act_epsilon(params, eps)
     return coordinates.params_to_json(params)
 
 

@@ -8,9 +8,9 @@ the vertex carrying (x1, x4, x5), both triples counterclockwise starting at
 the shared edge, the forward equations give (x4, x5) and the backward ones
 (x2, x3).  All eigenvalues entering these formulas must already be
 orientation-adjusted (invert e for an edge pointing into its vertex);
-_end_eigen owns that adjustment.  The public functions coerce their input
-once and wrap kernels on complex numbers and (num, den) points, which
-builder calls directly.
+_end_eigen owns that adjustment.  The public functions coerce their points
+once and wrap kernels on numbers and (num, den) points, which builder calls
+directly; eigenvalues and twists are computed on as given.
 """
 
 import cmath
@@ -97,13 +97,12 @@ def _ratio_point(a, b, c, x1, x2, x3):
 
 def propagate_forward(es, t1, x1, x2, x3):
     """Fixed points (x4, x5) across the edge, from (x1, x2, x3)."""
-    x4, x5 = _forward(tuple(complex(e) for e in es), complex(t1),
-                      as_pair(x1), as_pair(x2), as_pair(x3))
+    x4, x5 = _forward(es, t1, as_pair(x1), as_pair(x2), as_pair(x3))
     return ProjectivePoint(*x4), ProjectivePoint(*x5)
 
 
 def _forward(es, t1, x1, x2, x3):
-    """propagate_forward on complex numbers and (num, den) points."""
+    """propagate_forward on numbers and (num, den) points."""
     e1, e2, e3, e4, e5 = es
     f15_4 = e1 * e5 - e4
     a4 = e1 * (-(e1 * e3 - e2) * (e1 * e4 - e5) * t1 + e3 * f15_4)
@@ -120,13 +119,12 @@ def _forward(es, t1, x1, x2, x3):
 
 def propagate_backward(es, t1, x1, x4, x5):
     """Fixed points (x2, x3) on the near side, from (x1, x4, x5)."""
-    x2, x3 = _backward(tuple(complex(e) for e in es), complex(t1),
-                       as_pair(x1), as_pair(x4), as_pair(x5))
+    x2, x3 = _backward(es, t1, as_pair(x1), as_pair(x4), as_pair(x5))
     return ProjectivePoint(*x2), ProjectivePoint(*x3)
 
 
 def _backward(es, t1, x1, x4, x5):
-    """propagate_backward on complex numbers and (num, den) points."""
+    """propagate_backward on numbers and (num, den) points."""
     e1, e2, e3, e4, e5 = es
     s = 1 / t1
     a2 = (e1 * e5 - e4) * s + e1 * e5
@@ -142,7 +140,7 @@ def _backward(es, t1, x1, x4, x5):
 
 def gluing_map(t1, x1, y1):
     """M(sqrt(-t1); x1, y1), the map carrying x2 to x5 across the edge."""
-    return mobius_with_axis(sqrt_principal(-_vanishing(complex(t1), "t1")), x1, y1)
+    return mobius_with_axis(sqrt_principal(-_vanishing(t1, "t1")), x1, y1)
 
 
 def twist_from_fixed_points(variant, es, xs):
@@ -151,12 +149,11 @@ def twist_from_fixed_points(variant, es, xs):
     xs maps the index i (1..5) to the fixed point x_i; the variants use
     {x1,x2,x3,x5}, {x1,x2,x3,x4}, {x1,x2,x4,x5}, {x1,x3,x4,x5} respectively.
     """
-    return _twist(variant, tuple(complex(e) for e in es),
-                  {k: as_pair(v) for k, v in xs.items() if v is not None})
+    return _twist(variant, es, {k: as_pair(v) for k, v in xs.items() if v is not None})
 
 
 def _twist(variant, es, x):
-    """twist_from_fixed_points on complex numbers and (num, den) points."""
+    """twist_from_fixed_points on numbers and (num, den) points."""
     e1, e2, e3, e4, e5 = es
     if variant == 1:
         den = _vanishing(e2 - e1 * e3, "e2 - e1 e3", _FACTOR_TOL)
@@ -226,8 +223,7 @@ def _chi(e):
 
 def four_holed_traces(es, t1):
     """(tr(g3 g4), tr(g2 g4), tr(g3 g5)) of the four-holed sphere closed forms."""
-    e1, e2, e3, e4, e5 = (complex(e) for e in es)
-    t1 = complex(t1)
+    e1, e2, e3, e4, e5 = es
     _vanishing(e1 - 1 / e1, "e1 - 1/e1", _FACTOR_TOL)
     p = (e2 * e3 - e1) * (e1 * e3 - e2) / (e1 * e2 * e3) * (e4 * e5 - e1) * (e1 * e4 - e5) / (e1 * e4 * e5)
     q = (1 - e1 * e2 * e3) * (e1 * e2 - e3) / (e1 * e2 * e3) * (1 - e1 * e4 * e5) * (e1 * e5 - e4) / (e1 * e4 * e5)
@@ -243,7 +239,7 @@ def four_holed_traces(es, t1):
 
 def twist_from_traces_four_holed(es, tr24, tr35):
     """t1 from tr(rho(g2 g4)) and tr(rho(g3 g5))."""
-    e1, e2, e3, e4, e5 = (complex(e) for e in es)
+    e1, e2, e3, e4, e5 = es
     _vanishing(_chi(e1), "e1 + 1/e1", _FACTOR_TOL)
     _vanishing((e2 * e3 - e1) * (e1 * e3 - e2), "(e2 e3 - e1)(e1 e3 - e2)", _FACTOR_TOL)
     _vanishing((e4 * e5 - e1) * (e1 * e4 - e5), "(e4 e5 - e1)(e1 e4 - e5)", _FACTOR_TOL)
@@ -268,7 +264,6 @@ def one_holed_traces(e1, e2, t1):
     The sign depends on the branch of sqrt(-e2 t1); squared traces are
     branch-free.
     """
-    e1, e2, t1 = complex(e1), complex(e2), complex(t1)
     root = sqrt_principal(-e2 * t1)
     den = (e1 * e1 - 1) * root
     trb = -((e1 * e1 - e2) * t1 + 1 - e1 * e1 * e2) / den
@@ -278,9 +273,8 @@ def one_holed_traces(e1, e2, t1):
 
 def twist_from_traces_one_holed(e1, e2, trb, trab):
     """t1 = -e2/(e1^2 - e2)^2 (tr(beta_1) - e1 tr(alpha_1 beta_1))^2."""
-    e1, e2 = complex(e1), complex(e2)
     den = _vanishing(e1 * e1 - e2, "e1^2 - e2", _FACTOR_TOL)
-    return -e2 / den ** 2 * (complex(trb) - e1 * complex(trab)) ** 2
+    return -e2 / den ** 2 * (trb - e1 * trab) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -22,16 +22,16 @@ FnParams.__new__.__defaults__ = (None,)
 
 
 def _is_real(z, tol=REAL_TOL):
-    return abs(complex(z).imag) <= tol * max(1.0, abs(z))
+    return abs(z.imag) <= tol * max(1.0, abs(z))
 
 
 def in_teich_domain(params, tol=REAL_TOL):
     """True iff every eigenvalue is real < -1 and every twist real > 0."""
     for e in params.eigen.values():
-        if not _is_real(e, tol) or complex(e).real >= -1:
+        if not _is_real(e, tol) or e.real >= -1:
             return False
     for t in params.twist.values():
-        if not _is_real(t, tol) or complex(t).real <= 0:
+        if not _is_real(t, tol) or t.real <= 0:
             return False
     return True
 
@@ -52,7 +52,7 @@ def pants_discreteness_certificate(e1, e2, e3):
     for e in (e1, e2, e3):
         if not _is_real(e):
             raise ValueError("eigenvalues must be real, got %r" % (e,))
-    e1, e2, e3 = complex(e1).real, complex(e2).real, complex(e3).real
+    e1, e2, e3 = e1.real, e2.real, e3.real
     if e1 * e2 * e3 >= 0:
         raise ValueError("need e1*e2*e3 < 0 (boundary traces of a real pants group)")
     x3 = -e1 * (e1 * e2 - e3) / (e1 * e3 - e2)
@@ -73,7 +73,6 @@ def goldman_type(e1, e2, e3):
     """
     chis = []
     for e in (e1, e2, e3):
-        e = complex(e)
         chi = e + 1 / e
         if not _is_real(chi):
             raise ValueError("trace %r is not real; not a real or unitary triple" % (chi,))
@@ -85,7 +84,7 @@ def goldman_type(e1, e2, e3):
 
 
 def commutator_trace(e1, e2, e3):
-    chis = [complex(e) + 1 / complex(e) for e in (e1, e2, e3)]
+    chis = [e + 1 / e for e in (e1, e2, e3)]
     return sum(c * c for c in chis) - chis[0] * chis[1] * chis[2] - 2
 
 
@@ -133,7 +132,7 @@ def normalize_domain(params, surface):
         if abs(params.eigen[eid]) < 1:
             params = symmetry.flip_eigenvalue(params, surface, eid)
             actions["flips"].append(eid)
-    eps = {eid: -1 if _is_real(e) and complex(e).real > 0 else 1
+    eps = {eid: -1 if _is_real(e) and e.real > 0 else 1
            for eid, e in sorted(params.eigen.items())}
     if -1 in eps.values() and symmetry.check_epsilon(surface, eps):
         params = symmetry.act_epsilon(params, eps)
@@ -152,14 +151,13 @@ def to_fenchel_nielsen(params, surface, require_domain=True):
                          "pass require_domain=False for the analytic extension")
     lengths = {}
     for eid, e in params.eigen.items():
-        e = complex(e)
         if on_locus:
             lengths[eid] = 2 * math.log(-e.real)
         else:
             lengths[eid] = 2 * cmath.log(-e)
     fn_twists = {}
     for eid, t in params.twist.items():
-        tfn = fn_twist_factor(surface, params, eid) * complex(t)
+        tfn = fn_twist_factor(surface, params, eid) * t
         if on_locus:
             fn_twists[eid] = math.log(tfn.real)
         else:
@@ -171,18 +169,18 @@ def to_fenchel_nielsen(params, surface, require_domain=True):
 
 def from_fenchel_nielsen(fn, surface):
     """Inverse of to_fenchel_nielsen on the Teichmueller domain."""
-    eigen = {eid: -cmath.exp(complex(l) / 2) for eid, l in fn.lengths.items()}
+    eigen = {eid: -cmath.exp(l / 2) for eid, l in fn.lengths.items()}
     # the conversion factor depends only on eigenvalues, so the twists can
     # be recovered edge by edge
     twist = {eid: 1.0 + 0j for eid in fn.fn_twists}
     probe = EdgeParams(eigen, twist)
     out = {}
     for eid, tau in fn.fn_twists.items():
-        out[eid] = cmath.exp(complex(tau)) / fn_twist_factor(surface, probe, eid)
+        out[eid] = cmath.exp(tau) / fn_twist_factor(surface, probe, eid)
     real = all(_is_real(e) for e in eigen.values()) and all(_is_real(t) for t in out.values())
     if real:
-        eigen = {k: complex(v).real for k, v in eigen.items()}
-        out = {k: complex(v).real for k, v in out.items()}
+        eigen = {k: v.real for k, v in eigen.items()}
+        out = {k: v.real for k, v in out.items()}
     return EdgeParams({k: complex(v) for k, v in eigen.items()},
                       {k: complex(v) for k, v in out.items()})
 

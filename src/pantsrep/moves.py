@@ -9,7 +9,7 @@ transformation of the eigenvalue-twist parameters.
 
 from collections import namedtuple
 
-from .projective import DegenerateInputError, _trace_roots, _vanishing, sqrt_principal
+from .projective import DegenerateInputError, _at, _trace_roots, _vanishing, sqrt_principal
 from .surface import Edge, FatGraph, PantsSurface, Vertex
 from .coordinates import (
     EdgeParams,
@@ -26,14 +26,12 @@ Move.__new__.__defaults__ = (None, None)
 
 def reverse_edge_formula(es, t1):
     """(e1, t1) after reversing the edge carrying them."""
-    e1, e2, e3, e4, e5 = (complex(e) for e in es)
-    t1 = complex(t1)
+    e1, e2, e3, e4, e5 = es
     coeff = (e1 * e2 - e3) * (e1 * e5 - e4) / ((e1 * e3 - e2) * (e1 * e4 - e5))
     return 1 / e1, coeff / t1
 
 
 def dehn_twist_formula(e, t, direction="right"):
-    e, t = complex(e), complex(t)
     if direction == "right":
         return e, e * e * t
     if direction == "left":
@@ -43,8 +41,7 @@ def dehn_twist_formula(e, t, direction="right"):
 
 def half_twist_formula(e1, e2, e3, t1):
     """Twist after a right half twist at the (e1; e2, e3) vertex."""
-    e1, e2, e3 = complex(e1), complex(e2), complex(e3)
-    return -e1 * (e1 * e3 - e2) / (e1 * e2 - e3) * complex(t1)
+    return -e1 * (e1 * e3 - e2) / (e1 * e2 - e3) * t1
 
 
 def new_eigenvalue(tr, branch=None):
@@ -52,11 +49,10 @@ def new_eigenvalue(tr, branch=None):
 
     A parabolic new curve (tr near +-2) raises DegenerateInputError.
     """
-    tr = complex(tr)
     _, e = _trace_roots(tr)
     if branch is None:
         return e
-    e = complex(branch)
+    e = branch
     if abs(e * e - tr * e + 1) > 1e-6 * max(1.0, abs(tr)) * max(1.0, abs(e) ** 2):
         raise ValueError("branch is not a root of x^2 - tr x + 1")
     return e
@@ -70,8 +66,7 @@ def elementary_four_holed(es, t1, t_other, branch=None):
     interior edge of a larger surface to its old twist; the returned dict
     maps the same positions to their new twists.
     """
-    e1, e2, e3, e4, e5 = (complex(e) for e in es)
-    t1 = complex(t1)
+    e1, e2, e3, e4, e5 = es
     tr34, tr24, tr35 = four_holed_traces(es, t1)
     e1p = new_eigenvalue(tr34, branch)
 
@@ -109,12 +104,11 @@ def elementary_four_holed(es, t1, t_other, branch=None):
         * (t1 + 1)
         / ((e1 - e4 * e5) * f14_5 * t1 + (e1 * e4 * e5 - 1) * f15_4),
     }
-    return e1p, t1p, {pos: factors[pos] * complex(t) for pos, t in t_other.items()}
+    return e1p, t1p, {pos: factors[pos] * t for pos, t in t_other.items()}
 
 
 def elementary_one_holed(e1, e2, t1, branch=None):
     """Type V on a one-holed torus: new (e1', t1', boundary twist factor)."""
-    e1, e2, t1 = complex(e1), complex(e2), complex(t1)
     trb, _ = one_holed_traces(e1, e2, t1)
     e1p = new_eigenvalue(trb, branch)
     _vanishing(e1p * e1p - e2, "e1'^2 - e2", 1e-12 * max(1.0, abs(e2)))
@@ -140,70 +134,78 @@ def _rewired(surface, vertices, edges):
 
 
 def apply_move(surface, params, move):
-    """Apply one move, returning (new surface, new params)."""
-    graph = surface.graph
-    kind = move.kind
-    if kind == "reverse":
-        edge = move.target
-        eigen = dict(params.eigen)
-        twist = dict(params.twist)
-        if graph.is_boundary(edge):
-            # reversing plus inverting keeps every adjusted local value
-            eigen[edge] = 1 / eigen[edge]
-        else:
-            lp = local_picture(surface, params, edge)
-            eigen[edge], twist[edge] = reverse_edge_formula(lp.es, lp.t1)
-        e = graph.edges[edge]
-        flip = {"tail": "head", "head": "tail"}
-        ends = {}
-        for vid in (e.tail, e.head):
-            rec = graph.vertices[vid]
-            ends[vid] = rec._replace(incident=tuple(
-                (eid, flip[end] if eid == edge else end) for eid, end in rec.incident))
-        new_surface = _rewired(surface, ends, {edge: Edge(edge, e.head, e.tail)})
-        return new_surface, EdgeParams(eigen, twist)
-    if kind in ("twist-r", "twist-l"):
-        edge = move.target
-        if graph.is_boundary(edge):
-            raise ValueError("Dehn twists act along interior pants curves")
-        twist = dict(params.twist)
-        _, twist[edge] = dehn_twist_formula(
-            params.eigen[edge], twist[edge], "right" if kind == "twist-r" else "left"
-        )
-        return surface, EdgeParams(dict(params.eigen), twist)
-    if kind == "vertex":
-        vid = move.target
-        if surface.graph.vertices[vid].kind != "tri":
-            raise ValueError("vertex move needs a trivalent vertex")
-        twist = dict(params.twist)
-        inc = graph.vertices[vid].incident
-        es = [_end_eigen(params.eigen[eid], end) for eid, end in inc]
-        for s, (eid, _end) in enumerate(inc):
-            if graph.is_boundary(eid):
-                continue
-            factor = half_twist_formula(es[s], es[(s + 1) % 3], es[(s + 2) % 3], 1)
-            twist[eid] = factor * twist[eid]
-        # the half twists reverse the counterclockwise order at the vertex
-        new_surface = _rewired(surface, {vid: Vertex(vid, "tri", (inc[0], inc[2], inc[1]))}, {})
-        return new_surface, EdgeParams(dict(params.eigen), twist)
-    if kind == "auto":
-        vperm = move.data.get("vertices", {})
-        eperm = move.data.get("edges", {})
-        # a relabelling changes every record, so the graph is built anew
-        new_graph = FatGraph(
-            [Vertex(vperm.get(v.id, v.id), v.kind,
-                    tuple((eperm.get(eid, eid), end) for eid, end in v.incident))
-             for v in graph.vertices.values()],
-            [Edge(eperm.get(e.id, e.id), vperm.get(e.tail, e.tail), vperm.get(e.head, e.head))
-             for e in graph.edges.values()])
-        tree = {eperm.get(eid, eid) for eid in surface.tree} if surface.tree is not None else None
-        eigen = {eperm.get(k, k): v for k, v in params.eigen.items()}
-        twist = {eperm.get(k, k): v for k, v in params.twist.items()}
-        return (PantsSurface(surface.genus, surface.boundary, new_graph, tree=tree),
-                EdgeParams(eigen, twist))
-    if kind == "elem":
-        return _elementary_move(surface, params, move.target, move.branch)
-    raise ValueError("unknown move kind %r" % (kind,))
+    """Apply one move, returning (new surface, new params).
+
+    A DegenerateInputError or ArithmeticError is re-raised, class and factor
+    kept, with its message prefixed "vertex <id>: " or, for an edge, "edge <id>: ".
+    """
+    try:
+        graph = surface.graph
+        kind = move.kind
+        if kind == "reverse":
+            edge = move.target
+            eigen = dict(params.eigen)
+            twist = dict(params.twist)
+            if graph.is_boundary(edge):
+                # reversing plus inverting keeps every adjusted local value
+                eigen[edge] = 1 / eigen[edge]
+            else:
+                lp = local_picture(surface, params, edge)
+                eigen[edge], twist[edge] = reverse_edge_formula(lp.es, lp.t1)
+            e = graph.edges[edge]
+            flip = {"tail": "head", "head": "tail"}
+            ends = {}
+            for vid in (e.tail, e.head):
+                rec = graph.vertices[vid]
+                ends[vid] = rec._replace(incident=tuple(
+                    (eid, flip[end] if eid == edge else end) for eid, end in rec.incident))
+            new_surface = _rewired(surface, ends, {edge: Edge(edge, e.head, e.tail)})
+            return new_surface, EdgeParams(eigen, twist)
+        if kind in ("twist-r", "twist-l"):
+            edge = move.target
+            if graph.is_boundary(edge):
+                raise ValueError("Dehn twists act along interior pants curves")
+            twist = dict(params.twist)
+            _, twist[edge] = dehn_twist_formula(
+                params.eigen[edge], twist[edge], "right" if kind == "twist-r" else "left"
+            )
+            return surface, EdgeParams(dict(params.eigen), twist)
+        if kind == "vertex":
+            vid = move.target
+            if surface.graph.vertices[vid].kind != "tri":
+                raise ValueError("vertex move needs a trivalent vertex")
+            twist = dict(params.twist)
+            inc = graph.vertices[vid].incident
+            es = [_end_eigen(params.eigen[eid], end) for eid, end in inc]
+            for s, (eid, _end) in enumerate(inc):
+                if graph.is_boundary(eid):
+                    continue
+                factor = half_twist_formula(es[s], es[(s + 1) % 3], es[(s + 2) % 3], 1)
+                twist[eid] = factor * twist[eid]
+            # the half twists reverse the counterclockwise order at the vertex
+            new_surface = _rewired(surface, {vid: Vertex(vid, "tri", (inc[0], inc[2], inc[1]))}, {})
+            return new_surface, EdgeParams(dict(params.eigen), twist)
+        if kind == "auto":
+            vperm = move.data.get("vertices", {})
+            eperm = move.data.get("edges", {})
+            # a relabelling changes every record, so the graph is built anew
+            new_graph = FatGraph(
+                [Vertex(vperm.get(v.id, v.id), v.kind,
+                        tuple((eperm.get(eid, eid), end) for eid, end in v.incident))
+                 for v in graph.vertices.values()],
+                [Edge(eperm.get(e.id, e.id), vperm.get(e.tail, e.tail), vperm.get(e.head, e.head))
+                 for e in graph.edges.values()])
+            tree = (None if surface.tree is None
+                    else {eperm.get(eid, eid) for eid in surface.tree})
+            eigen = {eperm.get(k, k): v for k, v in params.eigen.items()}
+            twist = {eperm.get(k, k): v for k, v in params.twist.items()}
+            return (PantsSurface(surface.genus, surface.boundary, new_graph, tree=tree),
+                    EdgeParams(eigen, twist))
+        if kind == "elem":
+            return _elementary_move(surface, params, move.target, move.branch)
+        raise ValueError("unknown move kind %r" % (kind,))
+    except (DegenerateInputError, ArithmeticError) as ex:
+        raise _at("%s %r" % ("vertex" if move.kind == "vertex" else "edge", move.target), ex)
 
 
 def _elementary_move(surface, params, edge, branch):

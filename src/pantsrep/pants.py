@@ -28,7 +28,7 @@ PantsData = namedtuple("PantsData", ["eigen", "fixed"])
 
 
 def make_pants_data(eigen, fixed):
-    eigen = tuple([complex(e) for e in eigen])
+    eigen = tuple(eigen)
     fixed = tuple([as_point(x) for x in fixed])
     for e in eigen:
         if e == 0 or abs(e - 1) < 1e-13 or abs(e + 1) < 1e-13:
@@ -106,12 +106,11 @@ def is_admissible_triple(e1, e2, e3, tol=1e-9):
     Reducibility happens exactly on e1 = e2 e3, e2 = e3 e1, e3 = e1 e2 and
     e1 e2 e3 = 1; comparisons are relative to the magnitudes involved.
     """
-    e1, e2, e3 = complex(e1), complex(e2), complex(e3)
     products = [
         (e1, e2 * e3),
         (e2, e3 * e1),
         (e3, e1 * e2),
-        (e1 * e2 * e3, 1.0 + 0j),
+        (e1 * e2 * e3, 1),
     ]
     for lhs, rhs in products:
         if abs(lhs - rhs) <= tol * max(abs(lhs), abs(rhs), 1.0):

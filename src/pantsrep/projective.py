@@ -8,11 +8,13 @@ produces a determinant-1 representative when one is wanted.
 
 Each formula is written once, in a private kernel (here and in pants,
 coordinates and builder) that takes points as plain ``(num, den)`` tuples,
-matrices as row-major ``(a, b, c, d)`` tuples of Python complex numbers,
-and coerces nothing: for a 2x2 matrix, an object or a numpy call per step
-costs many times the arithmetic.  The public functions coerce their inputs
-once (as_point, complex()), call the kernel and wrap its result.  numpy is
-imported on demand, only to accept an array, build ``.m`` or print a map.
+matrices as row-major ``(a, b, c, d)`` tuples, and coerces nothing: for a
+2x2 matrix, an object or a numpy call per step costs many times the
+arithmetic.  The public functions coerce their points once (as_point),
+call the kernel and wrap its result.  Formulas compute in their inputs' own
+arithmetic: complex() is called only where numbers enter the package.
+numpy is imported on demand, only to accept an array, build ``.m`` or
+print a map.
 
 Every numeric degeneracy is a named factor of a source formula reaching
 zero; _vanishing is the one rule that tests it and names it in the error.
@@ -44,6 +46,12 @@ class DegenerateInputError(ValueError):
     def __init__(self, message, factor=None):
         super().__init__(message)
         self.factor = factor
+
+
+def _at(where, ex):
+    """ex, its message prefixed by where: the class and factor stay."""
+    ex.args = ("%s: %s" % (where, ex),)
+    return ex
 
 
 def _vanishing(value, factor, bound=0.0):
@@ -128,7 +136,7 @@ def as_point(z):
     if isinstance(z, numbers.Complex):
         if isinstance(z, numbers.Real) and math.isinf(z):
             return INF
-        return ProjectivePoint(complex(z), 1)
+        return ProjectivePoint(z)
     raise TypeError("cannot interpret %r as a point of CP^1" % (z,))
 
 
@@ -356,7 +364,7 @@ def mobius_with_axis(e, x, y):
     Built from the conjugated diagonal form, so infinity among {x, y} is
     exact; the result has determinant 1.
     """
-    e = _vanishing(complex(e), "e")
+    e = _vanishing(e, "e")
     x = as_point(x)
     y = as_point(y)
     if x.same_as(y):
@@ -391,12 +399,16 @@ def _map_from_standard(x1, x2, x3):
 
 def three_point_map(src, dst):
     """The unique PGL element sending the triple src to the triple dst."""
-    return MoebiusMap(_three_point_map([as_pair(p) for p in src], [as_pair(p) for p in dst]))
+    src, dst = [as_pair(p) for p in src], [as_pair(p) for p in dst]
+    if not _distinct(*src):
+        raise DegenerateInputError("triple is not pairwise distinct", factor="x_i - x_j")
+    return MoebiusMap(_three_point_map(src, dst))
 
 
 def _three_point_map(src, dst):
-    """three_point_map on (num, den) triples, as a nonsingular (a, b, c, d)."""
-    if not (_distinct(*src) and _distinct(*dst)):
+    """three_point_map on (num, den) triples, as a nonsingular (a, b, c, d);
+    the caller has tested src for distinctness, dst is tested here."""
+    if not _distinct(*dst):
         raise DegenerateInputError("triple is not pairwise distinct", factor="x_i - x_j")
     m = _mul(_map_from_standard(*dst), _adj(_map_from_standard(*src)))
     _check_nonsingular(*m)

@@ -23,7 +23,7 @@ def _occurrence_factor(es, position):
         return (e2 * e3 - e1) * (e1 * e3 - e2) / ((1 - e1 * e2 * e3) * (e1 * e2 - e3))
     if position == 5:
         return (e4 * e5 - e1) * (e1 * e4 - e5) / ((1 - e1 * e4 * e5) * (e1 * e5 - e4))
-    return 1.0
+    return 1
 
 
 def flip_eigenvalue(params, surface, edge):
@@ -49,7 +49,7 @@ def flip_eigenvalue(params, surface, edge):
         positions = [pos for pos, (eid, _) in zip((2, 3, 4, 5), nbrs) if eid == edge]
         if positions:
             es = _picture_es(params.eigen, f, nbrs)
-            scale = 1.0
+            scale = 1
             for position in positions:
                 scale *= _occurrence_factor(es, position)
             twist[f] = twist[f] * scale

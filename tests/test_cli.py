@@ -153,9 +153,9 @@ def test_domain_error_exit_3(tmp_path):
     assert json.loads(r.stdout)["error"] == "domain"
 
 
-def test_numeric_error_exit_4(tmp_path):
-    # a twist making the post-move curve parabolic is inside the domain but
-    # degenerate for the elementary move
+def _parabolic_elem(tmp_path):
+    """The elem move on edge 1 of these files makes the new curve parabolic:
+    the parameters are inside the domain but degenerate for the move."""
     surf = su.four_holed_sphere()
     eigen = {1: -2.0, 2: -3.0, 3: -1.5, 4: -2.5, 5: -1.75}
     # tr(g3 g4) = A t + B + C / t; solve A t^2 + (B - 2) t + C = 0
@@ -170,10 +170,20 @@ def test_numeric_error_exit_4(tmp_path):
     spath, ppath = tmp_path / "s.json", tmp_path / "p.json"
     su.save(surf, spath)
     co.save_params(params, ppath)
-    r = run_cli("move", "--surface", str(spath), "--params", str(ppath),
-                "--kind", "elem", "--target", "1")
+    return run_cli("move", "--surface", str(spath), "--params", str(ppath),
+                   "--kind", "elem", "--target", "1")
+
+
+def test_numeric_error_exit_4(tmp_path):
+    r = _parabolic_elem(tmp_path)
     assert r.returncode == 4, (r.stdout, r.stderr)
     assert json.loads(r.stdout)["error"] == "numeric"
+
+
+def test_move_numeric_error_names_the_edge(tmp_path):
+    r = _parabolic_elem(tmp_path)
+    assert (r.returncode, r.stderr) == (4, ""), (r.stdout, r.stderr[-500:])
+    assert strict_json(r.stdout)["detail"].startswith("edge 1: ")
 
 
 def _four_holed(eigen, twist):
