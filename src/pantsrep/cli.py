@@ -20,7 +20,7 @@ import sys
 
 from . import builder, coordinates, surface
 from .coordinates import EdgeParams
-from .projective import DegenerateInputError, SingularMapError
+from .projective import DegenerateInputError, SingularMapError, _at
 
 EXIT_SCHEMA = 2
 EXIT_DOMAIN = 3
@@ -234,8 +234,11 @@ def cmd_shearbend(args, surf, params):
     loop = loops[0]
     bdry = [e for e in g.edges if g.is_boundary(e)][0]
     e1, e2, t1 = params.eigen[loop], params.eigen[bdry], params.twist[loop]
-    a, b, c, z1, z2 = shearbend.one_holed_to_shear(e1, e2, t1)
-    ma_inv, mb = shearbend.shear_rep_one_holed(a, b, c)
+    try:
+        a, b, c, z1, z2 = shearbend.one_holed_to_shear(e1, e2, t1)
+        ma_inv, mb = shearbend.shear_rep_one_holed(a, b, c)
+    except (DegenerateInputError, ArithmeticError) as ex:
+        raise _at("edge %r" % (loop,), ex)
     rep = builder.build(surf, params)
     report = {}
     for name, m in (("a1", ma_inv.inverse()), ("b1", mb)):
@@ -282,8 +285,9 @@ def sample_params(surf, rng, fuchsian_mode):
 def cmd_sample(args, surf, params):
     import numpy as np
 
-    if args.n < 0:
-        raise SchemaError("--n must not be negative, got %d" % args.n)
+    for flag, value in (("--n", args.n), ("--seed", args.seed)):
+        if value < 0:
+            raise SchemaError("%s must not be negative, got %d" % (flag, value))
     rng = np.random.default_rng(args.seed)
     points = []
     worst = 0.0

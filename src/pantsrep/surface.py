@@ -8,6 +8,7 @@ complement of a maximal tree leaves a planar piece S_0 whose fundamental
 group relation is read off by walking the boundary of the fattened tree.
 """
 
+import heapq
 import json
 from collections import namedtuple
 from functools import cached_property
@@ -111,7 +112,12 @@ class PantsSurface:
 
 
 def validate(surface):
-    """Return a list of human-readable invariant violations (empty = valid)."""
+    """Return a list of human-readable invariant violations (empty = valid).
+
+    The incidence lists are the graph's one adjacency: every edge end
+    (edge id, "tail" | "head") must be listed exactly once, by the vertex
+    at that end.
+    """
     g, b, graph = surface.genus, surface.boundary, surface.graph
     problems = []
     if 2 - 2 * g - b >= 0:
@@ -126,41 +132,29 @@ def validate(surface):
         problems.append("univalent vertex count %d != b = %d" % (len(uni), b))
     if len(graph.edges) != 3 * g - 3 + 2 * b:
         problems.append("edge count %d != 3g-3+2b = %d" % (len(graph.edges), 3 * g - 3 + 2 * b))
-    # vertex incidence structure
-    degree = {v: 0 for v in graph.vertices}
-    for e in graph.edges.values():
-        for v in (e.tail, e.head):
-            if v not in graph.vertices:
-                problems.append("edge %r touches unknown vertex %r" % (e.id, v))
-            else:
-                degree[v] += 1
+    listed = {}  # (edge id, end) -> the vertices that list it
     for v, rec in graph.vertices.items():
         want = 3 if rec.kind == "tri" else 1
         if len(rec.incident) != want:
             problems.append(
                 "vertex %r has %d incidences, expected %d" % (v, len(rec.incident), want)
             )
-        if degree.get(v) != want:
-            problems.append("vertex %r has degree %d, expected %d" % (v, degree.get(v), want))
-        for eid, end in rec.incident:
-            if eid not in graph.edges:
-                problems.append("vertex %r lists unknown edge %r" % (v, eid))
-            elif graph.end_vertex(eid, end) != v:
-                problems.append(
-                    "vertex %r lists (%r, %r) but that end is elsewhere" % (v, eid, end)
-                )
+        for key in rec.incident:
+            listed.setdefault(key, []).append(v)
+    uni_ids = set(uni)
     for e in graph.edges.values():
-        if e.tail not in graph.vertices or e.head not in graph.vertices:
-            continue  # reported above
-        kinds = {graph.vertices[e.tail].kind, graph.vertices[e.head].kind}
-        if graph.vertices[e.tail].kind == "uni" and graph.vertices[e.head].kind == "uni":
+        for key, v in (((e.id, "tail"), e.tail), ((e.id, "head"), e.head)):
+            by = listed.pop(key, [])
+            if by != [v]:
+                problems.append("vertex %r must list %r once; listed by %s" % (v, key, by or "none"))
+        if e.tail in uni_ids and e.head in uni_ids:
             problems.append("edge %r joins two univalent vertices" % (e.id,))
-        if "uni" not in kinds and e.tail == e.head and graph.vertices[e.tail].kind != "tri":
-            problems.append("loop edge %r at non-trivalent vertex" % (e.id,))
+    for key, by in listed.items():
+        problems += ["vertex %r lists %r, which is no edge end" % (v, key) for v in by]
     for eid in surface.tree or ():
         if eid not in graph.edges:
             problems.append("tree lists unknown edge %r" % (eid,))
-    if not problems and not _connected(graph):
+    if not problems and len(_spanning_walk(graph, graph.edges)) != len(graph.vertices) - 1:
         problems.append("graph is not connected")
     tree = surface.tree
     if not problems and tree is not None and not _is_spanning_tree(graph, tree):
@@ -168,51 +162,21 @@ def validate(surface):
     return problems
 
 
-def _is_spanning_tree(graph, tree):
-    """True iff the set of edge ids tree is a spanning tree of the graph."""
-    return (all(eid in graph.edges for eid in tree)
-            and len(tree) == len(graph.vertices) - 1 and _connected(graph, tree))
+def _spanning_walk(graph, eids):
+    """The tree the one graph walk grows over the edge ids eids, as a set.
 
-
-def _connected(graph, eids=None):
-    """True iff the edges eids (default: every edge) join all vertices."""
-    verts = list(graph.vertices)
-    if not verts:
-        return False
-    nbrs = {}
-    for eid in graph.edges if eids is None else eids:
-        e = graph.edges[eid]
-        nbrs.setdefault(e.tail, []).append(e.head)
-        nbrs.setdefault(e.head, []).append(e.tail)
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        for w in nbrs.get(stack.pop(), ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(graph.vertices)
-
-
-def maximal_tree(surface):
-    """A spanning tree of the fat graph, as a set of edge ids.
-
-    Grown from the lowest vertex id; each step adds the edge leaving the
-    tree that comes first in id order.
+    The walk starts at the lowest vertex id and always takes the lowest-id
+    edge of eids that leaves the vertices seen so far, reading each seen
+    vertex's incidence list; an id that is no edge is never taken.  The
+    edges reach every vertex iff the tree has one edge fewer than the graph
+    has vertices.
     """
-    import heapq  # here, not at the top: off the CLI's import path
-
-    graph = surface.graph
-    # a heap of the ids of the edges at seen vertices; an edge whose ends
-    # are both seen by the time it comes up is dropped
-    touching = {}
-    for eid, e in graph.edges.items():
-        touching.setdefault(e.tail, []).append(eid)
-        touching.setdefault(e.head, []).append(eid)
     start = min(graph.vertices)
     seen = {start}
     tree = set()
-    heap = list(touching.get(start, ()))
+    # a heap of the ids of the edges at seen vertices; an edge whose ends
+    # are both seen by the time it comes up is dropped
+    heap = [eid for eid, _ in graph.vertices[start].incident if eid in eids]
     heapq.heapify(heap)
     while heap:
         eid = heapq.heappop(heap)
@@ -222,9 +186,23 @@ def maximal_tree(surface):
         new = e.head if e.tail in seen else e.tail
         seen.add(new)
         tree.add(eid)
-        for f in touching[new]:
-            heapq.heappush(heap, f)
-    if len(seen) != len(graph.vertices):
+        for f, _ in graph.vertices[new].incident:
+            if f in eids:
+                heapq.heappush(heap, f)
+    return tree
+
+
+def _is_spanning_tree(graph, tree):
+    """True iff the set of edge ids tree is a spanning tree of the graph."""
+    return len(tree) == len(graph.vertices) - 1 == len(_spanning_walk(graph, tree))
+
+
+def maximal_tree(surface):
+    """A spanning tree of the fat graph, as a set of edge ids: the one
+    _spanning_walk grows over every edge."""
+    graph = surface.graph
+    tree = _spanning_walk(graph, graph.edges)
+    if len(tree) != len(graph.vertices) - 1:
         raise ValueError("graph is disconnected; no spanning tree")
     complement = [eid for eid in graph.interior_edges() if eid not in tree]
     if len(complement) != surface.genus:

@@ -116,6 +116,14 @@ def test_sample_negative_n_is_a_schema_error(capsys, four_holed_files):
     assert doc["error"] == "schema" and "--n" in doc["detail"]
 
 
+def test_sample_negative_seed_is_a_schema_error(capsys, four_holed_files):
+    _, _, spath, _ = four_holed_files
+    assert cli.main(["sample", "--surface", spath, "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    doc = strict_json(out)
+    assert doc["error"] == "schema" and "--seed" in doc["detail"] and err == ""
+
+
 def test_fn_on_fuchsian_point(tmp_path):
     surf = su.one_holed_torus()
     params = EdgeParams({1: -2.5, 2: -3.0}, {1: 1.5})
@@ -217,6 +225,18 @@ def test_numeric_error_names_the_vanishing_factor(tmp_path, command, case, flags
     assert (doc["error"], doc["factor"]) == ("numeric", factor)
 
 
+@pytest.mark.parametrize("t1", [-1, -0.25])
+def test_shearbend_numeric_error_names_the_edge(tmp_path, t1):
+    # the two shear-bend cases above: the error names the loop edge
+    surf, params = _one_holed(t1)
+    spath, ppath = tmp_path / "s.json", tmp_path / "p.json"
+    su.save(surf, spath)
+    co.save_params(params, ppath)
+    r = run_cli("shearbend", "--surface", str(spath), "--params", str(ppath))
+    assert (r.returncode, r.stderr) == (4, ""), (r.stdout, r.stderr[-500:])
+    assert strict_json(r.stdout)["detail"].startswith("edge 1: ")
+
+
 def test_recover_numeric_error_names_the_vertex(tmp_path):
     # the deep hc8 point above: the vertex word whose det drifts is named
     surf = handle_chain(8)
@@ -310,7 +330,7 @@ def test_bad_parameter_value_is_a_schema_error(tmp_path, four_holed_files, part,
 @pytest.mark.parametrize("part, key", [("twist", "9"), ("eigen", "3")])
 def test_parameter_key_mismatch_names_the_id(tmp_path, capsys, part, key):
     spath, ppath = _fixture_files(tmp_path, su.four_holed_sphere, 20261021)
-    doc = json.loads(open(ppath).read())
+    doc = json.loads(Path(ppath).read_text())
     if key in doc[part]:
         del doc[part][key]  # a missing key
     else:
@@ -379,13 +399,30 @@ def test_surface_with_unknown_ids_is_a_schema_error(tmp_path, four_holed_files, 
 @pytest.mark.parametrize("make, tree", [(su.four_holed_sphere, []), (su.genus_two, [1, 2, 3])])
 def test_non_spanning_stored_tree_is_a_schema_error(tmp_path, capsys, make, tree):
     spath, ppath = _fixture_files(tmp_path, make, 20261018)
-    doc = json.loads(open(spath).read())
+    doc = json.loads(Path(spath).read_text())
     doc["tree"] = tree
     with open(spath, "w") as fh:
         json.dump(doc, fh)
     assert cli.main(["generators", "--surface", spath, "--params", ppath]) == 2
     doc = strict_json(capsys.readouterr().out)
     assert doc["error"] == "schema" and "spanning tree" in doc["detail"]
+
+
+@pytest.mark.parametrize("vertex, slot, incidence, argv", [
+    (1, 0, [1, "middle"], ["generators"]),  # a label neither tail nor head
+    (0, 1, [3, "tail"], ["generators"]),    # (3, tail) listed twice, (2, tail) never
+    (2, 0, [2, "x"], ["move", "--kind", "reverse", "--target", "2"]),  # at a univalent vertex
+], ids=["label-at-trivalent", "end-twice", "label-at-univalent"])
+def test_malformed_incidence_list_is_a_schema_error(tmp_path, capsys, vertex, slot, incidence, argv):
+    spath, ppath = _fixture_files(tmp_path, su.four_holed_sphere, 20261019)
+    doc = json.loads(Path(spath).read_text())
+    doc["vertices"][vertex]["incident"][slot] = incidence
+    Path(spath).write_text(json.dumps(doc))
+    for command in (["validate"], argv):
+        assert cli.main(command + ["--surface", spath, "--params", ppath]) == 2
+        out, err = capsys.readouterr()
+        doc = strict_json(out)
+        assert doc["error"] == "schema" and repr(tuple(incidence)) in doc["detail"] and err == ""
 
 
 COMMANDS = ("example", "validate", "generators", "traces", "recover", "act", "move", "fn",
@@ -444,7 +481,7 @@ def test_flags_a_command_does_not_read_are_usage_errors(capsys, four_holed_files
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
 def test_tol_must_be_finite_and_non_negative(tmp_path, capsys, command, tol):
     spath, ppath = _fixture_files(tmp_path, su.four_holed_sphere, 20261022)
-    doc = json.loads(open(ppath).read())
+    doc = json.loads(Path(ppath).read_text())
     doc["eigen"]["2"] = [1.0, 0.0]  # outside the domain
     with open(ppath, "w") as fh:
         json.dump(doc, fh)
@@ -561,6 +598,44 @@ def test_cli_fuzz_exit_code_and_strict_json(tmp_path, capsys, docs, command, wit
     ppath.write_text(json.dumps(params_doc))
     argv = command + ["--surface", str(spath)]
     if with_params or command[0] != "validate":
+        argv += ["--params", str(ppath)]
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    assert code in (0, 2, 3, 4), (argv, out)
+    strict_json(out)
+
+
+@st.composite
+def _incidence_edits(draw):
+    """A fixture's documents with one or two incidences relabelled, duplicated or swapped."""
+    make = draw(st.sampled_from(sorted(cli.EXAMPLES.items())))[1]
+    params = sample_params(make(), np.random.default_rng(draw(st.integers(0, 2**16))))
+    doc = su.to_json(make())
+    lists = [v["incident"] for v in doc["vertices"]]
+    slots = [(inc, j) for inc in lists for j in range(len(inc))]
+    for _ in range(draw(st.integers(1, 2))):
+        (inc, j), (other, k) = draw(st.sampled_from(slots)), draw(st.sampled_from(slots))
+        what = draw(st.sampled_from(["relabel", "duplicate", "swap"]))
+        if what == "relabel":
+            inc[j] = [inc[j][0], draw(st.sampled_from(["tail", "head", "middle", "x"]))]
+        elif what == "duplicate":
+            inc[j] = list(other[k])
+        else:
+            inc[j], other[k] = other[k], inc[j]
+    return doc, co.params_to_json(params)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(docs=_incidence_edits(),
+       command=st.one_of(_COMMANDS, st.just(["shearbend"]), st.just(["sample", "--n", "1"])))
+def test_cli_incidence_fuzz_exit_code_and_strict_json(tmp_path, capsys, docs, command):
+    surface_doc, params_doc = docs
+    spath, ppath = tmp_path / "fuzz-surface.json", tmp_path / "fuzz-params.json"
+    spath.write_text(json.dumps(surface_doc))
+    ppath.write_text(json.dumps(params_doc))
+    argv = command + ["--surface", str(spath)]
+    if command[0] != "sample":
         argv += ["--params", str(ppath)]
     code = cli.main(argv)
     out = capsys.readouterr().out

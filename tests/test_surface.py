@@ -1,5 +1,7 @@
 """Fat graphs, validation, spanning trees, presentations and serialization."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from pantsrep.surface import (
     validate,
 )
 
-from helpers import caterpillar, handle_chain, ribbon_graphs, sample_params
+from helpers import caterpillar, handle_chain, reference_surfaces, ribbon_graphs, sample_params
 
 
 def test_fixtures_validate():
@@ -186,8 +188,81 @@ def test_maximal_tree_matches_reference():
     surfaces = [four_holed_sphere(), one_holed_torus(), genus_two()]
     surfaces += [handle_chain(g) for g in (1, 2, 3, 5, 8, 13, 21, 32)]
     surfaces += [caterpillar(b) for b in (4, 5, 9, 16, 33)]
+    surfaces += ribbon_graphs()
     for surf in surfaces:
         assert maximal_tree(surf) == _reference_maximal_tree(surf)
+
+
+def _union_find_verdicts(graph, eids):
+    """(connected, spanning tree) for the edge ids eids, by union-find."""
+    parent = {v: v for v in graph.vertices}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    merges = 0
+    for eid in eids:
+        a, b = find(graph.edges[eid].tail), find(graph.edges[eid].head)
+        if a != b:
+            parent[a] = b
+            merges += 1
+    connected = merges == len(graph.vertices) - 1
+    return connected, connected and len(eids) == len(graph.vertices) - 1
+
+
+def test_spanning_walk_agrees_with_union_find():
+    """The one walk's verdicts (validate's connectivity test and
+    _is_spanning_tree) on random edge subsets, against union-find."""
+    rng = random.Random(20261019)
+    for surf in reference_surfaces():
+        graph = surf.graph
+        n, edges = len(graph.vertices), sorted(graph.edges)
+        for _ in range(30):
+            k = n - 1 if rng.random() < 0.5 else rng.randint(0, len(edges))
+            eids = frozenset(rng.sample(edges, min(k, len(edges))))
+            connected, spanning = _union_find_verdicts(graph, eids)
+            assert (len(su._spanning_walk(graph, eids)) == n - 1) == connected
+            assert su._is_spanning_tree(graph, eids) == spanning
+
+
+def test_validate_reports_a_disconnected_graph():
+    # two one-holed tori side by side have the vertex and edge counts of S_{1,2}
+    vertices = [Vertex(0, "tri", ((1, "tail"), (2, "tail"), (1, "head"))),
+                Vertex(1, "uni", ((2, "head"),)),
+                Vertex(2, "tri", ((3, "tail"), (4, "tail"), (3, "head"))),
+                Vertex(3, "uni", ((4, "head"),))]
+    edges = [Edge(1, 0, 0), Edge(2, 0, 1), Edge(3, 2, 2), Edge(4, 2, 3)]
+    surf = PantsSurface(1, 2, FatGraph(vertices, edges))
+    assert validate(surf) == ["graph is not connected"]
+    with pytest.raises(ValueError, match="disconnected"):
+        maximal_tree(surf)
+
+
+@pytest.mark.parametrize("vertex, slot, incidence, named", [
+    (1, 0, [1, "middle"], ["vertex 1 lists (1, 'middle')", "vertex 1 must list (1, 'head')"]),
+    (0, 1, [3, "tail"], ["vertex 0 must list (3, 'tail')", "vertex 0 must list (2, 'tail')"]),
+    (2, 0, [2, "x"], ["vertex 2 lists (2, 'x')", "vertex 2 must list (2, 'head')"]),
+    (0, 0, [9, "tail"], ["vertex 0 lists (9, 'tail')", "vertex 0 must list (1, 'tail')"]),
+    (1, 0, [1, "tail"], ["vertex 0 must list (1, 'tail')", "vertex 1 must list (1, 'head')"]),
+], ids=["label-at-trivalent", "end-twice", "label-at-univalent", "unknown-edge", "end-elsewhere"])
+def test_validate_names_the_vertex_and_end_of_each_bad_incidence(vertex, slot, incidence, named):
+    """Every edge end is listed exactly once, by the vertex at that end."""
+    doc = su.to_json(four_holed_sphere())
+    doc["vertices"][vertex]["incident"][slot] = incidence
+    problems = validate(su.from_json(doc))
+    for fragment in named:
+        assert any(msg.startswith(fragment) for msg in problems), problems
+
+
+def test_a_loop_at_a_vertex_of_another_kind_breaks_the_incidence_count():
+    # the one-holed torus, plus a vertex of kind "bi" carrying loop edge 3
+    t = one_holed_torus()
+    vertices = list(t.graph.vertices.values()) + [Vertex(2, "bi", ((3, "tail"), (3, "head")))]
+    edges = list(t.graph.edges.values()) + [Edge(3, 2, 2)]
+    surf = PantsSurface(t.genus, t.boundary, FatGraph(vertices, edges))
+    assert "vertex 2 has 2 incidences, expected 1" in validate(surf)
 
 
 def _reference_tree_walk(graph, tree):
