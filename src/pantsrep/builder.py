@@ -14,6 +14,7 @@ from .projective import (
     DegenerateInputError,
     INF,
     MoebiusMap,
+    _IDENTITY,
     ProjectivePoint,
     _adj,
     _apply,
@@ -43,6 +44,7 @@ DEFAULT_BASE = (as_point(0), as_point(1), INF)
 _DEFAULT_PAIRS = [(p.num, p.den) for p in DEFAULT_BASE]
 #: tr[m0,m1] rounds by up to 16 double rounding units times (|m0| |m1|)^2
 _COMM_TOL = 16 * 2.0 ** -53
+_BRANCHES = frozenset((1, -1))
 
 
 class SurfaceRepresentation:
@@ -82,8 +84,11 @@ class SurfaceRepresentation:
 
 
 def _word(table, word):
-    """The product of a presentation word, as (a, b, c, d)."""
-    return _chain(map(table.__getitem__, word))
+    """The product of a presentation word, as (a, b, c, d), from its first letter on."""
+    if not word:
+        return _IDENTITY
+    factors = map(table.__getitem__, word)
+    return _chain(factors, next(factors))
 
 
 def _from_slot(triple, s):
@@ -182,9 +187,9 @@ def verify_relations(rep):
     """Residual (distance of each relation product to +-identity) per relation."""
     pres = rep.presentation
     table = rep._letters
-    out = {}
-    out["relator"] = _residual(_word(table, pres.one_relator()))
-    out["walk"] = _residual(_word(table, pres.relation))
+    relator = pres.one_relator()
+    out = {"relator": _residual(_word(table, relator))}
+    out["walk"] = out["relator"] if pres.relation == relator else _residual(_word(table, pres.relation))
     for i, (lhs, rhs) in enumerate(pres.hnn, start=1):
         out["hnn%d" % i] = _residual(_chain((_adj(_word(table, rhs)),), _word(table, lhs)))
     return out
@@ -195,28 +200,40 @@ def _vertex_spectra(rep, tol):
 
     Returns (slot_fixed, slot_eigen), keyed by (vid, slot): the fixed-point
     pair (x, y) and the eigenvalue e of x that fixed_points_with_eigs
-    returns.  Raises DegenerateInputError for a reducible vertex, and
-    re-raises a numeric error of a vertex word naming its vertex and slot.
+    returns.  The two ends of an interior tree edge carry mutually inverse
+    words (pres.inverse_slots): the end at the lower vertex id is multiplied
+    and solved, and the other end's product is its adjugate, whose spectrum
+    is (y, e, x) for its (x, e, y).  Raises DegenerateInputError for a
+    reducible vertex, and re-raises a numeric error of a vertex word naming
+    its vertex and slot.
     """
     pres = rep.presentation
-    table = rep._letters
+    table, words, inverse_slots = rep._letters, pres.vertex_words, pres.inverse_slots
+    mats = {}
     slot_fixed = {}
     slot_eigen = {}
     for vid, _ in pres.incidences:
-        ms = [_word(table, pres.vertex_words[(vid, s)]) for s in range(3)]
-        p, q = ms[0], ms[1]
+        keys = (vid, 0), (vid, 1), (vid, 2)
+        for key in keys:
+            first = inverse_slots.get(key)
+            mats[key] = _word(table, words[key]) if first is None else _adj(mats[first])
+        p, q = mats[keys[0]], mats[keys[1]]
         comm = _chain((q, _adj(p), _adj(q)), p)
         if abs(comm[0] + comm[3] - 2) <= max(tol, _COMM_TOL * (_max_abs(*p) * _max_abs(*q)) ** 2):
             raise DegenerateInputError(
                 "reducible restriction at vertex %r" % (vid,), factor="tr[m,m']-2"
             )
-        for s, m in enumerate(ms):
-            try:
-                x, e, y = _fixed_points_with_eigs(*m, tol)
-            except DegenerateInputError as ex:
-                raise _at("vertex %r slot %d" % (vid, s), ex)
-            slot_fixed[(vid, s)] = (x, y)
-            slot_eigen[(vid, s)] = e
+        for key in keys:
+            first = inverse_slots.get(key)
+            if first is None:
+                try:
+                    x, e, y = _fixed_points_with_eigs(*mats[key], tol)
+                except DegenerateInputError as ex:
+                    raise _at("vertex %r slot %d" % key, ex)
+            else:
+                (y, x), e = slot_fixed[first], slot_eigen[first]
+            slot_fixed[key] = (x, y)
+            slot_eigen[key] = e
     return slot_fixed, slot_eigen
 
 
@@ -225,7 +242,8 @@ def recover_coordinates(rep, eigen_choice=None, tol=1e-9):
 
     eigen_choice maps an edge id to +-1 and selects which of the two
     eigenvalue branches of the curve image is reported (default: the
-    dominant branch returned by fixed_points_with_eigs).  Requires every
+    dominant branch returned by fixed_points_with_eigs); any other key or
+    value raises ValueError naming it.  Requires every
     curve image to be non-parabolic and every vertex restriction to be
     irreducible.  One commutator per vertex tests irreducibility: with
     m0 m1 m2 = +-I, tr[m0,m1] = tr[m1,m2] = tr[m2,m0].  Its rounding grows
@@ -234,11 +252,17 @@ def recover_coordinates(rep, eigen_choice=None, tol=1e-9):
 
     The vertex spectra (fixed points and eigenvalues of the vertex words)
     do not depend on eigen_choice: the first successful call for a tol
-    keeps them on rep, and later calls with that tol only choose branches
-    and read twists.  A call that raises keeps nothing.
+    computes them, one product and one solve per pair of mutually inverse
+    words at the two ends of an interior tree edge (_vertex_spectra), and
+    keeps them on rep; later calls with that tol only choose branches and
+    read twists.  A call that raises keeps nothing.
     """
     pres = rep.presentation
     eigen_choice = eigen_choice or {}
+    edges = rep.surface.graph.edges
+    if not (edges.keys() >= eigen_choice.keys() and _BRANCHES.issuperset(eigen_choice.values())):
+        bad = next((k, v) for k, v in eigen_choice.items() if k not in edges or v not in _BRANCHES)
+        raise ValueError("eigen_choice[%r] = %r: expected an edge id mapped to 1 or -1" % bad)
     spectra = rep._spectra.get(tol)
     if spectra is None:
         spectra = rep._spectra[tol] = _vertex_spectra(rep, tol)
@@ -265,13 +289,14 @@ def recover_coordinates(rep, eigen_choice=None, tol=1e-9):
 
     # the twists are the unknowns; the local pictures read only eigenvalues
     twist = {}
-    for eid, nbrs, keys, letter in pres.twist_slots:
-        x1, x2, x3, x4, x5 = (branch_points[k] for k in keys)
+    for eid, nbrs, (k1, k2, k3, k4, k5), letter in pres.twist_slots:
+        x4, x5 = branch_points[k4], branch_points[k5]
         if letter is not None:
             # the head-side points live on the far lift: push them across
             bmap = rep._letters[(letter, 1)]
             x4, x5 = _apply(bmap, x4), _apply(bmap, x5)
-        xs = {1: x1, 2: x2, 3: x3, 4: x4, 5: x5}
+        # indexed 1..5, as _best_variant and _twist read it
+        xs = (None, branch_points[k1], branch_points[k2], branch_points[k3], x4, x5)
         twist[eid] = _twist(_best_variant(xs), _picture_es(eigen, eid, nbrs), xs)
     return EdgeParams(eigen, twist)
 

@@ -435,14 +435,15 @@ def _fixed_points_with_eigs(a, b, c, d, tol):
     e, other = _trace_roots(a + d, tol)
     if abs(e) < 1 or (abs(abs(e) - 1) <= 1e-12 and not (0 <= cmath.phase(e) < math.pi)):
         e = other
-    # eigenvector for eigenvalue lam solves (a - lam) u + b v = 0; of the
-    # two candidate rows take the larger, the first on a tie or NaN
-    def eigvec(lam):
-        r1 = (b, lam - a)
-        r2 = (lam - d, c)
-        return _point(*(r2 if abs(r2[0]) + abs(r2[1]) > abs(r1[0]) + abs(r1[1]) else r1))
+    return _eigvec(a, b, c, d, e), e, _eigvec(a, b, c, d, 1 / e)
 
-    return eigvec(e), e, eigvec(1 / e)
+
+def _eigvec(a, b, c, d, lam):
+    """The fixed point of (a, b, c, d) for its eigenvalue lam: it solves (a - lam) u + b v = 0.
+    Of the two candidate rows (b, lam - a) and (lam - d, c) take the larger, the first on a
+    tie or NaN."""
+    u, v, p, q = lam - d, c, b, lam - a
+    return _point(u, v) if abs(u) + abs(v) > abs(p) + abs(q) else _point(p, q)
 
 
 def _trace_roots(tr, tol=1e-9):

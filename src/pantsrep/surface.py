@@ -116,10 +116,15 @@ def validate(surface):
 
     The incidence lists are the graph's one adjacency: every edge end
     (edge id, "tail" | "head") must be listed exactly once, by the vertex
-    at that end.
+    at that end.  Vertex and edge ids must be integers; any other id is
+    the only problem reported, since the other rules sort the ids.
     """
     g, b, graph = surface.genus, surface.boundary, surface.graph
-    problems = []
+    problems = ["%s id %r is not an integer" % (kind, i)
+                for kind, ids in (("vertex", graph.vertices), ("edge", graph.edges)) for i in ids
+                if not isinstance(i, int) or isinstance(i, bool)]
+    if problems:
+        return problems
     if 2 - 2 * g - b >= 0:
         problems.append("euler characteristic 2-2g-b=%d is not negative" % (2 - 2 * g - b))
     tri = graph.trivalent_vertices()
@@ -228,6 +233,9 @@ class Presentation:
       vertex, near slot, far vertex, far slot, forward) per interior tree
       edge, each after the step that reaches its near vertex;
     - incidences: (vertex, incidences) per trivalent vertex, in id order;
+    - inverse_slots: for each interior tree edge, its end at the higher
+      vertex id -> its end at the lower one; the two vertex words are
+      mutually inverse;
     - image_slots: (generator, vertex, slot) of every pants-matrix image;
     - letters: (edge, 'b<i>', tail slot, head slot, neighbor slots) per
       complement edge;
@@ -308,6 +316,8 @@ class Presentation:
         self.hnn = tuple(hnn)
         self._relator = tuple(x for letter in self.relation for x in sub.get(letter, (letter,)))
         self.incidences = tuple((vid, graph.vertices[vid].incident) for vid in tri)
+        self.inverse_slots = {(w, sw) if v < w else (v, sv): (v, sv) if v < w else (w, sw)
+                              for _, _, v, sv, w, sw, _ in walk}
         self.letters = tuple((eid, "b%d" % i) + pictures[eid] for i, eid in enumerate(u_edges, start=1))
         self.ends = tuple(
             (eid, tuple((end, graph.slot_of[(eid, end)]) for end in ("tail", "head")

@@ -376,6 +376,105 @@ def test_failing_recover_raises_on_every_call_and_names_the_vertex():
     assert _outcome(rep) == first
 
 
+def _recovered(surf, rng, gate=None):
+    """A representation on surf whose first recover succeeds (relation residuals under
+    gate, if given), or None after 20 draws."""
+    for _ in range(20):
+        try:
+            rep = builder.build(surf, sample_params(surf, rng))
+            if gate is None or max_residual(rep) < gate:
+                builder.recover_coordinates(rep)
+                return rep
+        except (ValueError, ArithmeticError):
+            continue
+    return None
+
+
+def test_recover_solves_each_pair_of_inverse_vertex_words_once(monkeypatch):
+    # the two ends of an interior tree edge carry mutually inverse words, so
+    # one solve serves both; a second recover reads the kept spectra
+    calls = []
+    solve = builder._fixed_points_with_eigs
+    monkeypatch.setattr(builder, "_fixed_points_with_eigs",
+                        lambda *args: calls.append(args) or solve(*args))
+    rng = np.random.default_rng(15)
+    surfaces = [make() for make in SURFACES.values()] + ribbon_graphs()
+    for surf in surfaces + [handle_chain(2), caterpillar(4)]:
+        rep = _recovered(surf, rng)
+        assert rep is not None
+        rep = builder.build(surf, rep.params)
+        calls.clear()
+        builder.recover_coordinates(rep)
+        pres = rep.presentation
+        assert len(calls) == 3 * len(surf.graph.trivalent_vertices()) - len(pres.walk)
+        calls.clear()
+        builder.recover_coordinates(rep, eigen_choice={eid: -1 for eid in rep.params.eigen})
+        assert calls == []
+
+
+def _point_distance(p, q):
+    return abs(p[0] * q[1] - q[0] * p[1]) / (max(abs(p[0]), abs(p[1])) * max(abs(q[0]), abs(q[1])))
+
+
+@pytest.mark.parametrize("surfaces, tol", [
+    (lambda: [make() for make in SURFACES.values()], 1e-12),
+    (lambda: (ribbon_graphs() + [handle_chain(g) for g in (2, 3, 4)]
+              + [caterpillar(b) for b in range(4, 9)]), 1e-8),
+], ids=["fixtures", "larger"])
+def test_far_end_spectra_match_a_direct_solve(surfaces, tol):
+    # the far end's (y, e, x), read off its near end's (x, e, y), against a
+    # solve of the far end's own word, at points under the residual gate
+    rng = np.random.default_rng(16)
+    compared = 0
+    for surf in surfaces():
+        for _ in range(5):
+            rep = _recovered(surf, rng, gate=1e-9)
+            if rep is None:
+                continue
+            slot_fixed, slot_eigen = rep._spectra[1e-9]
+            for far in rep.presentation.inverse_slots:
+                word = builder._word(rep._letters, rep.presentation.vertex_words[far])
+                x, e, y = builder._fixed_points_with_eigs(*word, 1e-9)
+                assert abs(slot_eigen[far] - e) <= tol * abs(e), far
+                assert max(map(_point_distance, slot_fixed[far], (x, y))) <= tol, far
+                compared += 1
+    assert compared >= 10
+
+
+def test_genus_zero_verify_multiplies_the_relator_once(monkeypatch):
+    # at genus 0 the walk relation is the one relator
+    words = []
+    word = builder._word
+    monkeypatch.setattr(builder, "_word", lambda table, w: words.append(w) or word(table, w))
+    rng = np.random.default_rng(17)
+    surfaces = [su.four_holed_sphere(), caterpillar(4), caterpillar(8)]
+    checked = 0
+    for surf in surfaces + [s for s in ribbon_graphs() if s.genus == 0]:
+        try:
+            rep = builder.build(surf, sample_params(surf, rng))
+        except (ValueError, ArithmeticError):
+            continue
+        words.clear()
+        res = builder.verify_relations(rep)
+        assert res["walk"] == res["relator"]
+        assert words == [rep.presentation.one_relator()]
+        checked += 1
+    assert checked >= 5
+
+
+@pytest.mark.parametrize("choice, named", [
+    ({1: 0}, "eigen_choice[1] = 0"),
+    ({"1": -1}, "eigen_choice['1'] = -1"),
+    ({2: -1, 99: 1}, "eigen_choice[99] = 1"),
+    ({3: 0.5}, "eigen_choice[3] = 0.5"),
+])
+def test_recover_rejects_a_choice_that_is_no_edge_or_sign(choice, named):
+    surf = su.four_holed_sphere()
+    rep = builder.build(surf, sample_params(surf, np.random.default_rng(18)))
+    with pytest.raises(ValueError, match=re.escape(named)):
+        builder.recover_coordinates(rep, eigen_choice=choice)
+
+
 def _round_trip(surf, params):
     """Everything build, verify_relations and both recovers give, as one repr."""
     rep = builder.build(surf, params)

@@ -425,6 +425,24 @@ def test_malformed_incidence_list_is_a_schema_error(tmp_path, capsys, vertex, sl
         assert doc["error"] == "schema" and repr(tuple(incidence)) in doc["detail"] and err == ""
 
 
+@pytest.mark.parametrize("make, part, index, new_id", [
+    (su.one_holed_torus, "vertices", 1, "x"),  # edge 2's head is renamed with it
+    (su.four_holed_sphere, "edges", 1, "2"),
+], ids=["vertex", "edge"])
+def test_non_integer_id_is_a_schema_error(tmp_path, capsys, make, part, index, new_id):
+    doc = su.to_json(make())
+    doc[part][index]["id"] = new_id
+    if part == "vertices":
+        doc["edges"][1]["head"] = new_id
+    spath = tmp_path / "surface.json"
+    spath.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--surface", str(spath)]) == 2
+    out, err = capsys.readouterr()
+    doc = strict_json(out)
+    assert doc["error"] == "schema" and "id %r is not an integer" % new_id in doc["detail"]
+    assert err == ""
+
+
 COMMANDS = ("example", "validate", "generators", "traces", "recover", "act", "move", "fn",
             "shearbend", "sample")
 

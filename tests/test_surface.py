@@ -256,6 +256,24 @@ def test_validate_names_the_vertex_and_end_of_each_bad_incidence(vertex, slot, i
         assert any(msg.startswith(fragment) for msg in problems), problems
 
 
+@pytest.mark.parametrize("make, vertex_ids, edge_ids, named", [
+    (one_holed_torus, {1: "x"}, {}, ["vertex id 'x' is not an integer"]),
+    (four_holed_sphere, {}, {2: "2"}, ["edge id '2' is not an integer"]),
+    (four_holed_sphere, {}, {1: True, 3: 3.0},
+     ["edge id True is not an integer", "edge id 3.0 is not an integer"]),
+    (lambda: caterpillar(5), {1: "a", 8: "b"}, {4: None},
+     ["vertex id 'a' is not an integer", "vertex id 'b' is not an integer",
+      "edge id None is not an integer"]),
+], ids=["univalent-vertex", "edge", "bool-and-float", "several"])
+def test_validate_names_each_id_that_is_not_an_integer(make, vertex_ids, edge_ids, named):
+    # the other rules sort the ids, so these are the only problems reported
+    doc = su.to_json(make())
+    for records, renames in ((doc["vertices"], vertex_ids), (doc["edges"], edge_ids)):
+        for r in records:
+            r["id"] = renames.get(r["id"], r["id"])
+    assert validate(su.from_json(doc)) == named
+
+
 def test_a_loop_at_a_vertex_of_another_kind_breaks_the_incidence_count():
     # the one-holed torus, plus a vertex of kind "bi" carrying loop edge 3
     t = one_holed_torus()
