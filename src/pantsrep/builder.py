@@ -16,6 +16,7 @@ from .projective import (
     MoebiusMap,
     _IDENTITY,
     ProjectivePoint,
+    SingularMapError,
     _adj,
     _apply,
     _at,
@@ -184,14 +185,25 @@ def _residual(m):
 
 
 def verify_relations(rep):
-    """Residual (distance of each relation product to +-identity) per relation."""
+    """Residual (distance of each relation product to +-identity) per relation.
+
+    A SingularMapError of a product is re-raised with its message prefixed
+    by the relation's key: "relator: ", "walk: " or "hnn<i>: ".
+    """
     pres = rep.presentation
     table = rep._letters
     relator = pres.one_relator()
-    out = {"relator": _residual(_word(table, relator))}
-    out["walk"] = out["relator"] if pres.relation == relator else _residual(_word(table, pres.relation))
-    for i, (lhs, rhs) in enumerate(pres.hnn, start=1):
-        out["hnn%d" % i] = _residual(_chain((_adj(_word(table, rhs)),), _word(table, lhs)))
+    out = {}
+    key = "relator"
+    try:
+        out[key] = _residual(_word(table, relator))
+        key = "walk"
+        out[key] = out["relator"] if pres.relation == relator else _residual(_word(table, pres.relation))
+        for i, (lhs, rhs) in enumerate(pres.hnn, start=1):
+            key = "hnn%d" % i
+            out[key] = _residual(_chain((_adj(_word(table, rhs)),), _word(table, lhs)))
+    except SingularMapError as ex:
+        raise _at(key, ex)
     return out
 
 
@@ -205,7 +217,8 @@ def _vertex_spectra(rep, tol):
     and solved, and the other end's product is its adjugate, whose spectrum
     is (y, e, x) for its (x, e, y).  Raises DegenerateInputError for a
     reducible vertex, and re-raises a numeric error of a vertex word naming
-    its vertex and slot.
+    its vertex and slot ("vertex <id> slot <s>: "), and a SingularMapError
+    of the commutator naming its vertex ("vertex <id>: ").
     """
     pres = rep.presentation
     table, words, inverse_slots = rep._letters, pres.vertex_words, pres.inverse_slots
@@ -216,9 +229,15 @@ def _vertex_spectra(rep, tol):
         keys = (vid, 0), (vid, 1), (vid, 2)
         for key in keys:
             first = inverse_slots.get(key)
-            mats[key] = _word(table, words[key]) if first is None else _adj(mats[first])
+            try:
+                mats[key] = _word(table, words[key]) if first is None else _adj(mats[first])
+            except SingularMapError as ex:
+                raise _at("vertex %r slot %d" % key, ex)
         p, q = mats[keys[0]], mats[keys[1]]
-        comm = _chain((q, _adj(p), _adj(q)), p)
+        try:
+            comm = _chain((q, _adj(p), _adj(q)), p)
+        except SingularMapError as ex:
+            raise _at("vertex %r" % (vid,), ex)
         if abs(comm[0] + comm[3] - 2) <= max(tol, _COMM_TOL * (_max_abs(*p) * _max_abs(*q)) ** 2):
             raise DegenerateInputError(
                 "reducible restriction at vertex %r" % (vid,), factor="tr[m,m']-2"

@@ -68,7 +68,7 @@ def in_domain(params, surface, tol=1e-9):
         if not cmath.isfinite(t) or abs(t) < tol:
             return False
     eigen = params.eigen
-    for i, j, k in graph._triples:
+    for i, j, k in graph._triples.values():
         if not is_admissible_triple(eigen[i], eigen[j], eigen[k], tol=tol):
             return False
     return True

@@ -12,7 +12,8 @@ import math
 from collections import namedtuple
 
 from .projective import sqrt_principal
-from .coordinates import EdgeParams, local_picture
+from .coordinates import EdgeParams, _picture_es
+from .surface import _picture_slots
 from . import symmetry
 
 REAL_TOL = 1e-9
@@ -93,28 +94,15 @@ def fn_twist_factor(surface, params, edge):
 
     Factored square root of a positive rational expression on the
     Teichmueller domain; off the real locus the principal branch of each
-    factor is used.
+    factor is used.  Only the eigenvalues of params are read.
     """
-    lp = local_picture(surface, params, edge)
-    e1, e2, e3, e4, e5 = lp.es
-    num = (
-        (e1 * e3 - e2),
-        (e2 * e3 - e1),
-        (e1 * e4 - e5),
-        (e4 * e5 - e1),
-    )
-    den = (
-        (e1 * e2 - e3),
-        (1 - e1 * e2 * e3),
-        (e1 * e5 - e4),
-        (1 - e1 * e4 * e5),
-    )
-    out = 1.0 + 0j
-    for f in num:
-        out *= sqrt_principal(f)
-    for f in den:
-        out /= sqrt_principal(f)
-    return out
+    graph = surface.graph
+    if graph.is_boundary(edge):
+        raise ValueError("edge %r is a boundary edge" % (edge,))
+    e1, e2, e3, e4, e5 = _picture_es(params.eigen, edge, _picture_slots(graph, edge)[2])
+    sq = sqrt_principal
+    num = (1.0 + 0j) * sq(e1 * e3 - e2) * sq(e2 * e3 - e1) * sq(e1 * e4 - e5) * sq(e4 * e5 - e1)
+    return num / sq(e1 * e2 - e3) / sq(1 - e1 * e2 * e3) / sq(e1 * e5 - e4) / sq(1 - e1 * e4 * e5)
 
 
 def normalize_domain(params, surface):
@@ -143,9 +131,10 @@ def normalize_domain(params, surface):
 def to_fenchel_nielsen(params, surface, require_domain=True):
     """Lengths l = 2 log(-e) and FN twists tau = log t^FN."""
     actions = {"flips": [], "epsilon": None}
-    if not in_teich_domain(params):
-        params, actions = normalize_domain(params, surface)
     on_locus = in_teich_domain(params)
+    if not on_locus:
+        params, actions = normalize_domain(params, surface)
+        on_locus = in_teich_domain(params)
     if require_domain and not on_locus:
         raise ValueError("parameters are outside the Teichmueller domain; "
                          "pass require_domain=False for the analytic extension")
@@ -170,10 +159,9 @@ def to_fenchel_nielsen(params, surface, require_domain=True):
 def from_fenchel_nielsen(fn, surface):
     """Inverse of to_fenchel_nielsen on the Teichmueller domain."""
     eigen = {eid: -cmath.exp(l / 2) for eid, l in fn.lengths.items()}
-    # the conversion factor depends only on eigenvalues, so the twists can
-    # be recovered edge by edge
-    twist = {eid: 1.0 + 0j for eid in fn.fn_twists}
-    probe = EdgeParams(eigen, twist)
+    # the conversion factor reads only eigenvalues, so the twists can be
+    # recovered edge by edge
+    probe = EdgeParams(eigen, {})
     out = {}
     for eid, tau in fn.fn_twists.items():
         out[eid] = cmath.exp(tau) / fn_twist_factor(surface, probe, eid)

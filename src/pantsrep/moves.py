@@ -10,12 +10,12 @@ transformation of the eigenvalue-twist parameters.
 from collections import namedtuple
 
 from .projective import DegenerateInputError, _at, _trace_roots, _vanishing, sqrt_principal
-from .surface import Edge, FatGraph, PantsSurface, Vertex
+from .surface import Edge, FatGraph, PantsSurface, Vertex, _picture_slots
 from .coordinates import (
     EdgeParams,
     _end_eigen,
+    _picture_es,
     four_holed_traces,
-    local_picture,
     one_holed_traces,
     twist_from_traces_four_holed,
 )
@@ -126,8 +126,9 @@ def elementary_one_holed(e1, e2, t1, branch=None):
 
 def _rewired(surface, vertices, edges):
     """A new surface, on surface's tree, whose graph replaces only the
-    records a move changes (``FatGraph._rewired``).  The new surface and
-    graph compile their own presentations and graph facts.
+    records a move changes (``FatGraph._rewired``).  The new graph carries
+    the graph facts the old one has compiled; the new surface compiles its
+    own presentations.
     """
     return PantsSurface(surface.genus, surface.boundary, surface.graph._rewired(vertices, edges),
                         tree=surface.tree)
@@ -150,15 +151,15 @@ def apply_move(surface, params, move):
                 # reversing plus inverting keeps every adjusted local value
                 eigen[edge] = 1 / eigen[edge]
             else:
-                lp = local_picture(surface, params, edge)
-                eigen[edge], twist[edge] = reverse_edge_formula(lp.es, lp.t1)
+                es = _picture_es(params.eigen, edge, _picture_slots(graph, edge)[2])
+                eigen[edge], twist[edge] = reverse_edge_formula(es, params.twist[edge])
             e = graph.edges[edge]
-            flip = {"tail": "head", "head": "tail"}
             ends = {}
             for vid in (e.tail, e.head):
                 rec = graph.vertices[vid]
-                ends[vid] = rec._replace(incident=tuple(
-                    (eid, flip[end] if eid == edge else end) for eid, end in rec.incident))
+                ends[vid] = Vertex(vid, rec.kind, tuple([
+                    key if key[0] != edge else (edge, "head" if key[1] == "tail" else "tail")
+                    for key in rec.incident]))
             new_surface = _rewired(surface, ends, {edge: Edge(edge, e.head, e.tail)})
             return new_surface, EdgeParams(eigen, twist)
         if kind in ("twist-r", "twist-l"):
@@ -212,19 +213,17 @@ def _elementary_move(surface, params, edge, branch):
     graph = surface.graph
     if graph.is_boundary(edge):
         raise ValueError("elementary move needs an interior edge")
-    e = graph.edges[edge]
-    if e.tail == e.head:
+    (v, _), (w, _), nbrs = _picture_slots(graph, edge)
+    es, t1 = _picture_es(params.eigen, edge, nbrs), params.twist[edge]
+    if v == w:
         # one-holed torus picture
-        lp = local_picture(surface, params, edge)
         boundary_eid = None
         e2 = None
-        for slot, value in zip(lp.neighbor_slots, lp.es[1:]):
+        for slot, value in zip(nbrs, es[1:]):
             if slot[0] != edge:
                 boundary_eid, e2 = slot[0], value
                 break
-        e1p, t1p, t2_factor = elementary_one_holed(
-            params.eigen[edge], e2, params.twist[edge], branch
-        )
+        e1p, t1p, t2_factor = elementary_one_holed(es[0], e2, t1, branch)
         eigen = dict(params.eigen)
         twist = dict(params.twist)
         eigen[edge] = e1p
@@ -233,8 +232,7 @@ def _elementary_move(surface, params, edge, branch):
             twist[boundary_eid] = t2_factor * twist[boundary_eid]
         return surface, EdgeParams(eigen, twist)
 
-    lp = local_picture(surface, params, edge)
-    neighbor_eids = [eid for eid, _ in lp.neighbor_slots]
+    neighbor_eids = [eid for eid, _ in nbrs]
     if len(set(neighbor_eids)) != 4 or edge in neighbor_eids:
         raise ValueError(
             "elementary move implemented for embedded four-holed pictures; "
@@ -245,7 +243,7 @@ def _elementary_move(surface, params, edge, branch):
         for pos, eid in zip((2, 3, 4, 5), neighbor_eids)
         if eid in params.twist
     }
-    e1p, t1p, new_other = elementary_four_holed(lp.es, lp.t1, t_other, branch)
+    e1p, t1p, new_other = elementary_four_holed(es, t1, t_other, branch)
     eigen = dict(params.eigen)
     twist = dict(params.twist)
     eigen[edge] = e1p
@@ -256,8 +254,7 @@ def _elementary_move(surface, params, edge, branch):
 
     # regroup the cuffs: tail keeps (old position-5, position-2) neighbors,
     # head keeps (position-3, position-4), matching the relabeled picture
-    (v, _), (w, _) = lp.tail_slots, lp.head_slots
-    g2, g3, g4, g5 = lp.neighbor_slots
+    g2, g3, g4, g5 = nbrs
     # the position-3 end moves from v to w, the position-5 end from w to v;
     # the four neighbor edges are distinct and none is the edge itself
     moved = {eid: graph.edges[eid]._replace(**{end: new_v}) for (eid, end), new_v in ((g3, w), (g5, v))}

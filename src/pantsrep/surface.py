@@ -32,16 +32,18 @@ class FatGraph:
     def _rewired(self, vertices, edges):
         """A new graph with some records replaced.
 
-        vertices and edges map an id to the record with that id that takes
-        its place; every other record is kept, in the same dict position.
-        The slot table is this graph's, less the slots of the replaced
-        vertices, plus those of their replacements, so a move that changes
-        two vertices does not walk every vertex.
+        vertices and edges map an id to the record with that id, and of the
+        same kind, that takes its place; every other record is kept, in the
+        same dict position.  The replaced vertices and their replacements
+        list the same edge ends, as a move's do, so the slot table is this
+        graph's with the replacements' slots written over it: a move that
+        changes two vertices does not walk every vertex.  Nor does a move
+        change which edges are boundary edges, so the graph facts this
+        graph has compiled carry over: _interior as it is, _triples with
+        the replaced trivalent vertices re-read.  A fact this graph has not
+        compiled is not compiled for the new one either.
         """
         slot_of = dict(self.slot_of)
-        for vid in vertices:
-            for key in self.vertices[vid].incident:
-                slot_of.pop(key, None)
         for v in vertices.values():
             for i, key in enumerate(v.incident):
                 slot_of[key] = (v.id, i)
@@ -49,6 +51,15 @@ class FatGraph:
         new.vertices = {**self.vertices, **vertices}
         new.edges = {**self.edges, **edges}
         new.slot_of = slot_of
+        facts = vars(self)
+        if "_interior" in facts:
+            new._interior = self._interior
+        if "_triples" in facts:
+            new._triples = triples = dict(self._triples)
+            for vid, v in vertices.items():
+                if v.kind == "tri":
+                    (i, _), (j, _), (k, _) = v.incident
+                    triples[vid] = i, j, k
         return new
 
     def is_boundary(self, eid):
@@ -59,8 +70,9 @@ class FatGraph:
         )
 
     # What the graph alone fixes, compiled on first use: a graph is treated
-    # as immutable once used, and a move makes a new one.  Lazy, because a
-    # graph that a move creates is often only flipped.
+    # as immutable once used, and a move makes a new one, which carries what
+    # its parent has compiled (_rewired).  Lazy, because a graph that is
+    # only flipped or moved never needs them.
 
     @cached_property
     def _interior(self):
@@ -69,9 +81,9 @@ class FatGraph:
 
     @cached_property
     def _triples(self):
-        """The edge ids at each trivalent vertex, in vertex id order."""
-        return tuple(tuple([eid for eid, _ in self.vertices[vid].incident])
-                     for vid in self.trivalent_vertices())
+        """The edge ids at each trivalent vertex, keyed by vertex id, in id order."""
+        return {vid: tuple([eid for eid, _ in self.vertices[vid].incident])
+                for vid in self.trivalent_vertices()}
 
     def interior_edges(self):
         return sorted(self._interior)
@@ -368,10 +380,10 @@ def _picture_slots(graph, edge):
     (v, sv) and (w, sw) hold its tail and head; g2, g3 are the incidences
     counterclockwise after it at v, and g4, g5 those after it at w.
     """
-    v, sv = graph.slot_of[(edge, "tail")]
-    w, sw = graph.slot_of[(edge, "head")]
-    return (v, sv), (w, sw), (graph.slot(v, sv + 1), graph.slot(v, sv + 2),
-                              graph.slot(w, sw + 1), graph.slot(w, sw + 2))
+    v, sv = tail = graph.slot_of[(edge, "tail")]
+    w, sw = head = graph.slot_of[(edge, "head")]
+    at_v, at_w = graph.vertices[v].incident, graph.vertices[w].incident
+    return tail, head, (at_v[(sv + 1) % 3], at_v[(sv + 2) % 3], at_w[(sw + 1) % 3], at_w[(sw + 2) % 3])
 
 
 def _plan(surface, tree=None):

@@ -70,7 +70,7 @@ def epsilon_basis(surface):
     edges = sorted(surface.graph.edges)
     index = {eid: i for i, eid in enumerate(edges)}
     rows = [(1 << index[i]) ^ (1 << index[j]) ^ (1 << index[k])
-            for i, j, k in surface.graph._triples]
+            for i, j, k in surface.graph._triples.values()]
     pivots = {}
     for row in rows:
         for col in pivots:
@@ -99,7 +99,7 @@ def check_epsilon(surface, eps):
     An edge met twice at a vertex contributes a square, so it cancels.
     """
     return all(eps.get(i, 1) * eps.get(j, 1) * eps.get(k, 1) == 1
-               for i, j, k in surface.graph._triples)
+               for i, j, k in surface.graph._triples.values())
 
 
 def act_epsilon(params, eps, surface=None):

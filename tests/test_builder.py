@@ -269,6 +269,38 @@ def test_recover_rejects_conjugated_reducible_images():
     assert rejected >= 50
 
 
+def _stretched(k, theta):
+    """R diag(k, 1/k) R^-1 for the rotation R by theta: det 1, entries about k."""
+    c, s = math.cos(theta), math.sin(theta)
+    return MoebiusMap((c * c * k + s * s / k, c * s * (k - 1 / k), c * s * (k - 1 / k),
+                       s * s * k + c * c / k))
+
+
+@pytest.mark.parametrize("make, big, stretch, call, where", [
+    # a product of two letters stretched by 1e4 fails the singularity rule
+    # (|det| < 1e-12 max|entry|^2); a commutator of letters stretched by 100
+    # fails it while the vertex words pass
+    (su.four_holed_sphere, None, 1e4, builder.verify_relations, "relator"),
+    (su.genus_two, ("a3", "a4"), 1e4, builder.verify_relations, "walk"),
+    (su.four_holed_sphere, None, 1e4, builder.recover_coordinates, "vertex 0 slot 0"),
+    (su.four_holed_sphere, None, 100.0, builder.recover_coordinates, "vertex 0"),
+], ids=["relator", "walk", "vertex-word", "commutator"])
+def test_a_singular_product_names_its_relation_or_vertex(make, big, stretch, call, where):
+    # hand-built images along distinct axes; with big, only those letters
+    # are stretched, so the one relator, which has no a_(g+i), passes
+    surf = make()
+    rep = builder.build(surf, sample_params(surf, np.random.default_rng(3)))
+    images = {name: _stretched(stretch if big is None or name in big else 1.5, 0.7 * i + 0.3)
+              for i, name in enumerate(sorted(rep.images))}
+    bad = builder.SurfaceRepresentation(surf, rep.presentation, rep.params, images,
+                                        rep.points, rep.base)
+    for _ in range(2):
+        with pytest.raises(SingularMapError) as info:
+            call(bad)
+        assert str(info.value).startswith(where + ": singular matrix"), info.value
+        assert info.value.factor == "det"
+
+
 @pytest.mark.parametrize("make, seed", [(lambda: handle_chain(4), 5), (lambda: caterpillar(8), 39)],
                          ids=["hc4", "cat8"])
 def test_recover_inverts_band_points_with_large_vertex_words(make, seed):

@@ -250,6 +250,20 @@ def test_recover_numeric_error_names_the_vertex(tmp_path):
     assert re.match(r"vertex \d+ slot [012]: ", doc["detail"]), doc
 
 
+def test_recover_singular_vertex_word_names_the_vertex(tmp_path):
+    # a deep hc10 point whose build passes and one of whose vertex words
+    # fails the singularity rule in recover
+    surf = handle_chain(10)
+    spath, ppath = tmp_path / "s.json", tmp_path / "p.json"
+    su.save(surf, spath)
+    co.save_params(sample_params(surf, np.random.default_rng(10)), ppath)
+    r = run_cli("recover", "--surface", str(spath), "--params", str(ppath))
+    assert (r.returncode, r.stderr) == (4, ""), (r.stdout, r.stderr[-500:])
+    doc = strict_json(r.stdout)
+    assert doc["factor"] == "det"
+    assert re.match(r"vertex \d+ slot [012]: singular matrix", doc["detail"]), doc
+
+
 def test_build_numeric_error_names_the_vertex(tmp_path):
     # the generators case above fails in pants_rep: the error names its vertex
     surf, params = _four_holed((-2, 3.00003, -1.5, -2.5, -1.75), 1.3 + 0.2j)

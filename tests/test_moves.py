@@ -1,5 +1,9 @@
 """Moves on the marking: reversals, twists, vertex moves, elementary moves."""
 
+import cmath
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,8 +12,8 @@ from pantsrep.coordinates import EdgeParams
 from pantsrep.moves import Move, apply_move
 from pantsrep.projective import DegenerateInputError, sqrt_principal
 
-from helpers import (SURFACES, marking_words, rand_c, reference_surfaces, sample_params,
-                     squared_trace_table)
+from helpers import (SURFACES, caterpillar, handle_chain, marking_words, max_residual, rand_c,
+                     reference_surfaces, ribbon_graphs, sample_params, squared_trace_table)
 
 RNG = np.random.default_rng(20240906)
 
@@ -358,3 +362,114 @@ def test_moves_rewrite_only_the_records_they_change():
                 assert new.tree == tree
             applied[move.kind] += 1
     assert min(applied.values()) > 100, applied
+
+
+def _fresh_facts(graph):
+    """_interior and _triples (in order) of a graph built anew from graph's records."""
+    fresh = su.FatGraph(list(graph.vertices.values()), list(graph.edges.values()))
+    return fresh._interior, list(fresh._triples.items())
+
+
+def _every_move(surf, rng):
+    """Every move kind on every edge and trivalent vertex, and a relabelling."""
+    g = surf.graph
+    vids, eids = list(g.vertices), list(g.edges)
+    return ([Move(kind, eid) for eid in eids for kind in ("reverse", "twist-r", "twist-l", "elem")]
+            + [Move("vertex", vid) for vid in g.trivalent_vertices()]
+            + [Move("auto", None, data={"vertices": dict(zip(vids, rng.permutation(vids).tolist())),
+                                        "edges": dict(zip(eids, rng.permutation(eids).tolist()))})])
+
+
+def _kind(graph, move):
+    """The move's kind, with the picture it acts on where there are two."""
+    if move.kind == "reverse":
+        return "reverse-boundary" if graph.is_boundary(move.target) else "reverse-interior"
+    if move.kind == "elem":
+        e = graph.edges[move.target]
+        return "elem-one-holed" if e.tail == e.head else "elem-four-holed"
+    return move.kind
+
+
+def test_moves_carry_the_graph_facts_their_parent_compiled():
+    # a move's new graph carries _interior and _triples when its parent has
+    # compiled them, equal (in vertex id order) to a fresh compile of its
+    # records, over chains of moves; a parent that has compiled neither
+    # passes on neither, and the move compiles neither on it
+    rng = np.random.default_rng(16)
+    facts = {"_interior", "_triples"}
+    applied = Counter()
+    surfaces = ([make() for make in SURFACES.values()] + [handle_chain(g) for g in (2, 3, 4)]
+                + [caterpillar(b) for b in range(4, 9)] + ribbon_graphs())
+    for surf in surfaces:
+        params = sample_params(surf, rng)  # in_domain compiles both facts on surf
+        assert facts <= vars(surf.graph).keys()
+        g = surf.graph
+        bare = su.PantsSurface(surf.genus, surf.boundary,
+                               su.FatGraph(list(g.vertices.values()), list(g.edges.values())),
+                               tree=surf.tree)
+        for move in _every_move(bare, rng):
+            try:
+                new, _ = apply_move(bare, params, move)
+            except (ValueError, ArithmeticError):
+                continue  # twist or elem on a boundary edge, a self-glued or degenerate picture
+            assert not facts & (vars(bare.graph).keys() | vars(new.graph).keys()), move
+        for move in _every_move(surf, rng):
+            s, p = surf, params
+            reverses = [Move("reverse", int(eid)) for eid in rng.choice(list(s.graph.edges), 2)]
+            for step in [move] + reverses:
+                try:
+                    new, p = apply_move(s, p, step)
+                except (ValueError, ArithmeticError):
+                    break
+                if step.kind != "auto":
+                    assert facts <= vars(new.graph).keys(), step
+                assert (new.graph._interior, list(new.graph._triples.items())) == \
+                    _fresh_facts(new.graph), step
+                applied[_kind(s.graph, step)] += 1
+                s = new
+    assert min(applied.values()) >= 20 and len(applied) == 8, applied
+
+
+def _moderate_params(surf, rng):
+    """|e| in [1.2, 3], |t| = exp(u) with u in [-1, 1], arguments uniform; in the domain."""
+    g = surf.graph
+    while True:
+        params = EdgeParams(
+            {eid: cmath.rect(rng.uniform(1.2, 3.0), rng.uniform(0, 2 * math.pi)) for eid in g.edges},
+            {eid: cmath.rect(math.exp(rng.uniform(-1.0, 1.0)), rng.uniform(0, 2 * math.pi))
+             for eid in g.interior_edges()})
+        if co.in_domain(params, surf):
+            return params
+
+
+def _table_error(got, want):
+    return max(abs(g - w) / max(1.0, abs(w)) for g, w in zip(got, want))
+
+
+def test_one_holed_torus_move_relations_return_the_character():
+    # S = elem and T = twist-r on the loop edge of S_{1,1}: S^2 (a half twist
+    # about the boundary), S^4, (ST)^3 and (TS)^3 return every squared trace
+    # of the marking words; T alone, the negative control, moves them
+    surf = su.one_holed_torus()
+    S, T = Move("elem", 1), Move("twist-r", 1)
+    loops = {"S^2": [S] * 2, "S^4": [S] * 4, "(ST)^3": [S, T] * 3, "(TS)^3": [T, S] * 3}
+    rng = np.random.default_rng(1010)
+    checked, control = 0, 0.0
+    for _ in range(30):
+        params = _moderate_params(surf, rng)
+        rep = builder.build(surf, params)
+        if max_residual(rep) >= 1e-9:
+            continue
+        words = marking_words(rep.presentation)
+        want = squared_trace_table(rep, words)
+        for name, loop in loops.items():
+            s, p = surf, params
+            for move in loop:
+                s, p = apply_move(s, p, move)
+            err = _table_error(squared_trace_table(builder.build(s, p), words), want)
+            assert err <= 1e-10, (name, err)
+        s, p = apply_move(surf, params, T)
+        control = max(control, _table_error(squared_trace_table(builder.build(s, p), words), want))
+        checked += 1
+    assert checked >= 20
+    assert control > 1.0

@@ -144,7 +144,8 @@ def test_flip_visits_only_affected_edges_with_the_same_result():
 
 def test_flip_compiles_no_whole_graph_fact():
     # a flip reads the records at the flipped edge's two ends, so on a fresh
-    # surface (as a move makes) it compiles neither graph fact
+    # surface, or one a move made from a graph that had compiled nothing, it
+    # compiles neither graph fact
     rng = np.random.default_rng(98)
     for make in [*SURFACES.values(), lambda: handle_chain(3), lambda: caterpillar(5)]:
         params = sample_params(make(), rng)
