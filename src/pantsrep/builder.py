@@ -64,7 +64,6 @@ class SurfaceRepresentation:
 
     def __init__(self, surface, presentation, params, images, points, base, beta_signs=None):
         self.surface = surface
-        self.tree = set(presentation.tree)
         self.params = params
         self.presentation = presentation
         self.images = dict(images)
@@ -157,12 +156,13 @@ def build(surface, params, tree=None, base=None):
     pairs = _vertex_points(pres, params, base_pairs)
     points = {vid: list(base) if vid == pres.root else [ProjectivePoint(*x) for x in triple]
               for vid, triple in pairs.items()}
-    eigen = params.eigen
+    eigen, vertices = params.eigen, surface.graph.vertices
     mats = {}
-    for vid, inc in pres.incidences:
-        es = tuple([_end_eigen(eigen[eid], end) for eid, end in inc])
+    # points holds the vertices in walk order: the root, then each step's far vertex
+    for vid, pts in points.items():
+        es = tuple([_end_eigen(eigen[eid], end) for eid, end in vertices[vid].incident])
         try:
-            mats[vid] = pants_rep(make_pants_data(es, points[vid]))
+            mats[vid] = pants_rep(make_pants_data(es, pts))
         except ValueError as ex:
             raise _at("vertex %r" % (vid,), ex)
     images = {name: mats[vid][slot] for name, vid, slot in pres.image_slots}
@@ -212,25 +212,26 @@ def _vertex_spectra(rep, tol):
 
     Returns (slot_fixed, slot_eigen), keyed by (vid, slot): the fixed-point
     pair (x, y) and the eigenvalue e of x that fixed_points_with_eigs
-    returns.  The two ends of an interior tree edge carry mutually inverse
-    words (pres.inverse_slots): the end at the lower vertex id is multiplied
-    and solved, and the other end's product is its adjugate, whose spectrum
-    is (y, e, x) for its (x, e, y).  Raises DegenerateInputError for a
-    reducible vertex, and re-raises a numeric error of a vertex word naming
-    its vertex and slot ("vertex <id> slot <s>: "), and a SingularMapError
-    of the commutator naming its vertex ("vertex <id>: ").
+    returns.  Vertices come in walk order (pres.walk), and every word is
+    multiplied and solved except each step's far slot, which faces the root
+    and whose word is the inverse of the near slot's: its product is the
+    near product's adjugate, whose spectrum is (y, e, x) for the near
+    (x, e, y).  Raises DegenerateInputError for a reducible vertex, and
+    re-raises a numeric error of a vertex word naming its vertex and slot
+    ("vertex <id> slot <s>: "), and a SingularMapError of the commutator
+    naming its vertex ("vertex <id>: ").
     """
     pres = rep.presentation
-    table, words, inverse_slots = rep._letters, pres.vertex_words, pres.inverse_slots
+    table, words = rep._letters, pres.vertex_words
     mats = {}
     slot_fixed = {}
     slot_eigen = {}
-    for vid, _ in pres.incidences:
+    visits = [(pres.root, None, None)] + [(w, sw, (v, sv)) for _, _, v, sv, w, sw, _ in pres.walk]
+    for vid, facing, near in visits:
         keys = (vid, 0), (vid, 1), (vid, 2)
         for key in keys:
-            first = inverse_slots.get(key)
             try:
-                mats[key] = _word(table, words[key]) if first is None else _adj(mats[first])
+                mats[key] = _adj(mats[near]) if key[1] == facing else _word(table, words[key])
             except SingularMapError as ex:
                 raise _at("vertex %r slot %d" % key, ex)
         p, q = mats[keys[0]], mats[keys[1]]
@@ -243,14 +244,13 @@ def _vertex_spectra(rep, tol):
                 "reducible restriction at vertex %r" % (vid,), factor="tr[m,m']-2"
             )
         for key in keys:
-            first = inverse_slots.get(key)
-            if first is None:
+            if key[1] == facing:
+                (y, x), e = slot_fixed[near], slot_eigen[near]
+            else:
                 try:
                     x, e, y = _fixed_points_with_eigs(*mats[key], tol)
                 except DegenerateInputError as ex:
                     raise _at("vertex %r slot %d" % key, ex)
-            else:
-                (y, x), e = slot_fixed[first], slot_eigen[first]
             slot_fixed[key] = (x, y)
             slot_eigen[key] = e
     return slot_fixed, slot_eigen

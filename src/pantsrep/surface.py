@@ -243,11 +243,8 @@ class Presentation:
     verify_relations and recover_coordinates read of the graph:
     - root, walk: the root vertex and one step (edge, neighbor slots, near
       vertex, near slot, far vertex, far slot, forward) per interior tree
-      edge, each after the step that reaches its near vertex;
-    - incidences: (vertex, incidences) per trivalent vertex, in id order;
-    - inverse_slots: for each interior tree edge, its end at the higher
-      vertex id -> its end at the lower one; the two vertex words are
-      mutually inverse;
+      edge, each after the step that reaches its near vertex; the far
+      slot's vertex word is the inverse of the near slot's;
     - image_slots: (generator, vertex, slot) of every pants-matrix image;
     - letters: (edge, 'b<i>', tail slot, head slot, neighbor slots) per
       complement edge;
@@ -313,8 +310,7 @@ class Presentation:
                 words.append(word)
             return words.pop()
 
-        tri = graph.trivalent_vertices()
-        self.root = root = min(tri)
+        self.root = root = min(graph.trivalent_vertices())
         self.relation = excursion(root, 0) + excursion(root, 1) + excursion(root, 2)
         self.walk = tuple(walk)
         # the HNN relations a_(g+i)^-1 = b_i^-1 a_i b_i, and the substitution
@@ -327,9 +323,6 @@ class Presentation:
             sub[(agi, -1)], sub[(agi, 1)] = rhs, inverse_word(rhs)
         self.hnn = tuple(hnn)
         self._relator = tuple(x for letter in self.relation for x in sub.get(letter, (letter,)))
-        self.incidences = tuple((vid, graph.vertices[vid].incident) for vid in tri)
-        self.inverse_slots = {(w, sw) if v < w else (v, sv): (v, sv) if v < w else (w, sw)
-                              for _, _, v, sv, w, sw, _ in walk}
         self.letters = tuple((eid, "b%d" % i) + pictures[eid] for i, eid in enumerate(u_edges, start=1))
         self.ends = tuple(
             (eid, tuple((end, graph.slot_of[(eid, end)]) for end in ("tail", "head")

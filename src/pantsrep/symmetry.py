@@ -7,6 +7,7 @@ vertex, which acts on eigenvalues only.
 """
 
 from .coordinates import EdgeParams, _picture_es
+from .projective import _at
 from .surface import _picture_slots
 
 
@@ -34,7 +35,7 @@ def flip_eigenvalue(params, surface, edge):
     the rescaling factor once per occurrence (so self-glued pictures are
     handled by the same rule through the covering trick).  Only those
     edges are visited: they are the interior edges that meet the flipped
-    edge at a vertex.
+    edge at a vertex.  A numeric error's message starts "edge <id>: ".
     """
     graph = surface.graph
     if edge not in graph.edges:
@@ -44,18 +45,21 @@ def flip_eigenvalue(params, surface, edge):
     e = graph.edges[edge]
     near = {eid for vid in (e.tail, e.head) for eid, _ in graph.vertices[vid].incident
             if not graph.is_boundary(eid)}
-    for f in near:
-        _, _, nbrs = _picture_slots(graph, f)
-        positions = [pos for pos, (eid, _) in zip((2, 3, 4, 5), nbrs) if eid == edge]
-        if positions:
-            es = _picture_es(params.eigen, f, nbrs)
-            scale = 1
-            for position in positions:
-                scale *= _occurrence_factor(es, position)
-            twist[f] = twist[f] * scale
-    if not graph.is_boundary(edge):
-        twist[edge] = 1 / twist[edge]
-    eigen[edge] = 1 / eigen[edge]
+    try:
+        for f in near:
+            _, _, nbrs = _picture_slots(graph, f)
+            positions = [pos for pos, (eid, _) in zip((2, 3, 4, 5), nbrs) if eid == edge]
+            if positions:
+                es = _picture_es(params.eigen, f, nbrs)
+                scale = 1
+                for position in positions:
+                    scale *= _occurrence_factor(es, position)
+                twist[f] = twist[f] * scale
+        if not graph.is_boundary(edge):
+            twist[edge] = 1 / twist[edge]
+        eigen[edge] = 1 / eigen[edge]
+    except ArithmeticError as ex:
+        raise _at("edge %r" % (edge,), ex)
     return EdgeParams(eigen, twist)
 
 

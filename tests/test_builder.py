@@ -137,6 +137,34 @@ def test_stiefel_whitney():
                                               sample_params(su.one_holed_torus(), RNG)))
 
 
+def _fail(*args):
+    raise DegenerateInputError("vanishing factor f = 0", factor="f")
+
+
+@pytest.mark.parametrize("names, where", [
+    (("_forward", "_backward"), lambda pres: "edge %d" % pres.walk[0][0]),
+    (("_three_point_map",), lambda pres: "edge %d (b1)" % pres.u_edges[0]),
+], ids=["walk", "letter"])
+def test_build_numeric_error_names_the_edge(monkeypatch, names, where):
+    # carrying the triple across a tree edge, or closing up a complement
+    # edge with its stable letter, names the edge; class and factor stay
+    surf = su.genus_two()
+    params = sample_params(surf, np.random.default_rng(19))
+    named = where(builder.build(surf, params).presentation)
+    for name in names:
+        monkeypatch.setattr(builder, name, _fail)
+    with pytest.raises(DegenerateInputError, match=r"^%s: vanishing factor f = 0$" % re.escape(named)) as info:
+        builder.build(surf, params)
+    assert info.value.factor == "f"
+
+
+def test_build_rejects_a_base_of_coinciding_points():
+    surf = su.four_holed_sphere()
+    params = sample_params(surf, np.random.default_rng(20))
+    with pytest.raises(ValueError, match=r"^base triple must be three distinct points$"):
+        builder.build(surf, params, base=(0, 1, 0))
+
+
 def _entries(m):
     return (m.a, m.b, m.c, m.d)
 
@@ -192,7 +220,7 @@ def test_one_surface_two_trees_equals_two_fresh_surfaces():
         fresh = su.genus_two()
         fresh.tree = set(tree)
         want = builder.build(fresh, params)
-        assert got.tree == want.tree == tree
+        assert got.presentation.tree == want.presentation.tree == tree
         assert _outputs(got) == _outputs(want)
 
 
@@ -336,7 +364,7 @@ def test_vertex_commutator_traces_agree():
         for _ in range(20):
             rep = builder.build(surf, sample_params(surf, rng))
             pres = rep.presentation
-            for vid, _ in pres.incidences:
+            for vid in surf.graph.trivalent_vertices():
                 ms = [rep.evaluate(pres.vertex_words[(vid, s)]) for s in range(3)]
                 pairs = list(zip(ms, ms[1:] + ms[:1]))
                 trs = [(p @ q @ p.inverse() @ q.inverse()).trace() for p, q in pairs]
@@ -464,13 +492,33 @@ def test_far_end_spectra_match_a_direct_solve(surfaces, tol):
             if rep is None:
                 continue
             slot_fixed, slot_eigen = rep._spectra[1e-9]
-            for far in rep.presentation.inverse_slots:
+            for far in [(w, sw) for _, _, _, _, w, sw, _ in rep.presentation.walk]:
                 word = builder._word(rep._letters, rep.presentation.vertex_words[far])
                 x, e, y = builder._fixed_points_with_eigs(*word, 1e-9)
                 assert abs(slot_eigen[far] - e) <= tol * abs(e), far
                 assert max(map(_point_distance, slot_fixed[far], (x, y))) <= tol, far
                 compared += 1
     assert compared >= 10
+
+
+def test_the_end_the_walk_reaches_first_is_solved():
+    # at every walk step the near slot's word is multiplied and solved, and
+    # the far slot takes the reversed spectrum, whichever end has the lower id
+    rng = np.random.default_rng(18)
+    higher_near = 0
+    for surf in ribbon_graphs():
+        for _ in range(5):
+            rep = _recovered(surf, rng, gate=1e-9)
+            if rep is None or all(v < w for _, _, v, _, w, _, _ in rep.presentation.walk):
+                break
+            slot_fixed, slot_eigen = rep._spectra[1e-9]
+            for _, _, v, sv, w, sw, _ in rep.presentation.walk:
+                word = builder._word(rep._letters, rep.presentation.vertex_words[(v, sv)])
+                x, e, y = builder._fixed_points_with_eigs(*word, 1e-9)
+                assert (slot_fixed[(v, sv)], slot_eigen[(v, sv)]) == ((x, y), e), (v, sv)
+                assert (slot_fixed[(w, sw)], slot_eigen[(w, sw)]) == ((y, x), e), (w, sw)
+                higher_near += v > w
+    assert higher_near >= 100
 
 
 def test_genus_zero_verify_multiplies_the_relator_once(monkeypatch):

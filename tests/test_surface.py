@@ -91,6 +91,16 @@ def test_maximal_tree_spans():
         assert touched == set(g.vertices) or nverts == 1
 
 
+def test_a_genus_the_graph_cannot_carry_is_refused():
+    # the four-holed sphere's graph declared as S_{1,4}: every spanning tree
+    # leaves no interior edge out, not the one that genus 1 needs
+    surf = PantsSurface(1, 4, four_holed_sphere().graph)
+    with pytest.raises(ValueError, match=r"^tree complement has 0 interior edges, expected genus 1$"):
+        maximal_tree(surf)
+    with pytest.raises(ValueError, match=r"^not a maximal tree: 0 complement edges for genus 1$"):
+        su.Presentation(surf, {1, 2, 3, 4, 5})
+
+
 def test_fixture_trees_are_valid():
     assert set(four_holed_sphere().tree) == {1, 2, 3, 4, 5}
     assert set(one_holed_torus().tree) == {2}

@@ -114,6 +114,17 @@ def test_flip_unknown_edge_raises():
         sym.flip_eigenvalue(params, surf, 99)
 
 
+@pytest.mark.parametrize("edge, part, key", [(2, "eigen", 2), (1, "twist", 1)])
+def test_flip_numeric_error_names_the_edge(edge, part, key):
+    # a zero eigenvalue in the flipped edge's picture, or a zero twist on it,
+    # divides by zero; the error keeps its class and names the flipped edge
+    surf = SURFACES["four_holed"]()
+    params = sample_params(surf, RNG)
+    getattr(params, part)[key] = 0j
+    with pytest.raises(ZeroDivisionError, match=r"^edge %d: complex division by zero$" % edge):
+        sym.flip_eigenvalue(params, surf, edge)
+
+
 def _reference_flip(params, surface, edge):
     """flip_eigenvalue as it was first written: every interior edge's picture."""
     eigen, twist = dict(params.eigen), dict(params.twist)
