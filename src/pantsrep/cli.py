@@ -10,12 +10,14 @@ usage error (unknown command, bad choice, non-integer count) is a schema
 violation.
 
 A cold process pays for every module it imports, so each handler imports
-the modules only it uses, and numpy is loaded only by ``sample``.
+the modules only it uses, and no command loads numpy: ``sample`` draws
+its points from the stdlib ``random.Random(seed)``.
 """
 
 import argparse
 import cmath
 import json
+import math
 import sys
 
 from . import builder, coordinates, surface
@@ -251,20 +253,18 @@ def cmd_shearbend(args, surf, params):
 
 
 def sample_params(surf, rng, fuchsian_mode):
-    import numpy as np
-
     g = surf.graph
     eigen, twist = {}, {}
     for eid in sorted(g.edges):
         if fuchsian_mode:
-            eigen[eid] = complex(-np.exp(rng.uniform(0.1, 2)))
+            eigen[eid] = complex(-math.exp(rng.uniform(0.1, 2)))
         else:
             eigen[eid] = None
     if not fuchsian_mode:
         for _ in range(1000):
             for eid in sorted(g.edges):
-                r = np.exp(rng.uniform(np.log(1.2), np.log(5.0)))
-                th = rng.uniform(0, 2 * np.pi)
+                r = math.exp(rng.uniform(math.log(1.2), math.log(5.0)))
+                th = rng.uniform(0, 2 * math.pi)
                 eigen[eid] = r * cmath.exp(1j * th)
             probe = EdgeParams(dict(eigen), {e: 1.0 + 0j for e in g.interior_edges()})
             if coordinates.in_domain(probe, surf):
@@ -274,27 +274,29 @@ def sample_params(surf, rng, fuchsian_mode):
                                        factor="in_domain")
     for eid in sorted(g.interior_edges()):
         if fuchsian_mode:
-            twist[eid] = complex(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
+            twist[eid] = complex(math.exp(rng.uniform(math.log(0.1), math.log(10.0))))
         else:
-            r = np.exp(rng.uniform(np.log(0.1), np.log(10.0)))
-            th = rng.uniform(0, 2 * np.pi)
+            r = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+            th = rng.uniform(0, 2 * math.pi)
             twist[eid] = r * cmath.exp(1j * th)
     return EdgeParams(eigen, twist)
 
 
 def cmd_sample(args, surf, params):
-    import numpy as np
+    import random
 
     for flag, value in (("--n", args.n), ("--seed", args.seed)):
         if value < 0:
             raise SchemaError("%s must not be negative, got %d" % (flag, value))
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     points = []
     worst = 0.0
-    for _ in range(args.n):
+    for k in range(args.n):
         params = sample_params(surf, rng, args.fuchsian)
-        rep = builder.build(surf, params)
-        res = max(builder.verify_relations(rep).values())
+        try:
+            res = max(builder.verify_relations(builder.build(surf, params)).values())
+        except (DegenerateInputError, SingularMapError, ArithmeticError) as ex:
+            raise _at("point %d" % k, ex)
         worst = max(worst, res)
         points.append({"params": coordinates.params_to_json(params),
                        "relation_residual": float(res)})

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import math
 import re
 import shlex
 import subprocess
@@ -122,6 +123,62 @@ def test_sample_negative_seed_is_a_schema_error(capsys, four_holed_files):
     out, err = capsys.readouterr()
     doc = strict_json(out)
     assert doc["error"] == "schema" and "--seed" in doc["detail"] and err == ""
+
+
+@pytest.mark.parametrize("fuchsian", [False, True], ids=["complex", "fuchsian"])
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 31 - 1])
+@pytest.mark.parametrize("make", [su.four_holed_sphere, su.genus_two], ids=["four_holed", "genus_two"])
+def test_sample_draws_from_the_documented_ranges(tmp_path, capsys, make, seed, fuchsian):
+    """Log-uniform |e| in [1.2, 5] and |t| in [0.1, 10], rejected into the
+    domain; with --fuchsian, real e = -exp(u), u in [0.1, 2], and real t."""
+    surf = make()
+    spath = tmp_path / "s.json"
+    su.save(surf, spath)
+    argv = ["sample", "--surface", str(spath), "--seed", str(seed), "--n", "6"]
+    argv += ["--fuchsian"] if fuchsian else []
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == out
+    doc = strict_json(out)
+    assert (doc["seed"], doc["n"], len(doc["points"])) == (seed, 6, 6)
+    slack = 1 + 1e-12  # exp(log(b)) may round past b
+    for point in doc["points"]:
+        params = co.params_from_json(point["params"])
+        assert co.in_domain(params, surf)
+        for e in params.eigen.values():
+            if fuchsian:
+                assert e.imag == 0 and -math.exp(2) * slack <= e.real <= -math.exp(0.1) / slack
+            else:
+                assert 1.2 / slack <= abs(e) <= 5.0 * slack
+        for t in params.twist.values():
+            if fuchsian:
+                assert t.imag == 0 and 0.1 / slack <= t.real <= 10.0 * slack
+            else:
+                assert 0.1 / slack <= abs(t) <= 10.0 * slack
+
+
+@pytest.mark.parametrize("flags", [[], ["--fuchsian"]], ids=["complex", "fuchsian"])
+def test_sample_of_no_points(capsys, four_holed_files, flags):
+    _, _, spath, _ = four_holed_files
+    assert cli.main(["sample", "--surface", spath, "--n", "0"] + flags) == 0
+    doc = strict_json(capsys.readouterr().out)
+    assert (doc["points"], doc["worst_residual"]) == ([], 0.0)
+
+
+def test_sample_numeric_error_names_the_point(tmp_path, capsys):
+    # the build of a deep handle chain loses the relations at some points:
+    # the error names the failing point, and the points before it build
+    spath = tmp_path / "s.json"
+    su.save(handle_chain(8), spath)
+    argv = ["sample", "--surface", str(spath), "--seed", "1", "--n", "5"]
+    assert cli.main(argv) == 4
+    doc = strict_json(capsys.readouterr().out)
+    match = re.match(r"point (\d+): vertex \d+: ", doc["detail"])
+    assert match and doc["factor"], doc
+    argv[-1] = match.group(1)
+    assert cli.main(argv) == 0
+    assert len(strict_json(capsys.readouterr().out)["points"]) == int(match.group(1))
 
 
 def test_fn_on_fuchsian_point(tmp_path):
