@@ -29,7 +29,6 @@ from .projective import (
     as_point,
 )
 from .pants import make_pants_data, pants_rep
-from .surface import _plan
 from .coordinates import (
     EdgeParams,
     _backward,
@@ -54,7 +53,8 @@ class SurfaceRepresentation:
     images maps generator names to MoebiusMaps with determinant 1;
     points maps each trivalent vertex to its slot-ordered fixed-point
     triple; beta_signs records the SL sign chosen for each stable letter.
-    presentation is the surface's compiled Presentation for the tree.
+    presentation is the surface's one compiled Presentation
+    (surface._presentation), so the two never disagree.
     The letter table (name, +-1) -> (a, b, c, d) that evaluate,
     verify_relations, recover_coordinates and stiefel_whitney read is built
     once here, and recover_coordinates keeps the vertex spectra it reads
@@ -62,13 +62,12 @@ class SurfaceRepresentation:
     make a new one.
     """
 
-    def __init__(self, surface, presentation, params, images, points, base, beta_signs=None):
+    def __init__(self, surface, params, images, points, beta_signs=None):
         self.surface = surface
         self.params = params
-        self.presentation = presentation
+        self.presentation = surface._presentation
         self.images = dict(images)
         self.points = points
-        self.base = base
         self.beta_signs = dict(beta_signs or {i: 1 for i in range(1, surface.genus + 1)})
         self._letters = table = {}
         for name, m in self.images.items():
@@ -129,18 +128,19 @@ def _vertex_points(pres, params, base):
     return points
 
 
-def build(surface, params, tree=None, base=None):
+def build(surface, params, base=None):
     """Construct the SL(2,C) representation determined by the parameters.
 
-    Every generator image has determinant 1.  tree defaults to the
-    surface's stored tree, else maximal_tree.  base is the fixed-point
-    triple placed at the root vertex, slot order counterclockwise from
-    slot 0; differing bases give conjugate results.  A tree that is not a
-    maximal tree raises ValueError before the parameters are looked at.
+    Every generator image has determinant 1.  The generators are read along
+    the surface's stored tree, else maximal_tree (surface._presentation).
+    base is the fixed-point triple placed at the root vertex, slot order
+    counterclockwise from slot 0; differing bases give conjugate results.
+    A stored tree that is not a maximal tree raises ValueError before the
+    parameters are looked at.
     In-domain parameter values are coerced to complex (rep.params keeps them).  A
     numeric error's message starts "vertex <id>: ", "edge <id>: " or "edge <id> (b<i>): ".
     """
-    pres = _plan(surface, tree)
+    pres = surface._presentation
     if not in_domain(params, surface):
         raise DegenerateInputError("parameters outside the admissible domain", factor="in_domain")
     params = EdgeParams({k: complex(v) for k, v in params.eigen.items()},
@@ -175,7 +175,7 @@ def build(surface, params, tree=None, base=None):
                 _sl_normalize(*_three_point_map(_from_slot(pairs[w], sw), target)))
         except ValueError as ex:
             raise _at("edge %r (%s)" % (eid, name), ex)
-    return SurfaceRepresentation(surface, pres, params, images, points, base)
+    return SurfaceRepresentation(surface, params, images, points)
 
 
 def _residual(m):
@@ -336,7 +336,4 @@ def act_beta_signs(rep, signs):
         if s == -1:
             images["b%d" % i] = -images["b%d" % i]
         beta_signs[i] = beta_signs.get(i, 1) * s
-    return SurfaceRepresentation(
-        rep.surface, rep.presentation, rep.params, images, rep.points, rep.base,
-        beta_signs=beta_signs,
-    )
+    return SurfaceRepresentation(rep.surface, rep.params, images, rep.points, beta_signs=beta_signs)

@@ -239,7 +239,7 @@ def cmd_shearbend(args, surf, params):
     try:
         a, b, c, z1, z2 = shearbend.one_holed_to_shear(e1, e2, t1)
         ma_inv, mb = shearbend.shear_rep_one_holed(a, b, c)
-    except (DegenerateInputError, ArithmeticError) as ex:
+    except (DegenerateInputError, SingularMapError, ArithmeticError) as ex:
         raise _at("edge %r" % (loop,), ex)
     rep = builder.build(surf, params)
     report = {}

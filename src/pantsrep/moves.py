@@ -128,7 +128,7 @@ def _rewired(surface, vertices, edges):
     """A new surface, on surface's tree, whose graph replaces only the
     records a move changes (``FatGraph._rewired``).  The new graph carries
     the graph facts the old one has compiled; the new surface compiles its
-    own presentations.
+    own presentation.
     """
     return PantsSurface(surface.genus, surface.boundary, surface.graph._rewired(vertices, edges),
                         tree=surface.tree)

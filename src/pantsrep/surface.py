@@ -108,19 +108,27 @@ class FatGraph:
 
 
 class PantsSurface:
-    """A surface S_{g,b} presented by a pants decomposition fat graph."""
+    """A surface S_{g,b} presented by a pants decomposition fat graph.
+
+    The generators are read along tree, else along maximal_tree; to build
+    on another tree, make PantsSurface(g, b, surf.graph, tree=T).  A
+    surface is treated as immutable once something is built on it.
+    """
 
     def __init__(self, genus, boundary, graph, tree=None):
         self.genus = genus
         self.boundary = boundary
         self.graph = graph
         self.tree = set(tree) if tree is not None else None
-        # kept by _plan: maximal_tree once computed, one Presentation per tree
-        self._default_tree = None
-        self._plans = {}
 
     def euler_characteristic(self):
         return 2 - 2 * self.genus - self.boundary
+
+    @cached_property
+    def _presentation(self):
+        """The one Presentation everything built on the surface shares; a
+        tree that is not maximal raises ValueError, as presentation does."""
+        return presentation(self, maximal_tree(self) if self.tree is None else self.tree)
 
 
 def validate(surface):
@@ -252,8 +260,8 @@ class Presentation:
       every edge, in id order;
     - twist_slots: (edge, neighbor slots, the five (vertex, slot) keys of
       x1..x5, 'b<i>' or None) per interior edge, in id order.
-    One Presentation is shared by everything built on its surface and tree
-    (see _plan), so none of this is ever mutated.
+    One Presentation is shared by everything built on its surface
+    (PantsSurface._presentation), so none of this is ever mutated.
     """
 
     def __init__(self, surface, tree):
@@ -356,15 +364,10 @@ def presentation(surface, tree):
     slot s+1.  Each complement-edge stub or univalent vertex encountered
     emits a generator; the emitted sequence is the S_0 relation.  A tree
     that is not a spanning tree of the graph raises ValueError.  Each call
-    compiles afresh; _plan caches the result per surface and tree.
+    compiles afresh; surface._presentation is the one compiled on the
+    surface's own tree.
     """
     return Presentation(surface, tree)
-
-
-# ---------------------------------------------------------------------------
-# Compiled combinatorics: the local-picture slots of an edge, and the
-# Presentation of each tree, kept on its surface by _plan.  A surface is
-# treated as immutable once something has been built on it.
 
 
 def _picture_slots(graph, edge):
@@ -377,26 +380,6 @@ def _picture_slots(graph, edge):
     w, sw = head = graph.slot_of[(edge, "head")]
     at_v, at_w = graph.vertices[v].incident, graph.vertices[w].incident
     return tail, head, (at_v[(sv + 1) % 3], at_v[(sv + 2) % 3], at_w[(sw + 1) % 3], at_w[(sw + 2) % 3])
-
-
-def _plan(surface, tree=None):
-    """The Presentation of surface and tree, compiled on first use.
-
-    tree defaults to the surface's stored tree, else maximal_tree (computed
-    once per surface).  Raises ValueError, as presentation does, for a tree
-    that is not a maximal tree of the graph.
-    """
-    if tree is None:
-        tree = surface.tree
-        if tree is None:
-            if surface._default_tree is None:
-                surface._default_tree = frozenset(maximal_tree(surface))
-            tree = surface._default_tree
-    key = frozenset(tree)
-    pres = surface._plans.get(key)
-    if pres is None:
-        pres = surface._plans[key] = presentation(surface, key)
-    return pres
 
 
 # ---------------------------------------------------------------------------

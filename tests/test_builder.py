@@ -216,7 +216,7 @@ def test_one_surface_two_trees_equals_two_fresh_surfaces():
     params = sample_params(su.genus_two(), rng)
     shared = su.genus_two()
     for tree in ({1}, {2}, {3}, {1}):
-        got = builder.build(shared, params, tree=tree)
+        got = builder.build(su.PantsSurface(2, 0, shared.graph, tree=tree), params)
         fresh = su.genus_two()
         fresh.tree = set(tree)
         want = builder.build(fresh, params)
@@ -237,9 +237,9 @@ def test_move_results_never_reuse_the_source_plan():
         builder.build(surf, params)
         new_surf, new_params = moves.apply_move(surf, params, move)
         assert new_surf is not surf
-        assert su._plan(new_surf) is not su._plan(surf)
+        assert new_surf._presentation is not surf._presentation
         # graph facts live on the graph, presentations on the surface
-        assert new_surf.graph is not surf.graph and new_surf._plans is not surf._plans
+        assert new_surf.graph is not surf.graph
         fresh = su.from_json(su.to_json(new_surf))
         assert (_outputs(builder.build(new_surf, new_params))
                 == _outputs(builder.build(fresh, new_params)))
@@ -266,8 +266,7 @@ def test_recover_rejects_images_with_a_common_fixed_point():
     # is reducible
     images = {name: MoebiusMap((lam, 1.0, 0, 1 / lam))
               for name, lam in zip(sorted(rep.images), (2.0, 3j, -1.5, 0.5 + 1j))}
-    bad = builder.SurfaceRepresentation(surf, rep.presentation, rep.params, images,
-                                        rep.points, rep.base)
+    bad = builder.SurfaceRepresentation(surf, rep.params, images, rep.points)
     with pytest.raises(DegenerateInputError) as info:
         builder.recover_coordinates(bad)
     assert info.value.factor == "tr[m,m']-2"
@@ -286,8 +285,7 @@ def test_recover_rejects_conjugated_reducible_images():
             c = MoebiusMap((k * z, 1.0, 1.0, 2 / (k * z)))
             images = {name: c @ MoebiusMap((lam, 1.0, 0, 1 / lam)) @ c.inverse()
                       for name, lam in zip(sorted(rep.images), (2.0, 3j, -1.5, 0.5 + 1j))}
-            bad = builder.SurfaceRepresentation(surf, rep.presentation, rep.params, images,
-                                                rep.points, rep.base)
+            bad = builder.SurfaceRepresentation(surf, rep.params, images, rep.points)
             with pytest.raises(DegenerateInputError) as info:
                 builder.recover_coordinates(bad)
         except SingularMapError:
@@ -320,8 +318,7 @@ def test_a_singular_product_names_its_relation_or_vertex(make, big, stretch, cal
     rep = builder.build(surf, sample_params(surf, np.random.default_rng(3)))
     images = {name: _stretched(stretch if big is None or name in big else 1.5, 0.7 * i + 0.3)
               for i, name in enumerate(sorted(rep.images))}
-    bad = builder.SurfaceRepresentation(surf, rep.presentation, rep.params, images,
-                                        rep.points, rep.base)
+    bad = builder.SurfaceRepresentation(surf, rep.params, images, rep.points)
     for _ in range(2):
         with pytest.raises(SingularMapError) as info:
             call(bad)

@@ -103,6 +103,29 @@ def test_usage_error_is_a_schema_error(capsys, argv):
     assert strict_json(out)["error"] == "schema" and err == ""
 
 
+@pytest.mark.parametrize("argv, detail", [
+    (["move", "S", "P"], "move needs --kind and --target"),
+    (["move", "S", "P", "--kind", "reverse"], "move needs --kind and --target"),
+    (["move", "S", "P", "--kind", "reverse", "--target", "x"], "--target must be an edge or vertex id"),
+    (["move", "S", "P", "--kind", "elem", "--target", "1", "--branch", "1"], "--branch must be re,im"),
+    (["move", "S", "P", "--kind", "elem", "--target", "1", "--branch", "a,b"], "--branch must be re,im"),
+    (["act", "S", "P"], "act needs --flip and/or --epsilon"),
+    (["act", "S", "P", "--epsilon", "1,x"], "--epsilon must be a comma-separated edge list"),
+    (["generators", "P"], "--surface is required for this command"),
+    (["generators", "S"], "--params is required for this command"),
+    (["recover", "S", "P", "--tol", "abc"], "argument --tol: must be a finite non-negative number"),
+], ids=["move-bare", "move-kind-only", "move-bad-target", "move-branch-one-part",
+        "move-branch-not-numbers", "act-bare", "act-bad-epsilon", "no-surface", "no-params",
+        "bad-tol"])
+def test_a_missing_or_malformed_flag_is_a_schema_error(capsys, four_holed_files, argv, detail):
+    _, _, spath, ppath = four_holed_files
+    files = {"S": ["--surface", spath], "P": ["--params", ppath]}
+    assert cli.main([x for a in argv for x in files.get(a, [a])]) == 2
+    out, err = capsys.readouterr()
+    doc = strict_json(out)
+    assert doc["error"] == "schema" and doc["detail"].startswith(detail) and err == "", doc
+
+
 def test_help_still_prints_usage(capsys):
     with pytest.raises(SystemExit) as ex:
         cli.main(["--help"])
@@ -292,6 +315,19 @@ def test_shearbend_numeric_error_names_the_edge(tmp_path, t1):
     r = run_cli("shearbend", "--surface", str(spath), "--params", str(ppath))
     assert (r.returncode, r.stderr) == (4, ""), (r.stdout, r.stderr[-500:])
     assert strict_json(r.stdout)["detail"].startswith("edge 1: ")
+
+
+def test_shearbend_singular_map_names_the_edge(tmp_path):
+    # t1 e1^2 + 1 = -1e-7: the parameters are in the domain, but the
+    # shear-bend matrices fail MoebiusMap's singularity rule
+    e1 = -2 + 0.3j
+    spath, ppath = tmp_path / "s.json", tmp_path / "p.json"
+    su.save(su.one_holed_torus(), spath)
+    co.save_params(EdgeParams({1: e1, 2: -1.7 + 0.1j}, {1: -(1 + 1e-7) / e1 ** 2}), ppath)
+    r = run_cli("shearbend", "--surface", str(spath), "--params", str(ppath))
+    assert (r.returncode, r.stderr) == (4, ""), (r.stdout, r.stderr[-500:])
+    doc = strict_json(r.stdout)
+    assert doc["factor"] == "det" and doc["detail"].startswith("edge 1: singular matrix"), doc
 
 
 def test_recover_numeric_error_names_the_vertex(tmp_path):

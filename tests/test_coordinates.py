@@ -223,6 +223,18 @@ def _reference_best_variant(xs):
     return best
 
 
+def test_twist_recovery_refuses_what_no_variant_can_read():
+    es = (-2, -1.5, -2.5, -1.75, -3)
+    with pytest.raises(ValueError) as info:
+        co.twist_from_fixed_points(5, es, {i: i for i in range(1, 6)})
+    assert (info.type, str(info.value)) == (ValueError, "variant must be 1, 2, 3 or 4")
+    # NaN points have no spread, so no variant is better conditioned
+    nan = float("nan")
+    with pytest.raises(DegenerateInputError) as info:
+        co.best_twist_from_fixed_points(es, {i: nan for i in range(1, 6)})
+    assert (str(info.value), info.value.factor) == ("no variant has a finite spread", "x1 .. x5")
+
+
 def test_best_twist_picks_the_reference_variant(monkeypatch):
     rng = np.random.default_rng(404)
     chosen = []

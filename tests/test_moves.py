@@ -71,6 +71,9 @@ def test_dehn_twist_formulas():
     assert abs(tr - e * e * t) < 1e-14
     _, tl = moves.dehn_twist_formula(e, t, "left")
     assert abs(tl - t / (e * e)) < 1e-14
+    with pytest.raises(ValueError) as info:
+        moves.dehn_twist_formula(e, t, "up")
+    assert (info.type, str(info.value)) == (ValueError, "direction must be 'right' or 'left'")
 
 
 def test_dehn_twist_left_right_cancel():
@@ -188,6 +191,9 @@ def test_new_eigenvalue_branches():
     # explicit branch choice
     e2 = moves.new_eigenvalue(tr, branch=e)
     assert abs(e2 - e) < 1e-12
+    with pytest.raises(ValueError) as info:
+        moves.new_eigenvalue(3.0, branch=0.5)
+    assert (info.type, str(info.value)) == (ValueError, "branch is not a root of x^2 - tr x + 1")
 
 
 def test_new_eigenvalue_has_no_cancellation():

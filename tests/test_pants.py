@@ -67,6 +67,9 @@ def test_other_fixed_point():
             m = mats[i - 1]
             assert m.apply(y).same_as(y, tol=1e-7)
             assert not y.same_as(data.fixed[i - 1], tol=1e-6)
+    with pytest.raises(ValueError) as info:
+        other_fixed_point(4, data)
+    assert (info.type, str(info.value)) == (ValueError, "index must be 1, 2 or 3")
 
 
 def test_degenerate_inputs_rejected():

@@ -40,6 +40,7 @@ def rand_map():
 
 def test_point_identifications():
     assert as_point(2.0).same_as(ProjectivePoint(4, 2))
+    assert as_point(2.0) == ProjectivePoint(4, 2)
     assert INF.same_as(ProjectivePoint(-3, 0))
     assert not INF.same_as(as_point(0))
     assert as_point(INF) is INF or as_point(INF).same_as(INF)
@@ -66,6 +67,22 @@ def test_as_point_maps_infinity_to_inf(z):
 def test_as_point_rejects_non_numbers(z, error):
     with pytest.raises(error):
         as_point(z)
+
+
+def test_points_are_unhashable_and_print_their_value():
+    # equality is tolerant, so no hash can agree with it
+    with pytest.raises(TypeError) as info:
+        hash(INF)
+    assert str(info.value) == "ProjectivePoint is not hashable (tolerant equality)"
+    assert repr(INF) == repr(ProjectivePoint(-3, 0)) == "ProjectivePoint(inf)"
+    assert repr(ProjectivePoint(5, 2)) == "ProjectivePoint((2.5+0j))"
+
+
+def test_a_map_called_on_a_point_applies_it():
+    m = MoebiusMap((2, 1, 1, 1))
+    for p, want in ((as_point(1), 1.5), (INF, 2.0), (as_point(-1), INF)):
+        got = m(p)
+        assert type(got) is ProjectivePoint and got.same_as(want) and got.same_as(m.apply(p))
 
 
 def test_singular_matrix_rejected():
@@ -174,6 +191,10 @@ def test_three_point_map_with_infinity():
 def test_three_point_map_degenerate():
     with pytest.raises(DegenerateInputError):
         three_point_map((0, 0, 1), (0, 1, INF))
+    # a target triple that is not distinct is refused too
+    with pytest.raises(DegenerateInputError) as info:
+        three_point_map((0, 1, INF), (0, 0, 1))
+    assert (str(info.value), info.value.factor) == ("triple is not pairwise distinct", "x_i - x_j")
 
 
 def test_axis_transport():

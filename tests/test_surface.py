@@ -250,6 +250,18 @@ def test_validate_reports_a_disconnected_graph():
         maximal_tree(surf)
 
 
+def test_validate_reports_an_edge_between_two_univalent_vertices():
+    # the counts of S_{0,3}: one trivalent vertex with a loop and a leg,
+    # and edge 3 on its own between two univalent vertices
+    vertices = [Vertex(0, "tri", ((1, "tail"), (2, "tail"), (2, "head"))),
+                Vertex(1, "uni", ((1, "head"),)),
+                Vertex(2, "uni", ((3, "tail"),)),
+                Vertex(3, "uni", ((3, "head"),))]
+    edges = [Edge(1, 0, 1), Edge(2, 0, 0), Edge(3, 2, 3)]
+    assert validate(PantsSurface(0, 3, FatGraph(vertices, edges))) == [
+        "edge 3 joins two univalent vertices"]
+
+
 @pytest.mark.parametrize("vertex, slot, incidence, named", [
     (1, 0, [1, "middle"], ["vertex 1 lists (1, 'middle')", "vertex 1 must list (1, 'head')"]),
     (0, 1, [3, "tail"], ["vertex 0 must list (3, 'tail')", "vertex 0 must list (2, 'tail')"]),
@@ -365,5 +377,6 @@ def test_non_spanning_tree_raises_value_error(make, tree):
     params = sample_params(surf, np.random.default_rng(3))
     with pytest.raises(ValueError, match="not a spanning tree"):
         presentation(surf, tree)
+    surf.tree = set(tree)
     with pytest.raises(ValueError, match="not a spanning tree"):
-        builder.build(surf, params, tree=tree)
+        builder.build(surf, params)

@@ -44,6 +44,13 @@ def test_act_epsilon_changes_eigen_only():
         assert out.twist == params.twist
 
 
+def test_act_epsilon_refuses_a_sign_vector_that_breaks_a_vertex():
+    surf = SURFACES["four_holed"]()
+    with pytest.raises(ValueError) as info:
+        sym.act_epsilon(sample_params(surf, RNG), {1: -1}, surf)
+    assert (info.type, str(info.value)) == (ValueError, "sign vector violates the vertex product condition")
+
+
 def test_epsilon_preserves_squared_traces():
     for make in SURFACES.values():
         surf = make()
