@@ -212,7 +212,7 @@ def _vertex_spectra(rep, tol):
 
     Returns (slot_fixed, slot_eigen), keyed by (vid, slot): the fixed-point
     pair (x, y) and the eigenvalue e of x that fixed_points_with_eigs
-    returns.  Vertices come in walk order (pres.walk), and every word is
+    returns.  Vertices come in walk order (pres.visits), and every word is
     multiplied and solved except each step's far slot, which faces the root
     and whose word is the inverse of the near slot's: its product is the
     near product's adjugate, whose spectrum is (y, e, x) for the near
@@ -226,25 +226,23 @@ def _vertex_spectra(rep, tol):
     mats = {}
     slot_fixed = {}
     slot_eigen = {}
-    visits = [(pres.root, None, None)] + [(w, sw, (v, sv)) for _, _, v, sv, w, sw, _ in pres.walk]
-    for vid, facing, near in visits:
-        keys = (vid, 0), (vid, 1), (vid, 2)
+    for keys, facing, near in pres.visits:
         for key in keys:
             try:
-                mats[key] = _adj(mats[near]) if key[1] == facing else _word(table, words[key])
+                mats[key] = _adj(mats[near]) if key == facing else _word(table, words[key])
             except SingularMapError as ex:
                 raise _at("vertex %r slot %d" % key, ex)
         p, q = mats[keys[0]], mats[keys[1]]
         try:
             comm = _chain((q, _adj(p), _adj(q)), p)
         except SingularMapError as ex:
-            raise _at("vertex %r" % (vid,), ex)
+            raise _at("vertex %r" % (keys[0][0],), ex)
         if abs(comm[0] + comm[3] - 2) <= max(tol, _COMM_TOL * (_max_abs(*p) * _max_abs(*q)) ** 2):
             raise DegenerateInputError(
-                "reducible restriction at vertex %r" % (vid,), factor="tr[m,m']-2"
+                "reducible restriction at vertex %r" % (keys[0][0],), factor="tr[m,m']-2"
             )
         for key in keys:
-            if key[1] == facing:
+            if key == facing:
                 (y, x), e = slot_fixed[near], slot_eigen[near]
             else:
                 try:
@@ -290,21 +288,21 @@ def recover_coordinates(rep, eigen_choice=None, tol=1e-9):
     eigen = {}
     branch_points = {}
     for eid, ends in pres.ends:
-        end, (vid, s) = ends[0]
+        end, key = ends[0]
         choice = eigen_choice.get(eid, 1)
-        e = slot_eigen[(vid, s)]
-        x, y = slot_fixed[(vid, s)]
+        e = slot_eigen[key]
+        x, y = slot_fixed[key]
         if choice == -1:
             e, x, y = 1 / e, y, x
         eigen[eid] = _end_eigen(e, end)
-        branch_points[(vid, s)] = x
-        for end2, (vid2, s2) in ends[1:]:
-            e2 = slot_eigen[(vid2, s2)]
-            x2, y2 = slot_fixed[(vid2, s2)]
+        branch_points[key] = x
+        for end2, key2 in ends[1:]:
+            e2 = slot_eigen[key2]
+            x2, y2 = slot_fixed[key2]
             want = _end_eigen(eigen[eid], end2)
             if abs(e2 - want) > abs(1 / e2 - want):
                 e2, x2, y2 = 1 / e2, y2, x2
-            branch_points[(vid2, s2)] = x2
+            branch_points[key2] = x2
 
     # the twists are the unknowns; the local pictures read only eigenvalues
     twist = {}

@@ -22,7 +22,6 @@ from .projective import (
     DegenerateInputError,
     ProjectivePoint,
     _cross_ratio,
-    _pair,
     _vanishing,
     as_pair,
     as_point,
@@ -89,9 +88,10 @@ def _ratio_point(a, b, c, x1, x2, x3):
     pair is scaled to max(|num|, |den|) = 1, so that points carried along a
     deep tree neither overflow nor underflow.
     """
-    w1, w2, w3 = a * _pair(x2, x3), b * _pair(x3, x1), c * _pair(x1, x2)
-    num = w1 * x1[0] + w2 * x2[0] + w3 * x3[0]
-    den = w1 * x1[1] + w2 * x2[1] + w3 * x3[1]
+    (n1, d1), (n2, d2), (n3, d3) = x1, x2, x3
+    w1, w2, w3 = a * (n2 * d3 - n3 * d2), b * (n3 * d1 - n1 * d3), c * (n1 * d2 - n2 * d1)
+    num = w1 * n1 + w2 * n2 + w3 * n3
+    den = w1 * d1 + w2 * d2 + w3 * d3
     s = _vanishing(max(abs(num), abs(den)), "(num : den)")
     return num / s, den / s
 
@@ -189,29 +189,33 @@ def _best_variant(x):
     The four formulas agree exactly; this picks the one whose points are most
     spread out (largest min over its pairs of |det| / (scale scale)).  Each
     scale and spread is computed once, in the order the variants first read
-    them; a tie keeps the lower variant and a NaN minimum never wins.
+    them; a tie keeps the lower variant, and a variant with a NaN spread never wins.
     """
-    x1, x2, x3, x4, x5 = x[1], x[2], x[3], x[4], x[5]
-    s5, s3 = max(abs(x5[0]), abs(x5[1])), max(abs(x3[0]), abs(x3[1]))
-    s1, s2 = max(abs(x1[0]), abs(x1[1])), max(abs(x2[0]), abs(x2[1]))
-    d35, d15 = abs(_pair(x3, x5)) / (s3 * s5), abs(_pair(x1, x5)) / (s1 * s5)
-    d25, d13 = abs(_pair(x2, x5)) / (s2 * s5), abs(_pair(x1, x3)) / (s1 * s3)
-    d23, d12 = abs(_pair(x2, x3)) / (s2 * s3), abs(_pair(x1, x2)) / (s1 * s2)
+    (n1, d1), (n2, d2), (n3, d3), (n4, d4), (n5, d5) = x[1], x[2], x[3], x[4], x[5]
+    s5, s3 = max(abs(n5), abs(d5)), max(abs(n3), abs(d3))
+    s1, s2 = max(abs(n1), abs(d1)), max(abs(n2), abs(d2))
+    d35, d15 = abs(n3 * d5 - n5 * d3) / (s3 * s5), abs(n1 * d5 - n5 * d1) / (s1 * s5)
+    d25, d13 = abs(n2 * d5 - n5 * d2) / (s2 * s5), abs(n1 * d3 - n3 * d1) / (s1 * s3)
+    d23, d12 = abs(n2 * d3 - n3 * d2) / (s2 * s3), abs(n1 * d2 - n2 * d1) / (s1 * s2)
+    s4 = max(abs(n4), abs(d4))
+    d34, d14 = abs(n3 * d4 - n4 * d3) / (s3 * s4), abs(n1 * d4 - n4 * d1) / (s1 * s4)
+    d24 = abs(n2 * d4 - n4 * d2) / (s2 * s4)
+    d45 = abs(n4 * d5 - n5 * d4) / (s4 * s5)
+    spreads = d35 + d15 + d25 + d13 + d23 + d12 + d34 + d14 + d24 + d45
+    if spreads != spreads:  # min() keeps a NaN only in first place; as -1.0 it always loses
+        d35, d15, d25, d13, d23, d12, d34, d14, d24, d45 = [
+            -1.0 if v != v else v for v in (d35, d15, d25, d13, d23, d12, d34, d14, d24, d45)]
     best, score = None, -1.0
-    m = min([d35, d15, d25, d13, d23, d12])
+    m = min(d35, d15, d25, d13, d23, d12)
     if m > score:
         best, score = 1, m
-    s4 = max(abs(x4[0]), abs(x4[1]))
-    d34, d14 = abs(_pair(x3, x4)) / (s3 * s4), abs(_pair(x1, x4)) / (s1 * s4)
-    d24 = abs(_pair(x2, x4)) / (s2 * s4)
-    m = min([d34, d14, d24, d13, d23, d12])
+    m = min(d34, d14, d24, d13, d23, d12)
     if m > score:
         best, score = 2, m
-    d45 = abs(_pair(x4, x5)) / (s4 * s5)
-    m = min([d24, d12, d25, d14, d45, d15])
+    m = min(d24, d12, d25, d14, d45, d15)
     if m > score:
         best, score = 3, m
-    if min([d34, d13, d35, d14, d45, d15]) > score:
+    if min(d34, d13, d35, d14, d45, d15) > score:
         best = 4
     if best is None:
         raise DegenerateInputError("no variant has a finite spread", factor="x1 .. x5")

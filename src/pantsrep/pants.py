@@ -14,12 +14,10 @@ from .projective import (
     SING_TOL,
     DegenerateInputError,
     MoebiusMap,
-    _adj,
     _check_nonsingular,
     _distinct,
     _map_from_standard,
     _max_abs,
-    _mul,
     _vanishing,
     as_point,
 )
@@ -85,10 +83,15 @@ def pants_rep(data):
     s = _max_abs(a, b, c, d)
     p0, p1, p2, p3 = a / s, b / s, c / s, d / s
     r = math.sqrt(abs(_vanishing(p0 * p3 - p1 * p2, "det(conj)", SING_TOL)))
-    p = p0, p1, p2, p3 = p0 / r, p1 / r, p2 / r, p3 / r
+    p0, p1, p2, p3 = p0 / r, p1 / r, p2 / r, p3 / r
     det = p0 * p3 - p1 * p2
-    q = tuple([z / det for z in _adj(p)])
-    return tuple([MoebiusMap(_mul(_mul(p, m), q)) for m in mats])
+    q0, q1, q2, q3 = p3 / det, -p1 / det, -p2 / det, p0 / det
+    # p m q, multiplied out as _mul(_mul(p, m), q) multiplies it
+    out = []
+    for m0, m1, m2, m3 in mats:
+        t0, t1, t2, t3 = p0 * m0 + p1 * m2, p0 * m1 + p1 * m3, p2 * m0 + p3 * m2, p2 * m1 + p3 * m3
+        out.append(MoebiusMap((t0 * q0 + t1 * q2, t0 * q1 + t1 * q3, t2 * q0 + t3 * q2, t2 * q1 + t3 * q3)))
+    return tuple(out)
 
 
 def other_fixed_point(index, data):
@@ -106,13 +109,15 @@ def is_admissible_triple(e1, e2, e3, tol=1e-9):
     Reducibility happens exactly on e1 = e2 e3, e2 = e3 e1, e3 = e1 e2 and
     e1 e2 e3 = 1; comparisons are relative to the magnitudes involved.
     """
-    products = [
-        (e1, e2 * e3),
-        (e2, e3 * e1),
-        (e3, e1 * e2),
-        (e1 * e2 * e3, 1),
-    ]
-    for lhs, rhs in products:
-        if abs(lhs - rhs) <= tol * max(abs(lhs), abs(rhs), 1.0):
-            return False
-    return True
+    p = e2 * e3
+    if abs(e1 - p) <= tol * max(abs(e1), abs(p), 1.0):
+        return False
+    p = e3 * e1
+    if abs(e2 - p) <= tol * max(abs(e2), abs(p), 1.0):
+        return False
+    p = e1 * e2
+    if abs(e3 - p) <= tol * max(abs(e3), abs(p), 1.0):
+        return False
+    p = p * e3
+    # max(|p|, |1|, 1.0), as for the other three pairs
+    return not abs(p - 1) <= tol * max(abs(p), 1, 1.0)

@@ -16,6 +16,11 @@ arithmetic: complex() is called only where numbers enter the package.
 numpy is imported on demand, only to accept an array, build ``.m`` or
 print a map.
 
+The two-point determinant p_num q_den - q_num p_den (_pair) is written out
+in place in the hottest kernels (_distinct, _cross_ratio, and _ratio_point
+and _best_variant in coordinates): a round trip runs them dozens of times
+per point, and a Python call costs more than the determinant.
+
 Every numeric degeneracy is a named factor of a source formula reaching
 zero; _vanishing is the one rule that tests it and names it in the error.
 """
@@ -116,9 +121,10 @@ def _pair(p, q):
 
 def _distinct(p, q, r):
     """True iff the points p, q, r are pairwise distinct (same_as tolerance)."""
-    sp, sq, sr = [max(abs(x[0]), abs(x[1])) for x in (p, q, r)]
-    return not (abs(_pair(p, q)) <= EQ_TOL * (sp * sq) or abs(_pair(q, r)) <= EQ_TOL * (sq * sr)
-                or abs(_pair(p, r)) <= EQ_TOL * (sp * sr))
+    (pn, pd), (qn, qd), (rn, rd) = p, q, r
+    sp, sq, sr = max(abs(pn), abs(pd)), max(abs(qn), abs(qd)), max(abs(rn), abs(rd))
+    return not (abs(pn * qd - qn * pd) <= EQ_TOL * (sp * sq) or abs(qn * rd - rn * qd) <= EQ_TOL * (sq * sr)
+                or abs(pn * rd - rn * pd) <= EQ_TOL * (sp * sr))
 
 
 def as_point(z):
@@ -354,8 +360,9 @@ def cross_ratio(x0, x1, x2, x3):
 
 def _cross_ratio(x0, x1, x2, x3):
     """cross_ratio of four (num, den) points."""
-    num = _pair(x3, x0) * _pair(x2, x1)
-    return num / _vanishing(_pair(x3, x1) * _pair(x2, x0), "(x3 - x1)(x2 - x0)")
+    (n0, d0), (n1, d1), (n2, d2), (n3, d3) = x0, x1, x2, x3
+    num = (n3 * d0 - n0 * d3) * (n2 * d1 - n1 * d2)
+    return num / _vanishing((n3 * d1 - n1 * d3) * (n2 * d0 - n0 * d2), "(x3 - x1)(x2 - x0)")
 
 
 def mobius_with_axis(e, x, y):
@@ -435,15 +442,15 @@ def _fixed_points_with_eigs(a, b, c, d, tol):
     e, other = _trace_roots(a + d, tol)
     if abs(e) < 1 or (abs(abs(e) - 1) <= 1e-12 and not (0 <= cmath.phase(e) < math.pi)):
         e = other
-    return _eigvec(a, b, c, d, e), e, _eigvec(a, b, c, d, 1 / e)
-
-
-def _eigvec(a, b, c, d, lam):
-    """The fixed point of (a, b, c, d) for its eigenvalue lam: it solves (a - lam) u + b v = 0.
-    Of the two candidate rows (b, lam - a) and (lam - d, c) take the larger, the first on a
-    tie or NaN."""
-    u, v, p, q = lam - d, c, b, lam - a
-    return _point(u, v) if abs(u) + abs(v) > abs(p) + abs(q) else _point(p, q)
+    # x for e, then y for 1/e, solve (a - lam) u + b v = 0: of the candidate rows
+    # (b, lam - a) and (lam - d, c) take the larger, the first on a tie or NaN
+    sb, sc = abs(b), abs(c)
+    u, q = e - d, e - a
+    x = _point(u, c) if abs(u) + sc > sb + abs(q) else _point(b, q)
+    lam = 1 / e
+    u, q = lam - d, lam - a
+    y = _point(u, c) if abs(u) + sc > sb + abs(q) else _point(b, q)
+    return x, e, y
 
 
 def _trace_roots(tr, tol=1e-9):

@@ -253,6 +253,9 @@ class Presentation:
       vertex, near slot, far vertex, far slot, forward) per interior tree
       edge, each after the step that reaches its near vertex; the far
       slot's vertex word is the inverse of the near slot's;
+    - visits: per vertex in walk order, its three (vertex, slot) keys, the
+      key of the slot facing the root and the near key that slot faces
+      (both None at the root);
     - image_slots: (generator, vertex, slot) of every pants-matrix image;
     - letters: (edge, 'b<i>', tail slot, head slot, neighbor slots) per
       complement edge;
@@ -321,6 +324,9 @@ class Presentation:
         self.root = root = min(graph.trivalent_vertices())
         self.relation = excursion(root, 0) + excursion(root, 1) + excursion(root, 2)
         self.walk = tuple(walk)
+        visits = [(root, None, None)] + [(w, (w, sw), (v, sv)) for _, _, v, sv, w, sw, _ in walk]
+        self.visits = tuple((((vid, 0), (vid, 1), (vid, 2)), facing, near)
+                            for vid, facing, near in visits)
         # the HNN relations a_(g+i)^-1 = b_i^-1 a_i b_i, and the substitution
         # that eliminates a_(g+i) from the one relator
         hnn, sub = [], {}

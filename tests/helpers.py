@@ -45,6 +45,35 @@ def sample_fuchsian_params(surf, rng):
     return EdgeParams(eigen, twist)
 
 
+def same_numbers(a, b):
+    """a == b entry by entry through nested tuples and lists, with NaN equal
+    to NaN (part by part for a complex number) and the types equal."""
+    if isinstance(a, (tuple, list)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(same_numbers(x, y) for x, y in zip(a, b)))
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, complex):
+        return same_numbers(a.real, b.real) and same_numbers(a.imag, b.imag)
+    return a == b or (a != a and b != b)
+
+
+def outcome(fn, *args):
+    """("value", fn(*args)), or the class, message and factor of what it raised."""
+    try:
+        return "value", fn(*args)
+    except (ArithmeticError, ValueError) as ex:
+        return type(ex), str(ex), getattr(ex, "factor", None)
+
+
+def same_outcome(fn, ref, *args):
+    """fn and its reference form agree on args: equal values, or the same error."""
+    got, want = outcome(fn, *args), outcome(ref, *args)
+    if got[0] == "value" and want[0] == "value":
+        return same_numbers(got[1], want[1])
+    return got == want
+
+
 def sl_diff(m, exp):
     """Entrywise distance up to the SL(2,C) sign ambiguity."""
     m = np.asarray(m, dtype=complex)

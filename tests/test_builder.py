@@ -653,3 +653,61 @@ def test_only_the_api_edge_makes_point_and_map_objects():
     assert len(doc["build"]) > 150
     assert all(stray == 0 and maps > 0 for stray, maps in doc["build"])
     assert doc["later"] == [0] * len(doc["build"])
+
+
+#: fixed box points, one per fixture, for the call census
+_CENSUS_POINTS = {
+    "four_holed": EdgeParams({1: -1.2 + 0.7j, 2: 1.4 - 0.9j, 3: -0.6 - 1.5j, 4: 1.7 + 0.4j,
+                              5: -1.8 - 0.3j}, {1: 0.8 - 1.1j}),
+    "one_holed": EdgeParams({1: -1.6 + 0.5j, 2: 0.7 + 1.3j}, {1: 1.2 - 0.6j}),
+    "genus_two": EdgeParams({1: -1.3 + 0.8j, 2: 1.5 + 0.6j, 3: -0.7 - 1.4j},
+                            {1: 0.9 + 1.2j, 2: -1.1 + 0.4j, 3: 1.6 - 0.7j}),
+}
+
+
+def _call_census():
+    """Print, as JSON, the Python-level calls into pantsrep frames that one
+    round trip makes per fixture: build, verify_relations, and a default and
+    a branch-choice recover_coordinates, as fixtures-roundtrip runs them.
+
+    The surface compiles its presentation on the first build, so each
+    fixture is built once before the count.
+    """
+    package = os.path.dirname(os.path.abspath(builder.__file__)) + os.sep
+    doc = {}
+    for name, params in _CENSUS_POINTS.items():
+        surf = SURFACES[name]()
+        builder.build(surf, params)
+        calls = [0]
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                calls[0] += 1
+
+        sys.setprofile(count)
+        try:
+            rep = builder.build(surf, params)
+            builder.verify_relations(rep)
+            first = builder.recover_coordinates(rep)
+            choice = {eid: 1 if abs(first.eigen[eid] - e) <= abs(1 / first.eigen[eid] - e) else -1
+                      for eid, e in params.eigen.items()}
+            rec = builder.recover_coordinates(rep, eigen_choice=choice)
+        finally:
+            sys.setprofile(None)
+        assert all(abs(rec.eigen[k] - v) <= 1e-9 for k, v in params.eigen.items())
+        doc[name] = calls[0]
+    print(json.dumps(doc))
+
+
+def test_the_round_trip_calls_no_more_helpers_than_measured():
+    # the per-point kernels do their arithmetic in place; a change that puts
+    # helper calls back on the round trip raises these ceilings, and says so
+    r = subprocess.run(
+        [sys.executable, "-c", "import test_builder; test_builder._call_census()"],
+        cwd=os.path.dirname(os.path.abspath(__file__)), env=SUBPROCESS_ENV,
+        capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr[-2000:]
+    doc = json.loads(r.stdout)
+    assert doc.keys() == _CENSUS_POINTS.keys()
+    ceilings = {"four_holed": 194, "one_holed": 171, "genus_two": 350}
+    assert all(doc[name] <= ceilings[name] for name in ceilings), doc

@@ -8,7 +8,9 @@ from pantsrep.coordinates import EdgeParams
 from pantsrep.projective import (INF, DegenerateInputError, ProjectivePoint, as_point,
                                  cross_ratio)
 
-from helpers import rand_c, sample_params
+from pantsrep import projective
+
+from helpers import rand_c, same_outcome, sample_params
 
 RNG = np.random.default_rng(20240903)
 
@@ -204,7 +206,9 @@ def test_params_from_json_rejects_malformed_documents(doc):
 
 
 def _reference_best_variant(xs):
-    """best_twist_from_fixed_points' choice as first written: per variant and pair."""
+    """best_twist_from_fixed_points' choice as first written: per variant and
+    pair.  A variant with a NaN spread never wins, and without a winner the
+    choice raises as the kernel does."""
     needed = {1: (5, 3, 1, 2), 2: (4, 3, 1, 2), 3: (2, 4, 1, 5), 4: (3, 4, 1, 5)}
     best, score = None, -1.0
     for variant, idx in needed.items():
@@ -212,14 +216,17 @@ def _reference_best_variant(xs):
             pts = [as_point(xs[i]) for i in idx]
         except KeyError:
             continue
-        m = min(
+        spreads = [
             abs(p.num * q.den - q.num * p.den)
             / (max(abs(p.num), abs(p.den)) * max(abs(q.num), abs(q.den)))
             for i, p in enumerate(pts)
             for q in pts[i + 1:]
-        )
-        if m > score:
+        ]
+        m = min(spreads)
+        if m > score and not any(d != d for d in spreads):
             best, score = variant, m
+    if best is None:
+        raise DegenerateInputError("no variant has a finite spread", factor="x1 .. x5")
     return best
 
 
@@ -270,7 +277,9 @@ def test_best_twist_picks_the_reference_variant(monkeypatch):
         chosen.clear()
         try:
             want = _reference_best_variant(xs)
-        except ArithmeticError as ex:  # tiny pairs: a scale product underflows to 0
+        except (ArithmeticError, DegenerateInputError) as ex:
+            # tiny pairs: a scale product underflows to 0; huge pairs: the
+            # products overflow, and a NaN spread can rule out every variant
             with pytest.raises(type(ex)):
                 co.best_twist_from_fixed_points(es, xs)
             assert chosen == []
@@ -285,3 +294,62 @@ def test_best_twist_picks_the_reference_variant(monkeypatch):
         got = co.best_twist_from_fixed_points(es, xs)
         assert chosen == [want]
         assert got == want_value or (got != got and want_value != want_value)
+
+
+def test_best_twist_skips_a_variant_with_a_nan_spread():
+    # a NaN spread anywhere in a variant's six rules it out, not only when
+    # it is the first spread min() sees
+    nan = float("nan")
+    es = (-2 + 0.1j, -1.5, -2.5 + 0.2j, -1.75, -3 + 0.3j)
+    xs = {1: 0.3, 2: nan, 3: "inf", 4: 2 + 1j, 5: -1 + 0.5j}
+    got = co.best_twist_from_fixed_points(es, xs)
+    assert got == co.twist_from_fixed_points(4, es, xs)
+    assert abs(got - (-1.1833 + 0.1425j)) < 1e-4
+    # variants 1-4 read {1,2,3,5}, {1,2,3,4}, {1,2,4,5} and {1,3,4,5}
+    unread = {2: 4, 3: 3, 4: 1, 5: 2}
+    plain = {1: 0.3, 2: -0.4 + 1.1j, 3: "inf", 4: 2 + 1j, 5: -1 + 0.5j}
+    for i, variant in unread.items():
+        for bad in (nan, complex(nan, 1), ProjectivePoint(1, nan)):
+            xs = dict(plain)
+            xs[i] = bad
+            p = {k: as_point(v) for k, v in xs.items()}
+            assert co._best_variant({k: (q.num, q.den) for k, q in p.items()}) == variant
+            assert co.best_twist_from_fixed_points(es, xs) == co.twist_from_fixed_points(variant, es, xs)
+    with pytest.raises(DegenerateInputError) as info:
+        co.best_twist_from_fixed_points(es, {**plain, 1: nan})
+    assert (type(info.value), str(info.value), info.value.factor) == (
+        DegenerateInputError, "no variant has a finite spread", "x1 .. x5")
+
+
+def _reference_ratio_point(a, b, c, x1, x2, x3):
+    """_ratio_point as first written, through _pair."""
+    pair = projective._pair
+    w1, w2, w3 = a * pair(x2, x3), b * pair(x3, x1), c * pair(x1, x2)
+    num = w1 * x1[0] + w2 * x2[0] + w3 * x3[0]
+    den = w1 * x1[1] + w2 * x2[1] + w3 * x3[1]
+    s = projective._vanishing(max(abs(num), abs(den)), "(num : den)")
+    return num / s, den / s
+
+
+def test_ratio_point_equals_its_pair_form():
+    rng = np.random.default_rng(2006)
+    nan = complex(float("nan"), 0)
+    special = [(1 + 0j, 0j), (0j, 1 + 0j), (nan, 1 + 0j), (2, 1), (1, 0)]
+    for _ in range(3000):
+        pts = []
+        for _ in range(3):
+            kind = rng.integers(5)
+            z = rand_c(rng)
+            if kind == 0:
+                s = 10.0 ** rng.integers(100, 300)
+                pts.append((z * s, complex(s)))
+            elif kind == 1:
+                pts.append(special[rng.integers(len(special))])
+            elif kind == 2 and pts:
+                pts.append(pts[-1])
+            else:
+                pts.append((z, 1 + 0j))
+        coeffs = [rand_c(rng) for _ in range(3)]
+        assert same_outcome(co._ratio_point, _reference_ratio_point, *coeffs, *pts)
+    for coeffs in ((1, 2, 3), (0, 0, 1), (0, 0, 0)):
+        assert same_outcome(co._ratio_point, _reference_ratio_point, *coeffs, (0, 1), (1, 0), (1, 1))

@@ -1,5 +1,7 @@
 """Moebius maps, projective points and cross ratios."""
 
+import cmath
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -23,6 +25,9 @@ from pantsrep.projective import (
     sqrt_principal,
     three_point_map,
 )
+from pantsrep import projective
+
+from helpers import same_outcome
 
 RNG = np.random.default_rng(20240901)
 
@@ -533,3 +538,105 @@ def test_pants_rep_rejects_a_singular_conjugating_map(monkeypatch):
     with pytest.raises(DegenerateInputError) as info:
         pants.pants_rep(pants.make_pants_data((2, 3j, -1.5 + 1j), (0, INF, 1)))
     assert info.value.factor == "det(conj)"
+
+
+# ---------------------------------------------------------------------------
+# the hot kernels write the two-point determinant and the eigenvector solve
+# in place; each equals, by == with NaN equal to NaN, its form as first written
+
+def _reference_eigvec(a, b, c, d, lam):
+    u, v, p, q = lam - d, c, b, lam - a
+    return projective._point(u, v) if abs(u) + abs(v) > abs(p) + abs(q) else projective._point(p, q)
+
+
+def _reference_fixed_points_with_eigs(a, b, c, d, tol):
+    """_fixed_points_with_eigs as first written: one _eigvec call per eigenvalue."""
+    if abs(a * d - b * c - 1) > 1e-8:
+        raise DegenerateInputError("fixed_points_with_eigs expects an SL-normalized map",
+                                   factor="det - 1")
+    e, other = projective._trace_roots(a + d, tol)
+    if abs(e) < 1 or (abs(abs(e) - 1) <= 1e-12 and not (0 <= cmath.phase(e) < math.pi)):
+        e = other
+    return _reference_eigvec(a, b, c, d, e), e, _reference_eigvec(a, b, c, d, 1 / e)
+
+
+def test_fixed_points_with_eigs_equals_the_eigvec_rule():
+    rng = np.random.default_rng(2004)
+    nan = complex(float("nan"), 0)
+    maps = []
+    for _ in range(300):
+        maps.append(sl_normalize(_rng_map(rng)))
+        e, t = _rng_c(rng), _rng_c(rng)
+        # a = d and b = c: both candidate rows have the same size, a tie
+        maps.append((cmath.cosh(t), cmath.sinh(t), cmath.sinh(t), cmath.cosh(t)))
+        # infinity fixed, with eigenvalue e and then 1/e
+        maps.append((e, _rng_c(rng), 0j, 1 / e))
+        maps.append((1 / e, _rng_c(rng), 0j, e))
+        maps.append((e, 0j, _rng_c(rng), 1 / e))
+        maps.append((e, 0j, 0j, 1 / e))
+        maps.append(mobius_with_axis(e, INF, _rng_c(rng)))
+        maps.append((e, nan, 0j, 1 / e))
+        maps.append((nan, _rng_c(rng), _rng_c(rng), nan))
+    maps += [(1, 1, 0, 1), (2, 0, 0, 0.5), (2, 3, 1, 2), (1 + 0j, 0j, 0j, 1 + 0j)]
+    for m in maps:
+        entries = (m.a, m.b, m.c, m.d) if isinstance(m, MoebiusMap) else m
+        for tol in (1e-9, 1e-3):
+            assert same_outcome(projective._fixed_points_with_eigs,
+                                _reference_fixed_points_with_eigs, *entries, tol)
+
+
+def _reference_distinct(p, q, r):
+    """_distinct as first written, through _pair."""
+    sp, sq, sr = [max(abs(x[0]), abs(x[1])) for x in (p, q, r)]
+    pair = projective._pair
+    return not (abs(pair(p, q)) <= projective.EQ_TOL * (sp * sq)
+                or abs(pair(q, r)) <= projective.EQ_TOL * (sq * sr)
+                or abs(pair(p, r)) <= projective.EQ_TOL * (sp * sr))
+
+
+def _reference_cross_ratio(x0, x1, x2, x3):
+    """_cross_ratio as first written, through _pair."""
+    pair = projective._pair
+    num = pair(x3, x0) * pair(x2, x1)
+    return num / projective._vanishing(pair(x3, x1) * pair(x2, x0), "(x3 - x1)(x2 - x0)")
+
+
+def _kernel_points(rng, n):
+    """n (num, den) points: plain, infinite, zero, huge, tiny, NaN, integer and
+    Fraction, with repeats."""
+    nan = float("nan")
+    fixed = [(1 + 0j, 0j), (0j, 1 + 0j), (2, 1), (1, 0), (-3, 2), (Fraction(1, 3), 1),
+             (Fraction(2, 3), Fraction(1, 2)), (complex(nan, 0), 1 + 0j), (1 + 0j, complex(nan, 0))]
+    out = []
+    for _ in range(n):
+        z = _rng_c(rng)
+        kind = rng.integers(6)
+        if kind == 0:
+            s = 10.0 ** rng.integers(100, 300)
+            out.append((z * s, complex(s)))
+        elif kind == 1:
+            s = 10.0 ** -rng.integers(100, 300)
+            out.append((z * s, complex(s)))
+        elif kind == 2 and out:
+            out.append(out[rng.integers(len(out))])
+        elif kind == 3:
+            out.append(fixed[rng.integers(len(fixed))])
+        else:
+            out.append((z, 1 + 0j))
+    return out
+
+
+def test_distinct_and_cross_ratio_equal_their_pair_forms():
+    rng = np.random.default_rng(2005)
+    for _ in range(3000):
+        pts = _kernel_points(rng, 4)
+        assert same_outcome(projective._distinct, _reference_distinct, *pts[:3])
+        assert same_outcome(projective._cross_ratio, _reference_cross_ratio, *pts)
+    small = [(n, d) for n in (-1, 0, 1, 2) for d in (0, 1, Fraction(1, 2))
+             if (n, d) != (0, 0)]
+    for p in small:
+        for q in small:
+            for r in small:
+                assert same_outcome(projective._distinct, _reference_distinct, p, q, r)
+                assert same_outcome(projective._cross_ratio, _reference_cross_ratio,
+                                    p, q, r, small[0])
