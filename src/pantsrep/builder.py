@@ -31,10 +31,9 @@ from .projective import (
 from .pants import make_pants_data, pants_rep
 from .coordinates import (
     EdgeParams,
-    _backward,
+    _across,
     _best_variant,
     _end_eigen,
-    _forward,
     _picture_es,
     _twist,
     in_domain,
@@ -93,17 +92,6 @@ def _word(table, word):
 def _from_slot(triple, s):
     """A slot-ordered triple read counterclockwise from slot s."""
     return triple[s], triple[(s + 1) % 3], triple[(s + 2) % 3]
-
-
-def _across(es, t1, xs, forward):
-    """The triple at the far end of an edge from the one at the near end.
-
-    es and t1 are the edge's local picture.  Both triples are read
-    counterclockwise from the edge: (x1, x2, x3) at the tail and
-    (x1, x4, x5) at the head.  forward crosses from tail to head.
-    """
-    step = _forward if forward else _backward
-    return (xs[0],) + step(es, t1, *xs)
 
 
 def _vertex_points(pres, params, base):

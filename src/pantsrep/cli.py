@@ -187,6 +187,8 @@ def cmd_move(args, surf, params):
             branch = complex(re, im)
         except ValueError as ex:
             raise SchemaError("--branch must be re,im: %s" % ex)
+        if not cmath.isfinite(branch):
+            raise SchemaError("--branch must be finite, got %r" % args.branch)
     try:
         target = int(args.target)
     except ValueError:

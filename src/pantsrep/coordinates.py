@@ -5,8 +5,10 @@ and a twist parameter to every interior edge.  The propagation formulas
 transport fixed points across an interior edge of the (universal cover of
 the) graph: with the edge oriented from the vertex carrying (x1, x2, x3) to
 the vertex carrying (x1, x4, x5), both triples counterclockwise starting at
-the shared edge, the forward equations give (x4, x5) and the backward ones
-(x2, x3).  All eigenvalues entering these formulas must already be
+the shared edge, the equations give (x4, x5).  They are written once
+(_across), and read from either end: seen from the head the picture is
+(e1, e4, e5, e2, e3) with twist 1/t1, and they carry (x1, x5, x4) to
+(x3, x2).  All eigenvalues entering these formulas must already be
 orientation-adjusted (invert e for an edge pointing into its vertex);
 _end_eigen owns that adjustment.  The public functions coerce their points
 once and wrap kernels on numbers and (num, den) points, which builder calls
@@ -98,45 +100,44 @@ def _ratio_point(a, b, c, x1, x2, x3):
 
 def propagate_forward(es, t1, x1, x2, x3):
     """Fixed points (x4, x5) across the edge, from (x1, x2, x3)."""
-    x4, x5 = _forward(es, t1, as_pair(x1), as_pair(x2), as_pair(x3))
+    _, x4, x5 = _across(es, t1, (as_pair(x1), as_pair(x2), as_pair(x3)), True)
     return ProjectivePoint(*x4), ProjectivePoint(*x5)
 
 
-def _forward(es, t1, x1, x2, x3):
-    """propagate_forward on numbers and (num, den) points."""
+def propagate_backward(es, t1, x1, x4, x5):
+    """Fixed points (x2, x3) on the near side, from (x1, x4, x5)."""
+    _, x2, x3 = _across(es, t1, (as_pair(x1), as_pair(x4), as_pair(x5)), False)
+    return ProjectivePoint(*x2), ProjectivePoint(*x3)
+
+
+def _across(es, t1, xs, forward):
+    """The triple at the far end of an edge from the one at the near end.
+
+    es and t1 are the edge's local picture, on numbers; the points are
+    (num, den) pairs.  Both triples are read counterclockwise from the
+    edge: (x1, x2, x3) at the tail and (x1, x4, x5) at the head.  forward
+    crosses from tail to head; crossing back reads the picture from the
+    head.  The factor that must not vanish is tested first and named as
+    seen from the tail: e1 e5 - e4 going forward, e1 e3 - e2 going back.
+    """
     e1, e2, e3, e4, e5 = es
+    x1, x2, x3 = xs
+    if forward:
+        _vanishing(e1 * e5 - e4, "e1 e5 - e4", _FACTOR_TOL * (abs(e1 * e5) + abs(e4)))
+    else:
+        _vanishing(e1 * e3 - e2, "e1 e3 - e2", _FACTOR_TOL * (abs(e1 * e3) + abs(e2)))
+        # read from the head: (e1, e4, e5, e2, e3), 1/t1 carry (x1, x5, x4) to (x3, x2)
+        e2, e3, e4, e5, t1, x2, x3 = e4, e5, e2, e3, 1 / t1, x3, x2
     f15_4 = e1 * e5 - e4
     a4 = e1 * (-(e1 * e3 - e2) * (e1 * e4 - e5) * t1 + e3 * f15_4)
     b4 = e1 * e1 * e2 * f15_4
     c4 = e2 * f15_4
-    _vanishing(f15_4, "e1 e5 - e4", _FACTOR_TOL * (abs(e1 * e5) + abs(e4)))
     x4 = _ratio_point(a4, b4, c4, x1, x2, x3)
     a5 = (e1 * e3 - e2) * t1 + e1 * e3
     b5 = e1 * e1 * e2
     c5 = e2
     x5 = _ratio_point(a5, b5, c5, x1, x2, x3)
-    return x4, x5
-
-
-def propagate_backward(es, t1, x1, x4, x5):
-    """Fixed points (x2, x3) on the near side, from (x1, x4, x5)."""
-    x2, x3 = _backward(es, t1, as_pair(x1), as_pair(x4), as_pair(x5))
-    return ProjectivePoint(*x2), ProjectivePoint(*x3)
-
-
-def _backward(es, t1, x1, x4, x5):
-    """propagate_backward on numbers and (num, den) points."""
-    e1, e2, e3, e4, e5 = es
-    s = 1 / t1
-    a2 = (e1 * e5 - e4) * s + e1 * e5
-    x2 = _ratio_point(a2, e1 * e1 * e4, e4, x1, x5, x4)
-    f13_2 = e1 * e3 - e2
-    _vanishing(f13_2, "e1 e3 - e2", _FACTOR_TOL * (abs(e1 * e3) + abs(e2)))
-    a3 = e1 * (-(e1 * e5 - e4) * (e1 * e2 - e3) * s + e5 * f13_2)
-    b3 = e1 * e1 * e4 * f13_2
-    c3 = e4 * f13_2
-    x3 = _ratio_point(a3, b3, c3, x1, x5, x4)
-    return x2, x3
+    return (x1, x4, x5) if forward else (x1, x5, x4)
 
 
 def gluing_map(t1, x1, y1):

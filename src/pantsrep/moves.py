@@ -7,6 +7,7 @@ four-holed sphere or one-holed torus.  Each move comes with the exact
 transformation of the eigenvalue-twist parameters.
 """
 
+import cmath
 from collections import namedtuple
 
 from .projective import DegenerateInputError, _at, _trace_roots, _vanishing, sqrt_principal
@@ -47,13 +48,15 @@ def half_twist_formula(e1, e2, e3, t1):
 def new_eigenvalue(tr, branch=None):
     """Root of x^2 - tr x + 1, default (tr - sqrt(tr^2 - 4))/2.
 
-    A parabolic new curve (tr near +-2) raises DegenerateInputError.
+    A parabolic new curve (tr near +-2) raises DegenerateInputError, and a
+    branch that is not a finite root ValueError.
     """
     _, e = _trace_roots(tr)
     if branch is None:
         return e
     e = branch
-    if abs(e * e - tr * e + 1) > 1e-6 * max(1.0, abs(tr)) * max(1.0, abs(e) ** 2):
+    if not (cmath.isfinite(e)
+            and abs(e * e - tr * e + 1) <= 1e-6 * max(1.0, abs(tr)) * max(1.0, abs(e) ** 2)):
         raise ValueError("branch is not a root of x^2 - tr x + 1")
     return e
 
@@ -126,9 +129,8 @@ def elementary_one_holed(e1, e2, t1, branch=None):
 
 def _rewired(surface, vertices, edges):
     """A new surface, on surface's tree, whose graph replaces only the
-    records a move changes (``FatGraph._rewired``).  The new graph carries
-    the graph facts the old one has compiled; the new surface compiles its
-    own presentation.
+    records a move changes (``FatGraph._rewired``).  The new graph and the
+    new surface compile what they read, on first use.
     """
     return PantsSurface(surface.genus, surface.boundary, surface.graph._rewired(vertices, edges),
                         tree=surface.tree)

@@ -18,48 +18,23 @@ Vertex = namedtuple("Vertex", ["id", "kind", "incident"])  # incident: ((edge_id
 
 
 class FatGraph:
-    """Oriented trivalent/univalent graph with cyclic order at vertices."""
+    """Oriented trivalent/univalent graph with cyclic order at vertices; it
+    stores only its vertex and edge records."""
 
     def __init__(self, vertices, edges):
         self.vertices = {v.id: v for v in vertices}
         self.edges = {e.id: e for e in edges}
-        # slot lookup: (edge id, end) -> (vertex id, slot index)
-        self.slot_of = {}
-        for v in vertices:
-            for i, (eid, end) in enumerate(v.incident):
-                self.slot_of[(eid, end)] = (v.id, i)
 
     def _rewired(self, vertices, edges):
         """A new graph with some records replaced.
 
         vertices and edges map an id to the record with that id, and of the
         same kind, that takes its place; every other record is kept, in the
-        same dict position.  The replaced vertices and their replacements
-        list the same edge ends, as a move's do, so the slot table is this
-        graph's with the replacements' slots written over it: a move that
-        changes two vertices does not walk every vertex.  Nor does a move
-        change which edges are boundary edges, so the graph facts this
-        graph has compiled carry over: _interior as it is, _triples with
-        the replaced trivalent vertices re-read.  A fact this graph has not
-        compiled is not compiled for the new one either.
+        same dict position.  The new graph compiles what it reads.
         """
-        slot_of = dict(self.slot_of)
-        for v in vertices.values():
-            for i, key in enumerate(v.incident):
-                slot_of[key] = (v.id, i)
         new = FatGraph.__new__(FatGraph)
         new.vertices = {**self.vertices, **vertices}
         new.edges = {**self.edges, **edges}
-        new.slot_of = slot_of
-        facts = vars(self)
-        if "_interior" in facts:
-            new._interior = self._interior
-        if "_triples" in facts:
-            new._triples = triples = dict(self._triples)
-            for vid, v in vertices.items():
-                if v.kind == "tri":
-                    (i, _), (j, _), (k, _) = v.incident
-                    triples[vid] = i, j, k
         return new
 
     def is_boundary(self, eid):
@@ -70,9 +45,14 @@ class FatGraph:
         )
 
     # What the graph alone fixes, compiled on first use: a graph is treated
-    # as immutable once used, and a move makes a new one, which carries what
-    # its parent has compiled (_rewired).  Lazy, because a graph that is
-    # only flipped or moved never needs them.
+    # as immutable once used, and a move makes a new one, which compiles
+    # what it reads afresh (_rewired).  Lazy, because a graph that is only
+    # flipped or moved never needs them.
+
+    @cached_property
+    def slot_of(self):
+        """(edge id, end) -> (vertex id, slot index), over every incidence."""
+        return {key: (vid, i) for vid, v in self.vertices.items() for i, key in enumerate(v.incident)}
 
     @cached_property
     def _interior(self):
@@ -380,12 +360,14 @@ def _picture_slots(graph, edge):
     """The local-picture slots ((v, sv), (w, sw), (g2, g3, g4, g5)) of an edge.
 
     (v, sv) and (w, sw) hold its tail and head; g2, g3 are the incidences
-    counterclockwise after it at v, and g4, g5 those after it at w.
+    counterclockwise after it at v, and g4, g5 those after it at w, read
+    off the two incidence lists: a flip or a move compiles no slot table.
     """
-    v, sv = tail = graph.slot_of[(edge, "tail")]
-    w, sw = head = graph.slot_of[(edge, "head")]
+    _, v, w = graph.edges[edge]
     at_v, at_w = graph.vertices[v].incident, graph.vertices[w].incident
-    return tail, head, (at_v[(sv + 1) % 3], at_v[(sv + 2) % 3], at_w[(sw + 1) % 3], at_w[(sw + 2) % 3])
+    sv, sw = at_v.index((edge, "tail")), at_w.index((edge, "head"))
+    return (v, sv), (w, sw), (at_v[(sv + 1) % 3], at_v[(sv + 2) % 3],
+                              at_w[(sw + 1) % 3], at_w[(sw + 2) % 3])
 
 
 # ---------------------------------------------------------------------------

@@ -97,18 +97,33 @@ def epsilon_basis(surface):
     return basis
 
 
+def _bad_sign(surface, eps):
+    """The first (key, value) of eps that is not an edge id mapped to 1 or -1, else None."""
+    edges = surface.graph.edges
+    return next(((k, v) for k, v in eps.items() if k not in edges or v not in (1, -1)), None)
+
+
 def check_epsilon(surface, eps):
-    """True iff the signs at each trivalent vertex multiply to +1.
+    """True iff eps maps edge ids to 1 or -1 (a missing edge counts as 1)
+    and the signs at each trivalent vertex multiply to +1.
 
     An edge met twice at a vertex contributes a square, so it cancels.
     """
-    return all(eps.get(i, 1) * eps.get(j, 1) * eps.get(k, 1) == 1
-               for i, j, k in surface.graph._triples.values())
+    return _bad_sign(surface, eps) is None and all(
+        eps.get(i, 1) * eps.get(j, 1) * eps.get(k, 1) == 1
+        for i, j, k in surface.graph._triples.values())
 
 
 def act_epsilon(params, eps, surface=None):
-    """eigen_i -> eps_i * eigen_i; twists untouched (a PSL-trivial action)."""
+    """eigen_i -> eps_i * eigen_i; twists untouched (a PSL-trivial action).
+
+    Given the surface, a vector check_epsilon refuses raises ValueError,
+    naming the first entry that is not an edge id mapped to 1 or -1.
+    """
     if surface is not None and not check_epsilon(surface, eps):
+        bad = _bad_sign(surface, eps)
+        if bad is not None:
+            raise ValueError("eps[%r] = %r: expected an edge id mapped to 1 or -1" % bad)
         raise ValueError("sign vector violates the vertex product condition")
     eigen = {eid: eps.get(eid, 1) * e for eid, e in params.eigen.items()}
     return EdgeParams(eigen, dict(params.twist))

@@ -142,7 +142,7 @@ def _fail(*args):
 
 
 @pytest.mark.parametrize("names, where", [
-    (("_forward", "_backward"), lambda pres: "edge %d" % pres.walk[0][0]),
+    (("_across",), lambda pres: "edge %d" % pres.walk[0][0]),
     (("_three_point_map",), lambda pres: "edge %d (b1)" % pres.u_edges[0]),
 ], ids=["walk", "letter"])
 def test_build_numeric_error_names_the_edge(monkeypatch, names, where):

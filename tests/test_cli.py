@@ -109,13 +109,16 @@ def test_usage_error_is_a_schema_error(capsys, argv):
     (["move", "S", "P", "--kind", "reverse", "--target", "x"], "--target must be an edge or vertex id"),
     (["move", "S", "P", "--kind", "elem", "--target", "1", "--branch", "1"], "--branch must be re,im"),
     (["move", "S", "P", "--kind", "elem", "--target", "1", "--branch", "a,b"], "--branch must be re,im"),
+    (["move", "S", "P", "--kind", "elem", "--target", "1", "--branch", "nan,0"], "--branch must be finite"),
+    (["move", "S", "P", "--kind", "elem", "--target", "1", "--branch", "inf,0"], "--branch must be finite"),
+    (["move", "S", "P", "--kind", "elem", "--target", "1", "--branch", "0,-inf"], "--branch must be finite"),
     (["act", "S", "P"], "act needs --flip and/or --epsilon"),
     (["act", "S", "P", "--epsilon", "1,x"], "--epsilon must be a comma-separated edge list"),
     (["generators", "P"], "--surface is required for this command"),
     (["generators", "S"], "--params is required for this command"),
     (["recover", "S", "P", "--tol", "abc"], "argument --tol: must be a finite non-negative number"),
 ], ids=["move-bare", "move-kind-only", "move-bad-target", "move-branch-one-part",
-        "move-branch-not-numbers", "act-bare", "act-bad-epsilon", "no-surface", "no-params",
+        "move-branch-not-numbers", "move-branch-nan", "move-branch-inf", "move-branch-minus-inf", "act-bare", "act-bad-epsilon", "no-surface", "no-params",
         "bad-tol"])
 def test_a_missing_or_malformed_flag_is_a_schema_error(capsys, four_holed_files, argv, detail):
     _, _, spath, ppath = four_holed_files

@@ -1,5 +1,7 @@
 """Eigenvalue-twist coordinates: propagation, twist recovery, trace formulas."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from pantsrep.projective import (INF, DegenerateInputError, ProjectivePoint, as_
 
 from pantsrep import projective
 
-from helpers import rand_c, same_outcome, sample_params
+from helpers import outcome, rand_c, same_outcome, sample_params
 
 RNG = np.random.default_rng(20240903)
 
@@ -353,3 +355,113 @@ def test_ratio_point_equals_its_pair_form():
         assert same_outcome(co._ratio_point, _reference_ratio_point, *coeffs, *pts)
     for coeffs in ((1, 2, 3), (0, 0, 1), (0, 0, 0)):
         assert same_outcome(co._ratio_point, _reference_ratio_point, *coeffs, (0, 1), (1, 0), (1, 1))
+
+
+# ---------------------------------------------------------------------------
+# propagation is written once: crossing back is the forward formula read from
+# the head, which equals, by == with NaN equal to NaN, the backward formula
+# as first written
+
+def _reference_forward(es, t1, x1, x2, x3):
+    """_forward as first written, with the factor test inside the kernel."""
+    e1, e2, e3, e4, e5 = es
+    f15_4 = e1 * e5 - e4
+    a4 = e1 * (-(e1 * e3 - e2) * (e1 * e4 - e5) * t1 + e3 * f15_4)
+    b4 = e1 * e1 * e2 * f15_4
+    c4 = e2 * f15_4
+    projective._vanishing(f15_4, "e1 e5 - e4", co._FACTOR_TOL * (abs(e1 * e5) + abs(e4)))
+    x4 = co._ratio_point(a4, b4, c4, x1, x2, x3)
+    a5 = (e1 * e3 - e2) * t1 + e1 * e3
+    x5 = co._ratio_point(a5, e1 * e1 * e2, e2, x1, x2, x3)
+    return x4, x5
+
+
+def _reference_backward(es, t1, x1, x4, x5):
+    """The backward formula as first written, term by term."""
+    e1, e2, e3, e4, e5 = es
+    s = 1 / t1
+    a2 = (e1 * e5 - e4) * s + e1 * e5
+    x2 = co._ratio_point(a2, e1 * e1 * e4, e4, x1, x5, x4)
+    f13_2 = e1 * e3 - e2
+    projective._vanishing(f13_2, "e1 e3 - e2", co._FACTOR_TOL * (abs(e1 * e3) + abs(e2)))
+    a3 = e1 * (-(e1 * e5 - e4) * (e1 * e2 - e3) * s + e5 * f13_2)
+    b3 = e1 * e1 * e4 * f13_2
+    c3 = e4 * f13_2
+    x3 = co._ratio_point(a3, b3, c3, x1, x5, x4)
+    return x2, x3
+
+
+def _reference_across(es, t1, xs, forward):
+    step = _reference_forward if forward else _reference_backward
+    return (xs[0],) + step(es, t1, *xs)
+
+
+def _propagation_draw(rng):
+    """es, t1 and three (num, den) points: random, huge, tiny or infinite
+    points, a repeated point, and factors that vanish exactly or nearly."""
+    inf = float("inf")
+    es = [rand_c(rng) for _ in range(5)]
+    # e1 e5 - e4 or e1 e3 - e2 vanishing exactly, or within the factor tolerance
+    kind, near = rng.integers(3), (1.0, 1 + 1e-11)[rng.integers(2)]
+    if kind == 1:
+        es[3] = es[0] * es[4] * near
+    elif kind == 2:
+        es[1] = es[0] * es[2] * near
+    xs = []
+    for _ in range(3):
+        z, which = rand_c(rng), rng.integers(7)
+        if which == 1:
+            s = 10.0 ** rng.integers(100, 300)
+            xs.append((z * s, complex(s)))
+        elif which == 2:
+            s = 10.0 ** -rng.integers(100, 300)
+            xs.append((z * s, complex(s)))
+        elif which == 3:
+            xs.append((1 + 0j, 0j))
+        elif which == 4:
+            xs.append((complex(inf, 0), 1 + 0j))
+        elif which == 5 and xs:
+            xs.append(xs[-1])
+        else:
+            xs.append((z, 1 + 0j))
+    return tuple(es), rand_c(rng), tuple(xs)
+
+
+def _same_but_for_the_precedence(es, t1, xs, forward):
+    """_across and the reference agree, or cross back where both e1 e3 - e2
+    and what the reference tests before it (t1, x2's (num : den)) vanish."""
+    if same_outcome(co._across, _reference_across, es, t1, xs, forward):
+        return True
+    got, want = outcome(co._across, es, t1, xs, forward), outcome(_reference_across, es, t1, xs, forward)
+    return (not forward and got[::2] == (DegenerateInputError, "e1 e3 - e2")
+            and (want[0] is ZeroDivisionError or want[2:] == ("(num : den)",)))
+
+
+def test_across_equals_the_two_formulas_as_first_written():
+    rng = np.random.default_rng(2022)
+    for _ in range(4000):
+        es, t1, xs = _propagation_draw(rng)
+        for forward in (True, False):
+            assert _same_but_for_the_precedence(es, t1, xs, forward), (es, t1, xs, forward)
+    # exact inputs stay exact
+    for _ in range(300):
+        es = tuple(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5))) for _ in range(5))
+        t1 = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
+        xs = tuple((Fraction(int(rng.integers(-9, 10))), Fraction(int(rng.integers(0, 3))))
+                   for _ in range(3))
+        for forward in (True, False):
+            assert _same_but_for_the_precedence(es, t1, xs, forward), (es, t1, xs, forward)
+
+
+@pytest.mark.parametrize("t1, xs", [(0j, ((0j, 1 + 0j), (1 + 0j, 0j), (1 + 0j, 1 + 0j))),
+                                    (1 + 1j, ((0j, 1 + 0j), (0j, 1 + 0j), (0j, 1 + 0j)))],
+                         ids=["zero-twist", "x2-vanishes"])
+def test_crossing_back_names_e1_e3_minus_e2_first(t1, xs):
+    # the one precedence the single formula changes: when e1 e3 - e2
+    # vanishes together with t1, or with x2's (num : den), the factor test,
+    # which now comes first, names e1 e3 - e2
+    es = (2 + 0j, 6 + 0j, 3 + 0j, 1 + 1j, 1 - 1j)
+    got = outcome(co._across, es, t1, xs, False)
+    assert got == (DegenerateInputError, "vanishing factor e1 e3 - e2 = 0j", "e1 e3 - e2")
+    want = outcome(_reference_across, es, t1, xs, False)
+    assert want[0] is (ZeroDivisionError if t1 == 0 else DegenerateInputError) and want != got

@@ -7,13 +7,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pantsrep import builder, coordinates as co, moves, surface as su
+from pantsrep import builder, coordinates as co, fuchsian as fu, moves, surface as su, symmetry
 from pantsrep.coordinates import EdgeParams
 from pantsrep.moves import Move, apply_move
 from pantsrep.projective import DegenerateInputError, sqrt_principal
 
 from helpers import (SURFACES, caterpillar, handle_chain, marking_words, max_residual, rand_c,
-                     reference_surfaces, ribbon_graphs, sample_params, squared_trace_table)
+                     reference_surfaces, ribbon_graphs, sample_fuchsian_params, sample_params,
+                     squared_trace_table)
 
 RNG = np.random.default_rng(20240906)
 
@@ -196,6 +197,16 @@ def test_new_eigenvalue_branches():
     assert (info.type, str(info.value)) == (ValueError, "branch is not a root of x^2 - tr x + 1")
 
 
+@pytest.mark.parametrize("branch", [float("nan"), complex("nan"), float("inf"), -float("inf"),
+                                    complex("inf"), complex(0, -float("inf"))],
+                         ids=["nan", "complex-nan", "inf", "minus-inf", "complex-inf", "imag-inf"])
+def test_new_eigenvalue_refuses_a_non_finite_branch(branch):
+    # the residual of a NaN or infinite branch is NaN or infinite: no root
+    with pytest.raises(ValueError) as info:
+        moves.new_eigenvalue(3, branch)
+    assert (info.type, str(info.value)) == (ValueError, "branch is not a root of x^2 - tr x + 1")
+
+
 def test_new_eigenvalue_has_no_cancellation():
     # the small root is the inverse of the large one, which is formed
     # without cancellation
@@ -371,9 +382,15 @@ def test_moves_rewrite_only_the_records_they_change():
 
 
 def _fresh_facts(graph):
-    """_interior and _triples (in order) of a graph built anew from graph's records."""
+    """The slot table as it was first written, eagerly, over every vertex's
+    incidences, and _interior and _triples (in order) of a graph built anew
+    from graph's records."""
+    slot_of = {}
+    for v in graph.vertices.values():
+        for i, key in enumerate(v.incident):
+            slot_of[key] = (v.id, i)
     fresh = su.FatGraph(list(graph.vertices.values()), list(graph.edges.values()))
-    return fresh._interior, list(fresh._triples.items())
+    return slot_of, fresh._interior, list(fresh._triples.items())
 
 
 def _every_move(surf, rng):
@@ -396,29 +413,31 @@ def _kind(graph, move):
     return move.kind
 
 
-def test_moves_carry_the_graph_facts_their_parent_compiled():
-    # a move's new graph carries _interior and _triples when its parent has
-    # compiled them, equal (in vertex id order) to a fresh compile of its
-    # records, over chains of moves; a parent that has compiled neither
-    # passes on neither, and the move compiles neither on it
+def test_moves_compile_no_graph_fact_and_moved_graphs_compile_their_own():
+    # a graph stores only its records: after construction, and after every
+    # move, neither the parent graph nor the new one has compiled a fact,
+    # whatever the parent had compiled; a moved graph's facts, compiled on
+    # first read, equal the records' eager slot table and a fresh compile
+    # of _interior and _triples (in vertex id order), over chains of moves
     rng = np.random.default_rng(16)
-    facts = {"_interior", "_triples"}
+    records = {"vertices", "edges"}
     applied = Counter()
     surfaces = ([make() for make in SURFACES.values()] + [handle_chain(g) for g in (2, 3, 4)]
                 + [caterpillar(b) for b in range(4, 9)] + ribbon_graphs())
     for surf in surfaces:
-        params = sample_params(surf, rng)  # in_domain compiles both facts on surf
-        assert facts <= vars(surf.graph).keys()
+        params = sample_params(surf, rng)  # in_domain compiles _interior and _triples on surf
+        assert {"_interior", "_triples"} <= vars(surf.graph).keys()
         g = surf.graph
         bare = su.PantsSurface(surf.genus, surf.boundary,
                                su.FatGraph(list(g.vertices.values()), list(g.edges.values())),
                                tree=surf.tree)
+        assert vars(bare.graph).keys() == records
         for move in _every_move(bare, rng):
             try:
                 new, _ = apply_move(bare, params, move)
             except (ValueError, ArithmeticError):
                 continue  # twist or elem on a boundary edge, a self-glued or degenerate picture
-            assert not facts & (vars(bare.graph).keys() | vars(new.graph).keys()), move
+            assert vars(bare.graph).keys() == vars(new.graph).keys() == records, move
         for move in _every_move(surf, rng):
             s, p = surf, params
             reverses = [Move("reverse", int(eid)) for eid in rng.choice(list(s.graph.edges), 2)]
@@ -427,13 +446,29 @@ def test_moves_carry_the_graph_facts_their_parent_compiled():
                     new, p = apply_move(s, p, step)
                 except (ValueError, ArithmeticError):
                     break
-                if step.kind != "auto":
-                    assert facts <= vars(new.graph).keys(), step
-                assert (new.graph._interior, list(new.graph._triples.items())) == \
+                if new.graph is not s.graph:  # a twist, or a one-holed elem, keeps the graph
+                    assert vars(new.graph).keys() == records, step
+                assert (new.graph.slot_of, new.graph._interior, list(new.graph._triples.items())) == \
                     _fresh_facts(new.graph), step
                 applied[_kind(s.graph, step)] += 1
                 s = new
     assert min(applied.values()) >= 20 and len(applied) == 8, applied
+
+
+def test_flips_and_fenchel_nielsen_compile_no_graph_fact():
+    # like a move, a flip and an FN round trip read each local picture off
+    # the two incidence lists, so neither compiles a table on the graph
+    rng = np.random.default_rng(22)
+    for surf in reference_surfaces():
+        params = sample_fuchsian_params(surf, rng)
+        g = surf.graph
+        bare = su.PantsSurface(surf.genus, surf.boundary,
+                               su.FatGraph(list(g.vertices.values()), list(g.edges.values())),
+                               tree=surf.tree)
+        for eid in g.edges:
+            symmetry.flip_eigenvalue(params, bare, eid)
+        fu.from_fenchel_nielsen(fu.to_fenchel_nielsen(params, bare), bare)
+        assert vars(bare.graph).keys() == {"vertices", "edges"}
 
 
 def _moderate_params(surf, rng):

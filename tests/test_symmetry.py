@@ -51,6 +51,21 @@ def test_act_epsilon_refuses_a_sign_vector_that_breaks_a_vertex():
     assert (info.type, str(info.value)) == (ValueError, "sign vector violates the vertex product condition")
 
 
+@pytest.mark.parametrize("eps, bad", [({1: 2, 2: 0.5, 4: 0.5}, "eps[1] = 2"), ({99: -1}, "eps[99] = -1"),
+                                      ({1: -1, 2: float("nan"), 4: -1}, "eps[2] = nan"),
+                                      ({1: -1, 2: -1, 4: -1, 5: 0}, "eps[5] = 0")],
+                         ids=["scales", "no-edge", "nan", "zero"])
+def test_a_sign_vector_maps_edge_ids_to_signs(eps, bad):
+    # every vertex product of {1: 2, 2: 0.5, 4: 0.5} is 1, but scaling the
+    # eigenvalues is no sign action; a key that is no edge id is no sign
+    surf = SURFACES["four_holed"]()
+    assert not sym.check_epsilon(surf, eps)
+    with pytest.raises(ValueError) as info:
+        sym.act_epsilon(sample_params(surf, np.random.default_rng(21)), eps, surface=surf)
+    assert (info.type, str(info.value)) == (ValueError, bad + ": expected an edge id mapped to 1 or -1")
+    assert sym.check_epsilon(surf, {1: -1, 2: -1, 4: -1})  # a missing edge counts as 1
+
+
 def test_epsilon_preserves_squared_traces():
     for make in SURFACES.values():
         surf = make()
