@@ -48,11 +48,14 @@ def half_twist_formula(e1, e2, e3, t1):
 def new_eigenvalue(tr, branch=None):
     """Root of x^2 - tr x + 1, default (tr - sqrt(tr^2 - 4))/2.
 
-    A parabolic new curve (tr near +-2) raises DegenerateInputError, and a
-    branch that is not a finite root ValueError.
+    A parabolic new curve (tr near +-2) or a trace that is not finite
+    raises DegenerateInputError, and a branch that is not a finite root
+    ValueError.
     """
     _, e = _trace_roots(tr)
     if branch is None:
+        if e != e:  # a NaN trace, which _trace_roots passes through
+            raise DegenerateInputError("trace %r is not a number" % (tr,), factor="tr^2 - 4")
         return e
     e = branch
     if not (cmath.isfinite(e)
@@ -67,7 +70,8 @@ def elementary_four_holed(es, t1, t_other, branch=None):
     es = (e1..e5) orientation-adjusted around the old interior edge, t1 its
     twist.  t_other maps each neighbor position (2..5) that is itself an
     interior edge of a larger surface to its old twist; the returned dict
-    maps the same positions to their new twists.
+    maps the same positions to their new twists, and only their factors
+    are evaluated: a position not in t_other cannot raise.
     """
     e1, e2, e3, e4, e5 = es
     tr34, tr24, tr35 = four_holed_traces(es, t1)
@@ -90,24 +94,26 @@ def elementary_four_holed(es, t1, t_other, branch=None):
         raise DegenerateInputError("twist formulas disagree; parameters near a degeneracy",
                                    factor="t1' - t1'(traces)")
 
-    factors = {
-        2: (f12_3 * f13_2 * (t1 + 1))
-        / ((e2 * e3 - e1) * f13_2 * t1 + (1 - e1 * e2 * e3) * f12_3)
-        * (e2 * e1p - e5)
-        / (e2 * e5 - e1p),
-        3: (e2 * e3 - e1)
-        * (f13_2 * f14_5 * t1 + f12_3 * f15_4)
-        / (f13_2 * ((e2 * e3 - e1) * f14_5 * t1 + (1 - e1 * e2 * e3) * f15_4)),
-        4: (f13_2 * f14_5 * t1 + f12_3 * f15_4)
-        / (f13_2 * (e4 * e5 - e1) * t1 + f12_3 * (1 - e1 * e4 * e5))
-        * (e3 * e1p - e4)
-        / (1 - e3 * e4 * e1p),
-        5: f15_4
-        * (e1 * e4 * e5 - 1)
-        * (t1 + 1)
-        / ((e1 - e4 * e5) * f14_5 * t1 + (e1 * e4 * e5 - 1) * f15_4),
-    }
-    return e1p, t1p, {pos: factors[pos] * t for pos, t in t_other.items()}
+    new = {}
+    for pos, t in t_other.items():
+        if pos == 2:
+            factor = ((f12_3 * f13_2 * (t1 + 1))
+                      / ((e2 * e3 - e1) * f13_2 * t1 + (1 - e1 * e2 * e3) * f12_3)
+                      * (e2 * e1p - e5) / (e2 * e5 - e1p))
+        elif pos == 3:
+            factor = ((e2 * e3 - e1) * (f13_2 * f14_5 * t1 + f12_3 * f15_4)
+                      / (f13_2 * ((e2 * e3 - e1) * f14_5 * t1 + (1 - e1 * e2 * e3) * f15_4)))
+        elif pos == 4:
+            factor = ((f13_2 * f14_5 * t1 + f12_3 * f15_4)
+                      / (f13_2 * (e4 * e5 - e1) * t1 + f12_3 * (1 - e1 * e4 * e5))
+                      * (e3 * e1p - e4) / (1 - e3 * e4 * e1p))
+        elif pos == 5:
+            factor = (f15_4 * (e1 * e4 * e5 - 1) * (t1 + 1)
+                      / ((e1 - e4 * e5) * f14_5 * t1 + (e1 * e4 * e5 - 1) * f15_4))
+        else:
+            raise KeyError(pos)
+        new[pos] = factor * t
+    return e1p, t1p, new
 
 
 def elementary_one_holed(e1, e2, t1, branch=None):
@@ -128,7 +134,7 @@ def elementary_one_holed(e1, e2, t1, branch=None):
 
 
 def _rewired(surface, vertices, edges):
-    """A new surface, on surface's tree, whose graph replaces only the
+    """A new surface, sharing surface's tree, whose graph replaces only the
     records a move changes (``FatGraph._rewired``).  The new graph and the
     new surface compile what they read, on first use.
     """

@@ -91,7 +91,8 @@ class PantsSurface:
     """A surface S_{g,b} presented by a pants decomposition fat graph.
 
     The generators are read along tree, else along maximal_tree; to build
-    on another tree, make PantsSurface(g, b, surf.graph, tree=T).  A
+    on another tree, make PantsSurface(g, b, surf.graph, tree=T).  The
+    tree is kept as a frozenset, which surfaces made by moves share.  A
     surface is treated as immutable once something is built on it.
     """
 
@@ -99,7 +100,7 @@ class PantsSurface:
         self.genus = genus
         self.boundary = boundary
         self.graph = graph
-        self.tree = set(tree) if tree is not None else None
+        self.tree = frozenset(tree) if tree is not None else None
 
     def euler_characteristic(self):
         return 2 - 2 * self.genus - self.boundary

@@ -3,12 +3,12 @@
 Two actions: inverting the eigenvalue parameter of a single edge (one Z/2
 factor per edge), which rescales the twists of adjacent interior edges,
 and the sign group of vectors with trivial product at every trivalent
-vertex, which acts on eigenvalues only.
+vertex, which acts on eigenvalues only.  A flip, a sign check and a sign
+action read the incidence lists and compile nothing on the graph.
 """
 
 from .coordinates import EdgeParams, _picture_es
 from .projective import _at
-from .surface import _picture_slots
 
 
 def _occurrence_factor(es, position):
@@ -34,26 +34,34 @@ def flip_eigenvalue(params, surface, edge):
     interior edge seeing the flipped edge in its local picture picks up
     the rescaling factor once per occurrence (so self-glued pictures are
     handled by the same rule through the covering trick).  Only those
-    edges are visited: they are the interior edges that meet the flipped
-    edge at a vertex.  A numeric error's message starts "edge <id>: ".
+    edges are visited: the interior edges at the flipped edge's two end
+    vertices, in incidence order, each picture read once.  A numeric
+    error's message starts "edge <id>: ".
     """
     graph = surface.graph
-    if edge not in graph.edges:
+    edges, vertices = graph.edges, graph.vertices
+    if edge not in edges:
         raise KeyError("unknown edge %r" % (edge,))
     eigen = dict(params.eigen)
     twist = dict(params.twist)
-    e = graph.edges[edge]
-    near = {eid for vid in (e.tail, e.head) for eid, _ in graph.vertices[vid].incident
-            if not graph.is_boundary(eid)}
     try:
-        for f in near:
-            _, _, nbrs = _picture_slots(graph, f)
-            positions = [pos for pos, (eid, _) in zip((2, 3, 4, 5), nbrs) if eid == edge]
-            if positions:
+        for f in dict.fromkeys([eid for vid in edges[edge][1:] for eid, _ in vertices[vid].incident]):
+            # f's picture as _picture_slots reads it, written out: with is_boundary,
+            # the helper calls were ~1 us of a ~7 us flip on genus two
+            _, v, w = edges[f]
+            tail, head = vertices[v], vertices[w]
+            if tail.kind == "uni" or head.kind == "uni":
+                continue
+            at_v, at_w = tail.incident, head.incident
+            sv, sw = at_v.index((f, "tail")), at_w.index((f, "head"))
+            nbrs = at_v[(sv + 1) % 3], at_v[(sv + 2) % 3], at_w[(sw + 1) % 3], at_w[(sw + 2) % 3]
+            (i2, _), (i3, _), (i4, _), (i5, _) = nbrs
+            if edge == i2 or edge == i3 or edge == i4 or edge == i5:
                 es = _picture_es(params.eigen, f, nbrs)
                 scale = 1
-                for position in positions:
-                    scale *= _occurrence_factor(es, position)
+                for position, eid in ((2, i2), (3, i3), (4, i4), (5, i5)):
+                    if eid == edge:
+                        scale *= _occurrence_factor(es, position)
                 twist[f] = twist[f] * scale
         if not graph.is_boundary(edge):
             twist[edge] = 1 / twist[edge]
@@ -97,9 +105,11 @@ def epsilon_basis(surface):
     return basis
 
 
-def _bad_sign(surface, eps):
+_SIGNS = frozenset((1, -1))
+
+
+def _bad_sign(edges, eps):
     """The first (key, value) of eps that is not an edge id mapped to 1 or -1, else None."""
-    edges = surface.graph.edges
     return next(((k, v) for k, v in eps.items() if k not in edges or v not in (1, -1)), None)
 
 
@@ -108,10 +118,21 @@ def check_epsilon(surface, eps):
     and the signs at each trivalent vertex multiply to +1.
 
     An edge met twice at a vertex contributes a square, so it cancels.
+    One pass over the incidence lists decides it; nothing is compiled.
     """
-    return _bad_sign(surface, eps) is None and all(
-        eps.get(i, 1) * eps.get(j, 1) * eps.get(k, 1) == 1
-        for i, j, k in surface.graph._triples.values())
+    graph, get = surface.graph, eps.get
+    try:
+        signs = graph.edges.keys() >= eps.keys() and _SIGNS.issuperset(eps.values())
+    except TypeError:  # an unhashable value is compared as a tuple member
+        signs = _bad_sign(graph.edges, eps) is None
+    if not signs:
+        return False
+    for v in graph.vertices.values():
+        if v.kind == "tri":
+            (i, _), (j, _), (k, _) = v.incident
+            if not get(i, 1) * get(j, 1) * get(k, 1) == 1:
+                return False
+    return True
 
 
 def act_epsilon(params, eps, surface=None):
@@ -121,7 +142,7 @@ def act_epsilon(params, eps, surface=None):
     naming the first entry that is not an edge id mapped to 1 or -1.
     """
     if surface is not None and not check_epsilon(surface, eps):
-        bad = _bad_sign(surface, eps)
+        bad = _bad_sign(surface.graph.edges, eps)
         if bad is not None:
             raise ValueError("eps[%r] = %r: expected an edge id mapped to 1 or -1" % bad)
         raise ValueError("sign vector violates the vertex product condition")

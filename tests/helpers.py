@@ -46,11 +46,15 @@ def sample_fuchsian_params(surf, rng):
 
 
 def same_numbers(a, b):
-    """a == b entry by entry through nested tuples and lists, with NaN equal
-    to NaN (part by part for a complex number) and the types equal."""
+    """a == b entry by entry through nested tuples, lists and dicts (keys
+    equal and in the same order), with NaN equal to NaN (part by part for a
+    complex number) and the types equal."""
     if isinstance(a, (tuple, list)):
         return (type(a) is type(b) and len(a) == len(b)
                 and all(same_numbers(x, y) for x, y in zip(a, b)))
+    if isinstance(a, dict):
+        return (type(a) is type(b) and list(a) == list(b)
+                and all(same_numbers(a[k], b[k]) for k in a))
     if type(a) is not type(b):
         return False
     if isinstance(a, complex):

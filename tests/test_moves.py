@@ -1,7 +1,11 @@
 """Moves on the marking: reversals, twists, vertex moves, elementary moves."""
 
 import cmath
+import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -12,9 +16,9 @@ from pantsrep.coordinates import EdgeParams
 from pantsrep.moves import Move, apply_move
 from pantsrep.projective import DegenerateInputError, sqrt_principal
 
-from helpers import (SURFACES, caterpillar, handle_chain, marking_words, max_residual, rand_c,
-                     reference_surfaces, ribbon_graphs, sample_fuchsian_params, sample_params,
-                     squared_trace_table)
+from helpers import (SURFACES, SUBPROCESS_ENV, caterpillar, handle_chain, marking_words,
+                     max_residual, outcome, rand_c, reference_surfaces, ribbon_graphs, same_outcome,
+                     sample_fuchsian_params, sample_params, squared_trace_table)
 
 RNG = np.random.default_rng(20240906)
 
@@ -375,8 +379,8 @@ def test_moves_rewrite_only_the_records_they_change():
             assert new.graph.slot_of == ref.slot_of
             if move.kind == "auto" and tree is not None:
                 assert new.tree == {move.data["edges"].get(eid, eid) for eid in tree}
-            else:
-                assert new.tree == tree
+            else:  # a moved surface shares its parent's frozen tree
+                assert new.tree is tree and (tree is None or type(tree) is frozenset)
             applied[move.kind] += 1
     assert min(applied.values()) > 100, applied
 
@@ -456,9 +460,11 @@ def test_moves_compile_no_graph_fact_and_moved_graphs_compile_their_own():
 
 
 def test_flips_and_fenchel_nielsen_compile_no_graph_fact():
-    # like a move, a flip and an FN round trip read each local picture off
-    # the two incidence lists, so neither compiles a table on the graph
+    # like a move, a flip, a sign check or action and an FN round trip read
+    # the incidence lists, so none compiles a table on the graph; off the
+    # locus, to_fenchel_nielsen flips and applies a sign vector first
     rng = np.random.default_rng(22)
+    normalized = 0
     for surf in reference_surfaces():
         params = sample_fuchsian_params(surf, rng)
         g = surf.graph
@@ -469,6 +475,22 @@ def test_flips_and_fenchel_nielsen_compile_no_graph_fact():
             symmetry.flip_eigenvalue(params, bare, eid)
         fu.from_fenchel_nielsen(fu.to_fenchel_nielsen(params, bare), bare)
         assert vars(bare.graph).keys() == {"vertices", "edges"}
+        basis = symmetry.epsilon_basis(surf)
+        for eps in basis + [{eid: -1 for eid in g.edges}, {max(g.edges) + 1: 1}]:
+            symmetry.check_epsilon(bare, eps)
+            try:
+                symmetry.act_epsilon(params, eps, bare)
+            except ValueError:
+                pass  # a vector that breaks a vertex, or names no edge
+        assert vars(bare.graph).keys() == {"vertices", "edges"}
+        if basis:
+            off = symmetry.act_epsilon(params, basis[0])  # positive eigenvalues
+            off = symmetry.flip_eigenvalue(off, surf, min(g.edges))  # one inside the unit circle
+            fn = fu.to_fenchel_nielsen(off, bare, require_domain=False)
+            actions = fn.meta["actions"]
+            normalized += bool(actions["flips"] and actions["epsilon"])
+        assert vars(bare.graph).keys() == {"vertices", "edges"}
+    assert normalized > 50, normalized
 
 
 def _moderate_params(surf, rng):
@@ -514,3 +536,209 @@ def test_one_holed_torus_move_relations_return_the_character():
         checked += 1
     assert checked >= 20
     assert control > 1.0
+
+
+@pytest.mark.parametrize("tr", [float("nan"), complex("nan"), complex(float("nan"), 1.0),
+                                complex(2.5, float("nan"))],
+                         ids=["nan", "complex-nan", "nan-real", "nan-imag"])
+def test_new_eigenvalue_refuses_a_nan_trace(tr):
+    # like an infinite trace, a NaN trace has no default root; the error
+    # names tr^2 - 4, which _trace_roots cannot judge for a NaN
+    with pytest.raises(DegenerateInputError) as info:
+        moves.new_eigenvalue(tr)
+    assert info.value.factor == "tr^2 - 4"
+    assert str(info.value) == "trace %r is not a number" % (tr,)
+    with pytest.raises(DegenerateInputError) as inf:
+        moves.new_eigenvalue(float("inf"))
+    assert inf.value.factor == "tr^2 - 4"
+
+
+def test_an_elementary_move_at_a_nan_trace_names_its_edge():
+    with pytest.raises(DegenerateInputError) as info:
+        moves.elementary_one_holed(float("nan"), 0.7 + 1.3j, 1.2 - 0.6j)
+    assert info.value.factor == "tr^2 - 4"
+    for surf in (su.one_holed_torus(), su.four_holed_sphere()):
+        params = sample_params(surf, np.random.default_rng(2303))
+        params.twist[1] = complex("nan")
+        with pytest.raises(DegenerateInputError) as info:
+            apply_move(surf, params, Move("elem", 1))
+        assert str(info.value).startswith("edge 1: trace ")
+        assert str(info.value).endswith(" is not a number")
+        assert info.value.factor == "tr^2 - 4"
+
+
+def _eager_elementary_four_holed(es, t1, t_other, branch=None):
+    """elementary_four_holed as it was: every neighbor factor evaluated."""
+    e1, e2, e3, e4, e5 = es
+    tr34, tr24, tr35 = co.four_holed_traces(es, t1)
+    e1p = moves.new_eigenvalue(tr34, branch)
+    f13_2, f12_3 = e1 * e3 - e2, e1 * e2 - e3
+    f14_5, f15_4 = e1 * e4 - e5, e1 * e5 - e4
+    num = (e4 * e1p - e3) * (
+        e3 * e5 * (-f13_2 * t1 + e1 * f12_3) * e1p + e1 * f13_2 * t1 - f12_3
+    )
+    den = (e3 * e1p - e4) * (
+        (e1 * f13_2 * t1 - f12_3) * e1p + e3 * e5 * (-f13_2 * t1 + e1 * f12_3)
+    )
+    t1p = num / moves._vanishing(den, "den t1'")
+    t1p_alt = co.twist_from_traces_four_holed((e1p, e5, e2, e3, e4), tr35, tr24)
+    if abs(t1p - t1p_alt) > 1e-6 * max(1.0, abs(t1p)):
+        raise DegenerateInputError("twist formulas disagree; parameters near a degeneracy",
+                                   factor="t1' - t1'(traces)")
+    factors = {
+        2: (f12_3 * f13_2 * (t1 + 1))
+        / ((e2 * e3 - e1) * f13_2 * t1 + (1 - e1 * e2 * e3) * f12_3)
+        * (e2 * e1p - e5)
+        / (e2 * e5 - e1p),
+        3: (e2 * e3 - e1)
+        * (f13_2 * f14_5 * t1 + f12_3 * f15_4)
+        / (f13_2 * ((e2 * e3 - e1) * f14_5 * t1 + (1 - e1 * e2 * e3) * f15_4)),
+        4: (f13_2 * f14_5 * t1 + f12_3 * f15_4)
+        / (f13_2 * (e4 * e5 - e1) * t1 + f12_3 * (1 - e1 * e4 * e5))
+        * (e3 * e1p - e4)
+        / (1 - e3 * e4 * e1p),
+        5: f15_4
+        * (e1 * e4 * e5 - 1)
+        * (t1 + 1)
+        / ((e1 - e4 * e5) * f14_5 * t1 + (e1 * e4 * e5 - 1) * f15_4),
+    }
+    return e1p, t1p, {pos: factors[pos] * t for pos, t in t_other.items()}
+
+
+def test_elementary_four_holed_equals_the_eager_factor_dict():
+    # at box points of every embedded four-holed picture of the reference
+    # surfaces with at most 20 edges, and at variants
+    # where e1 e3 - e2 (in the position-3 factor) or the position-5 factor's
+    # denominator is exactly zero, with the twists the move passes and with
+    # random subsets of the four positions, on both branches: the lazy
+    # factors equal the eager dict by value or by error class and message,
+    # except where only a factor at a position not in t_other raised
+    rng = np.random.default_rng(2304)
+    kinds = Counter()
+    for surf in reference_surfaces():
+        g = surf.graph
+        if len(g.edges) > 20:
+            continue
+        params = EdgeParams({eid: rand_c(rng) for eid in g.edges},
+                            {eid: rand_c(rng) for eid in g.interior_edges()})
+        for edge in g.interior_edges():
+            _, _, nbrs = su._picture_slots(g, edge)
+            ids = [eid for eid, _ in nbrs]
+            if len(set(ids)) != 4 or edge in ids:
+                continue
+            es, t1 = co._picture_es(params.eigen, edge, nbrs), params.twist[edge]
+            e1, e2, e3, e4, e5 = es
+            passed = {pos: params.twist[eid] for pos, eid in zip((2, 3, 4, 5), ids) if eid in params.twist}
+            subsets = [passed] + [{pos: rand_c(rng) for pos in (2, 3, 4, 5) if mask >> (pos - 2) & 1}
+                                  for mask in rng.choice(16, 3, replace=False)]
+            t5 = -((e1 * e4 * e5 - 1) * (e1 * e5 - e4)) / ((e1 - e4 * e5) * (e1 * e4 - e5))
+            for es, t1 in ((es, t1), ((e1, e1 * e3, e3, e4, e5), t1), (es, t5)):
+                for t_other in subsets:
+                    for branch in (None, 1 / moves.new_eigenvalue(co.four_holed_traces(es, t1)[0])):
+                        args = es, t1, t_other, branch
+                        got = outcome(moves.elementary_four_holed, *args)
+                        want = outcome(_eager_elementary_four_holed, *args)
+                        if got[0] == "value" and want[0] != "value":
+                            every = {pos: 1.0 for pos in (2, 3, 4, 5)}
+                            assert want[0] is ZeroDivisionError, args
+                            assert outcome(moves.elementary_four_holed, es, t1, every, branch) == want
+                            kinds["unused factor raised"] += 1
+                        else:
+                            assert same_outcome(moves.elementary_four_holed, _eager_elementary_four_holed,
+                                                *args), args
+                            kinds[got[0] if got[0] == "value" else got[0].__name__] += 1
+    assert kinds["value"] > 2000 and kinds["ZeroDivisionError"] > 100, kinds
+    assert kinds["unused factor raised"] > 100, kinds
+    with pytest.raises(KeyError):  # a position outside 2..5, as the eager dict raised
+        moves.elementary_four_holed((-1.2 + 0.7j, 1.4 - 0.9j, -0.6 - 1.5j, 1.7 + 0.4j, -1.8 - 0.3j),
+                                    0.8 - 1.1j, {1: 1.0})
+
+
+def test_an_unused_neighbor_factor_does_not_stop_the_move():
+    # here the position-5 factor's denominator is exactly zero; on the
+    # four-holed sphere every neighbor of edge 1 is a boundary edge, so no
+    # factor is used, and the move returns where the eager dict raised
+    e1, e2, e3, e4, e5 = -3 + 0j, -1.3 + 0.4j, 1.7 - 0.2j, -2.5 + 0j, 1.5 - 2j
+    t1 = -((e1 * e4 * e5 - 1) * (e1 * e5 - e4)) / ((e1 - e4 * e5) * (e1 * e4 - e5))
+    assert (e1 - e4 * e5) * (e1 * e4 - e5) * t1 + (e1 * e4 * e5 - 1) * (e1 * e5 - e4) == 0
+    es = (e1, e2, e3, e4, e5)
+    with pytest.raises(ZeroDivisionError):
+        _eager_elementary_four_holed(es, t1, {})
+    with pytest.raises(ZeroDivisionError):
+        moves.elementary_four_holed(es, t1, {5: 1.0})
+    e1p, t1p, new = moves.elementary_four_holed(es, t1, {2: 0.5, 3: 1j, 4: -2.0})
+    assert sorted(new) == [2, 3, 4]
+    surf = su.four_holed_sphere()
+    params = EdgeParams({1: e1, 2: e2, 3: e3, 4: e4, 5: e5}, {1: t1})
+    assert co.in_domain(params, surf)
+    _, moved = apply_move(surf, params, Move("elem", 1))
+    assert (moved.eigen[1], moved.twist[1]) == (e1p, t1p)
+    tr34 = co.four_holed_traces(es, t1)[0]
+    assert abs(e1p + 1 / e1p - tr34) <= 1e-12 * max(1.0, abs(tr34))
+
+
+#: fixed box points, one per fixture, and a Fuchsian genus-two point, for the step census
+_STEP_POINTS = {
+    "four_holed": EdgeParams({1: -1.2 + 0.7j, 2: 1.4 - 0.9j, 3: -0.6 - 1.5j, 4: 1.7 + 0.4j,
+                              5: -1.8 - 0.3j}, {1: 0.8 - 1.1j}),
+    "one_holed": EdgeParams({1: -1.6 + 0.5j, 2: 0.7 + 1.3j}, {1: 1.2 - 0.6j}),
+    "genus_two": EdgeParams({1: -1.3 + 0.8j, 2: 1.5 + 0.6j, 3: -0.7 - 1.4j},
+                            {1: 0.9 + 1.2j, 2: -1.1 + 0.4j, 3: 1.6 - 0.7j}),
+    "fuchsian": EdgeParams({1: -1.7, 2: -2.4, 3: -3.1}, {1: 0.6, 2: 1.9, 3: 2.7}),
+}
+
+
+def _step_census():
+    """Print, as JSON, the Python-level calls into pantsrep frames that one
+    walk step of each kind makes, each on a fixture whose graph has
+    compiled nothing, as a graph a move has just made."""
+    package = os.path.dirname(os.path.abspath(moves.__file__)) + os.sep
+    four, one, two = su.four_holed_sphere, su.one_holed_torus, su.genus_two
+    pts = _STEP_POINTS
+    eps = {1: 1, 2: -1, 3: -1}
+    assert symmetry.check_epsilon(two(), eps)
+    steps = {
+        "reverse": (two, lambda s: apply_move(s, pts["genus_two"], Move("reverse", 1))),
+        "reverse-boundary": (four, lambda s: apply_move(s, pts["four_holed"], Move("reverse", 2))),
+        "twist": (two, lambda s: apply_move(s, pts["genus_two"], Move("twist-r", 1))),
+        "vertex": (two, lambda s: apply_move(s, pts["genus_two"], Move("vertex", 1))),
+        "elem": (four, lambda s: apply_move(s, pts["four_holed"], Move("elem", 1))),
+        "elem-one-holed": (one, lambda s: apply_move(s, pts["one_holed"], Move("elem", 1))),
+        "flip": (two, lambda s: symmetry.flip_eigenvalue(pts["genus_two"], s, 1)),
+        "epsilon": (two, lambda s: symmetry.act_epsilon(pts["genus_two"], eps, s)),
+        "fn": (two, lambda s: fu.from_fenchel_nielsen(fu.to_fenchel_nielsen(pts["fuchsian"], s), s)),
+    }
+    doc = {}
+    for kind, (make, step) in steps.items():
+        step(make())  # warm-up
+        surf = make()
+        calls = [0]
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                calls[0] += 1
+
+        sys.setprofile(count)
+        try:
+            step(surf)
+        finally:
+            sys.setprofile(None)
+        doc[kind] = calls[0]
+    print(json.dumps(doc))
+
+
+def test_walk_steps_call_no_more_helpers_than_measured():
+    # a step reads what it needs off the incidence lists: a change that puts
+    # a compile or helper calls back on a step raises these ceilings, and says so
+    r = subprocess.run(
+        [sys.executable, "-c", "import test_moves; test_moves._step_census()"],
+        cwd=os.path.dirname(os.path.abspath(__file__)), env=SUBPROCESS_ENV,
+        capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr[-2000:]
+    doc = json.loads(r.stdout)
+    # measured here; before the one-pass sign check and flip, flip read 29
+    # and epsilon 16 (the sign check compiled _triples), elem 54
+    ceilings = {"reverse": 14, "reverse-boundary": 7, "twist": 3, "vertex": 14, "elem": 53,
+                "elem-one-holed": 18, "flip": 17, "epsilon": 3, "fn": 124}
+    assert doc.keys() == ceilings.keys()
+    assert all(doc[kind] <= ceilings[kind] for kind in ceilings), doc

@@ -1,13 +1,18 @@
 """Eigenvalue flips and the vertex-sign group."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from pantsrep import builder, symmetry as sym
-from pantsrep.coordinates import EdgeParams, local_picture
+from pantsrep import builder, surface as su, symmetry as sym
+from pantsrep.coordinates import EdgeParams, _picture_es, local_picture
+from pantsrep.moves import Move, apply_move
+from pantsrep.projective import _at
 
-from helpers import (SURFACES, caterpillar, handle_chain, marking_words, rand_c,
-                      reference_surfaces, ribbon_graphs, sample_params, squared_trace_table)
+from helpers import (SURFACES, caterpillar, handle_chain, marking_words, outcome, rand_c,
+                      reference_surfaces, ribbon_graphs, same_numbers, same_outcome,
+                      sample_fuchsian_params, sample_params, squared_trace_table)
 
 RNG = np.random.default_rng(20240905)
 
@@ -247,3 +252,155 @@ def test_sign_group_matches_the_odd_incidence_rule():
                    for _ in range(50)]
         for eps in basis + vectors:
             assert sym.check_epsilon(surf, eps) == _reference_check_epsilon(surf, eps)
+
+
+def _two_pass_bad_sign(surface, eps):
+    edges = surface.graph.edges
+    return next(((k, v) for k, v in eps.items() if k not in edges or v not in (1, -1)), None)
+
+
+def _two_pass_check_epsilon(surface, eps):
+    """check_epsilon as it was: a pass over the entries, then one over _triples."""
+    return _two_pass_bad_sign(surface, eps) is None and all(
+        eps.get(i, 1) * eps.get(j, 1) * eps.get(k, 1) == 1
+        for i, j, k in surface.graph._triples.values())
+
+
+def _two_pass_act_epsilon(params, eps, surface=None):
+    if surface is not None and not _two_pass_check_epsilon(surface, eps):
+        bad = _two_pass_bad_sign(surface, eps)
+        if bad is not None:
+            raise ValueError("eps[%r] = %r: expected an edge id mapped to 1 or -1" % bad)
+        raise ValueError("sign vector violates the vertex product condition")
+    eigen = {eid: eps.get(eid, 1) * e for eid, e in params.eigen.items()}
+    return EdgeParams(eigen, dict(params.twist))
+
+
+def _set_based_flip(params, surface, edge):
+    """flip_eigenvalue as it was: a set of the interior edges at the flipped
+    edge's ends, each picture read through _picture_slots."""
+    graph = surface.graph
+    if edge not in graph.edges:
+        raise KeyError("unknown edge %r" % (edge,))
+    eigen = dict(params.eigen)
+    twist = dict(params.twist)
+    e = graph.edges[edge]
+    near = {eid for vid in (e.tail, e.head) for eid, _ in graph.vertices[vid].incident
+            if not graph.is_boundary(eid)}
+    try:
+        for f in near:
+            _, _, nbrs = su._picture_slots(graph, f)
+            positions = [pos for pos, (eid, _) in zip((2, 3, 4, 5), nbrs) if eid == edge]
+            if positions:
+                es = _picture_es(params.eigen, f, nbrs)
+                scale = 1
+                for position in positions:
+                    scale *= sym._occurrence_factor(es, position)
+                twist[f] = twist[f] * scale
+        if not graph.is_boundary(edge):
+            twist[edge] = 1 / twist[edge]
+        eigen[edge] = 1 / eigen[edge]
+    except ArithmeticError as ex:
+        raise _at("edge %r" % (edge,), ex)
+    return EdgeParams(eigen, twist)
+
+
+def _bare(surf):
+    """surf on a graph made anew from its records, so it has compiled nothing."""
+    g = surf.graph
+    return su.PantsSurface(surf.genus, surf.boundary,
+                           su.FatGraph(list(g.vertices.values()), list(g.edges.values())), tree=surf.tree)
+
+
+def _moved(surf, params, rng, steps=4):
+    """A bare copy of surf and params after a seeded run of reverse, vertex
+    and elem moves (a move that raises is skipped)."""
+    s, p = _bare(surf), params
+    for _ in range(steps):
+        kind = ("reverse", "vertex", "elem")[rng.integers(3)]
+        ids = s.graph.trivalent_vertices() if kind == "vertex" else sorted(s.graph.edges)
+        try:
+            s, p = apply_move(s, p, Move(kind, ids[rng.integers(len(ids))]))
+        except (ValueError, ArithmeticError):
+            pass
+    return s, p
+
+
+def _sign_vectors(surf, rng):
+    """Valid, random and malformed sign vectors for surf, in shuffled key orders."""
+    edges = sorted(surf.graph.edges)
+    basis = sym.epsilon_basis(surf)
+    vectors = list(basis)
+    for _ in range(6):
+        eps = {eid: 1 for eid in edges}
+        for vec in basis:
+            if rng.integers(2):
+                eps = {eid: eps[eid] * vec[eid] for eid in edges}
+        vectors.append(eps)
+        vectors.append({eid: int(s) for eid, s in zip(edges, rng.choice([-1, 1], len(edges)))})
+        vectors.append({eid: eps[eid] for eid in edges if rng.integers(2)})  # missing edges count as 1
+    for bad in (0, 2, 0.5, 1.0, -1.0, True, float("nan"), [1], [-1, 1]):
+        eps = dict(vectors[rng.integers(len(vectors))])
+        eps[edges[rng.integers(len(edges))]] = bad
+        vectors.append(eps)
+    vectors.append({**vectors[0], max(edges) + 1: -1})  # a key that is no edge id
+    vectors.append({max(edges) + 1: 1})
+    shuffled = []
+    for eps in vectors:
+        keys = list(eps)
+        shuffled.append({keys[i]: eps[keys[i]] for i in rng.permutation(len(keys))})
+    return vectors + shuffled
+
+
+def test_check_and_act_epsilon_equal_the_two_pass_forms():
+    # the one-pass check reads the incidence lists; the two-pass form as
+    # first written checks the entries, then compiles _triples.  They agree,
+    # value or error class and message, on every reference surface and on
+    # graphs made by moves, for valid, random and malformed sign vectors
+    rng = np.random.default_rng(2301)
+    checked = 0
+    for surf in reference_surfaces():
+        params = sample_params(surf, rng)
+        for s, p in [(surf, params), _moved(surf, params, rng)]:
+            for eps in _sign_vectors(s, rng):
+                assert same_outcome(sym.check_epsilon, _two_pass_check_epsilon, s, eps), eps
+                assert same_outcome(sym.act_epsilon, _two_pass_act_epsilon, p, eps, s), eps
+                checked += 1
+    assert checked > 5000
+
+
+def _flip_points(surf, rng):
+    """Box, Fuchsian, huge, tiny and zero-eigenvalue points of surf."""
+    g = surf.graph
+    box = EdgeParams({eid: rand_c(rng) for eid in g.edges},
+                     {eid: rand_c(rng) for eid in g.interior_edges()})
+    fuchsian = sample_fuchsian_params(surf, rng)
+    points = [box, fuchsian]
+    for scales in ((1e150, 1e300), (1e-150, 1e-300)):
+        scale = scales[rng.integers(2)]
+        twist = box.twist if rng.integers(2) else {k: v * scale for k, v in box.twist.items()}
+        points.append(EdgeParams({k: v * scale for k, v in box.eigen.items()}, dict(twist)))
+    zero = sorted(g.edges)[rng.integers(len(g.edges))]
+    points += [EdgeParams({**box.eigen, zero: 0j}, dict(box.twist)),
+               EdgeParams({**fuchsian.eigen, zero: 0.0}, dict(fuchsian.twist))]
+    return points
+
+
+def test_flip_equals_the_set_based_form():
+    # the one ordered pass equals the set-based flip by value, NaN equal to
+    # NaN, or by error class and message, for every edge at box, Fuchsian,
+    # huge, tiny and zero-eigenvalue points, on original and moved graphs
+    rng = np.random.default_rng(2302)
+    kinds = Counter()
+    for surf in reference_surfaces():
+        if len(surf.graph.edges) > 20:
+            continue
+        for s, _ in [(surf, None), _moved(surf, sample_params(surf, rng), rng)]:
+            for params in _flip_points(s, rng):
+                for edge in s.graph.edges:
+                    got = outcome(sym.flip_eigenvalue, params, s, edge)
+                    want = outcome(_set_based_flip, params, s, edge)
+                    assert (same_numbers(got[1], want[1]) if got[0] == want[0] == "value"
+                            else got == want), (edge, got, want)
+                    kinds[got[0] if got[0] == "value" else got[0].__name__] += 1
+    assert kinds["value"] > 5000 and kinds["ZeroDivisionError"] > 200, kinds
