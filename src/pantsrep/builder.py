@@ -265,8 +265,12 @@ def recover_coordinates(rep, eigen_choice=None, tol=1e-9):
     pres = rep.presentation
     eigen_choice = eigen_choice or {}
     edges = rep.surface.graph.edges
-    if not (edges.keys() >= eigen_choice.keys() and _BRANCHES.issuperset(eigen_choice.values())):
-        bad = next((k, v) for k, v in eigen_choice.items() if k not in edges or v not in _BRANCHES)
+    try:
+        ok = edges.keys() >= eigen_choice.keys() and _BRANCHES.issuperset(eigen_choice.values())
+    except TypeError:  # an unhashable value; the scan compares it as a tuple member
+        ok = False
+    if not ok:
+        bad = next((k, v) for k, v in eigen_choice.items() if k not in edges or v not in (1, -1))
         raise ValueError("eigen_choice[%r] = %r: expected an edge id mapped to 1 or -1" % bad)
     spectra = rep._spectra.get(tol)
     if spectra is None:

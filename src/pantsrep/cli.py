@@ -79,7 +79,8 @@ def _load_params(path, surf, tol):
     except (OSError, KeyError, TypeError, ValueError) as ex:
         raise SchemaError("cannot read parameter file %s: %s" % (path, ex))
     try:
-        ok = coordinates.in_domain(params, surf, tol=tol)
+        # build checks at DOMAIN_TOL: a smaller tol would pass a point it refuses
+        ok = coordinates.in_domain(params, surf, tol=max(tol, coordinates.DOMAIN_TOL))
     except KeyError as ex:
         raise SchemaError("parameter keys do not match the surface: %s" % ex.args[0])
     if not ok:
@@ -180,6 +181,8 @@ def cmd_move(args, surf, params):
 
     if args.kind is None or args.target is None:
         raise SchemaError("move needs --kind and --target")
+    if args.branch is not None and args.kind != "elem":
+        raise SchemaError("--branch applies only to --kind elem")
     branch = None
     if args.branch:
         try:

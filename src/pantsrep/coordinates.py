@@ -38,6 +38,8 @@ EdgeParams = namedtuple("EdgeParams", ["eigen", "twist"])
 #: a factor of the propagation and twist formulas vanishes at or below this,
 #: relative to its scale
 _FACTOR_TOL = 1e-9
+#: in_domain's default tolerance, the one build checks its parameters at
+DOMAIN_TOL = 1e-9
 
 
 def _end_eigen(e, end):
@@ -49,7 +51,7 @@ def _end_eigen(e, end):
     return e if end == "tail" else 1 / e
 
 
-def in_domain(params, surface, tol=1e-9):
+def in_domain(params, surface, tol=DOMAIN_TOL):
     """Membership in E(S,C) x (C*)^k.
 
     Every eigenvalue avoids {0, +-1}, every vertex triple satisfies

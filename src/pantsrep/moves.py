@@ -133,139 +133,118 @@ def elementary_one_holed(e1, e2, t1, branch=None):
     return e1p, t1p, t2_factor
 
 
-def _rewired(surface, vertices, edges):
-    """A new surface, sharing surface's tree, whose graph replaces only the
-    records a move changes (``FatGraph._rewired``).  The new graph and the
-    new surface compile what they read, on first use.
-    """
-    return PantsSurface(surface.genus, surface.boundary, surface.graph._rewired(vertices, edges),
-                        tree=surface.tree)
-
-
 def apply_move(surface, params, move):
     """Apply one move, returning (new surface, new params).
 
-    A DegenerateInputError or ArithmeticError is re-raised, class and factor
+    Every kind but "auto" is a record rewrite plus parameter updates (the
+    vertex and edge records it replaces, the eigenvalues and twists it
+    changes); with no record replaced, the surface itself is returned.
+    A changed twist that is not finite raises OverflowError.  A
+    DegenerateInputError or ArithmeticError is re-raised, class and factor
     kept, with its message prefixed "vertex <id>: " or, for an edge, "edge <id>: ".
     """
+    graph, kind, target = surface.graph, move.kind, move.target
+    vertices, edges, eigen, twist = {}, {}, {}, {}
     try:
-        graph = surface.graph
-        kind = move.kind
         if kind == "reverse":
-            edge = move.target
-            eigen = dict(params.eigen)
-            twist = dict(params.twist)
-            if graph.is_boundary(edge):
+            if graph.is_boundary(target):
                 # reversing plus inverting keeps every adjusted local value
-                eigen[edge] = 1 / eigen[edge]
+                eigen[target] = 1 / params.eigen[target]
             else:
-                es = _picture_es(params.eigen, edge, _picture_slots(graph, edge)[2])
-                eigen[edge], twist[edge] = reverse_edge_formula(es, params.twist[edge])
-            e = graph.edges[edge]
-            ends = {}
+                es = _picture_es(params.eigen, target, _picture_slots(graph, target)[2])
+                eigen[target], twist[target] = reverse_edge_formula(es, params.twist[target])
+            e = graph.edges[target]
+            edges[target] = Edge(target, e.head, e.tail)
             for vid in (e.tail, e.head):
                 rec = graph.vertices[vid]
-                ends[vid] = Vertex(vid, rec.kind, tuple([
-                    key if key[0] != edge else (edge, "head" if key[1] == "tail" else "tail")
+                vertices[vid] = Vertex(vid, rec.kind, tuple([
+                    key if key[0] != target else (target, "head" if key[1] == "tail" else "tail")
                     for key in rec.incident]))
-            new_surface = _rewired(surface, ends, {edge: Edge(edge, e.head, e.tail)})
-            return new_surface, EdgeParams(eigen, twist)
-        if kind in ("twist-r", "twist-l"):
-            edge = move.target
-            if graph.is_boundary(edge):
+        elif kind in ("twist-r", "twist-l"):
+            if graph.is_boundary(target):
                 raise ValueError("Dehn twists act along interior pants curves")
-            twist = dict(params.twist)
-            _, twist[edge] = dehn_twist_formula(
-                params.eigen[edge], twist[edge], "right" if kind == "twist-r" else "left"
-            )
-            return surface, EdgeParams(dict(params.eigen), twist)
-        if kind == "vertex":
-            vid = move.target
-            if surface.graph.vertices[vid].kind != "tri":
+            _, twist[target] = dehn_twist_formula(params.eigen[target], params.twist[target],
+                                                  "right" if kind == "twist-r" else "left")
+        elif kind == "vertex":
+            if graph.vertices[target].kind != "tri":
                 raise ValueError("vertex move needs a trivalent vertex")
-            twist = dict(params.twist)
-            inc = graph.vertices[vid].incident
+            inc = graph.vertices[target].incident
             es = [_end_eigen(params.eigen[eid], end) for eid, end in inc]
             for s, (eid, _end) in enumerate(inc):
-                if graph.is_boundary(eid):
-                    continue
-                factor = half_twist_formula(es[s], es[(s + 1) % 3], es[(s + 2) % 3], 1)
-                twist[eid] = factor * twist[eid]
+                if not graph.is_boundary(eid):
+                    # an edge met twice at the vertex is rescaled twice
+                    factor = half_twist_formula(es[s], es[(s + 1) % 3], es[(s + 2) % 3], 1)
+                    twist[eid] = factor * twist.get(eid, params.twist[eid])
             # the half twists reverse the counterclockwise order at the vertex
-            new_surface = _rewired(surface, {vid: Vertex(vid, "tri", (inc[0], inc[2], inc[1]))}, {})
-            return new_surface, EdgeParams(dict(params.eigen), twist)
-        if kind == "auto":
-            vperm = move.data.get("vertices", {})
-            eperm = move.data.get("edges", {})
-            # a relabelling changes every record, so the graph is built anew
-            new_graph = FatGraph(
-                [Vertex(vperm.get(v.id, v.id), v.kind,
-                        tuple((eperm.get(eid, eid), end) for eid, end in v.incident))
-                 for v in graph.vertices.values()],
-                [Edge(eperm.get(e.id, e.id), vperm.get(e.tail, e.tail), vperm.get(e.head, e.head))
-                 for e in graph.edges.values()])
-            tree = (None if surface.tree is None
-                    else {eperm.get(eid, eid) for eid in surface.tree})
-            eigen = {eperm.get(k, k): v for k, v in params.eigen.items()}
-            twist = {eperm.get(k, k): v for k, v in params.twist.items()}
-            return (PantsSurface(surface.genus, surface.boundary, new_graph, tree=tree),
-                    EdgeParams(eigen, twist))
-        if kind == "elem":
-            return _elementary_move(surface, params, move.target, move.branch)
-        raise ValueError("unknown move kind %r" % (kind,))
+            vertices[target] = Vertex(target, "tri", (inc[0], inc[2], inc[1]))
+        elif kind == "auto":
+            return _relabelled(surface, params, move.data)
+        elif kind == "elem":
+            vertices, edges, eigen, twist = _elementary_move(graph, params, target, move.branch)
+        else:
+            raise ValueError("unknown move kind %r" % (kind,))
+        for eid, t in twist.items():
+            if not cmath.isfinite(t):
+                raise OverflowError("twist %r = %r is not finite" % (eid, t))
     except (DegenerateInputError, ArithmeticError) as ex:
-        raise _at("%s %r" % ("vertex" if move.kind == "vertex" else "edge", move.target), ex)
+        raise _at("%s %r" % ("vertex" if kind == "vertex" else "edge", target), ex)
+    if vertices or edges:
+        surface = PantsSurface(surface.genus, surface.boundary, graph._rewired(vertices, edges),
+                               tree=surface.tree)
+    return surface, EdgeParams({**params.eigen, **eigen}, {**params.twist, **twist})
 
 
-def _elementary_move(surface, params, edge, branch):
-    graph = surface.graph
+def _relabelled(surface, params, data):
+    """Type IV: every record, the tree and the parameters relabelled by the
+    "vertices" and "edges" maps of data (an id neither maps is kept)."""
+    vperm, eperm, graph = data.get("vertices", {}), data.get("edges", {}), surface.graph
+    # a relabelling changes every record, so the graph is built anew
+    new_graph = FatGraph(
+        [Vertex(vperm.get(v.id, v.id), v.kind,
+                tuple((eperm.get(eid, eid), end) for eid, end in v.incident))
+         for v in graph.vertices.values()],
+        [Edge(eperm.get(e.id, e.id), vperm.get(e.tail, e.tail), vperm.get(e.head, e.head))
+         for e in graph.edges.values()])
+    tree = None if surface.tree is None else {eperm.get(eid, eid) for eid in surface.tree}
+    return (PantsSurface(surface.genus, surface.boundary, new_graph, tree=tree),
+            EdgeParams({eperm.get(k, k): v for k, v in params.eigen.items()},
+                       {eperm.get(k, k): v for k, v in params.twist.items()}))
+
+
+def _elementary_move(graph, params, edge, branch):
+    """Type V at an interior edge: the vertex and edge records it replaces
+    and the eigenvalues and twists it changes, as four dicts."""
     if graph.is_boundary(edge):
         raise ValueError("elementary move needs an interior edge")
     (v, _), (w, _), nbrs = _picture_slots(graph, edge)
     es, t1 = _picture_es(params.eigen, edge, nbrs), params.twist[edge]
     if v == w:
-        # one-holed torus picture
-        boundary_eid = None
-        e2 = None
-        for slot, value in zip(nbrs, es[1:]):
-            if slot[0] != edge:
-                boundary_eid, e2 = slot[0], value
+        # one-holed torus picture: the graph is unchanged
+        for (boundary_eid, _), e2 in zip(nbrs, es[1:]):
+            if boundary_eid != edge:  # the third edge at the vertex
                 break
         e1p, t1p, t2_factor = elementary_one_holed(es[0], e2, t1, branch)
-        eigen = dict(params.eigen)
-        twist = dict(params.twist)
-        eigen[edge] = e1p
-        twist[edge] = t1p
-        if boundary_eid in twist:
-            twist[boundary_eid] = t2_factor * twist[boundary_eid]
-        return surface, EdgeParams(eigen, twist)
+        twist = {edge: t1p}
+        if boundary_eid in params.twist:
+            twist[boundary_eid] = t2_factor * params.twist[boundary_eid]
+        return {}, {}, {edge: e1p}, twist
 
     neighbor_eids = [eid for eid, _ in nbrs]
     if len(set(neighbor_eids)) != 4 or edge in neighbor_eids:
-        raise ValueError(
-            "elementary move implemented for embedded four-holed pictures; "
-            "self-glued configurations reduce to the one-holed case via moves"
-        )
-    t_other = {
-        pos: params.twist[eid]
-        for pos, eid in zip((2, 3, 4, 5), neighbor_eids)
-        if eid in params.twist
-    }
+        raise ValueError("elementary move implemented for embedded four-holed pictures; "
+                         "self-glued configurations reduce to the one-holed case via moves")
+    t_other = {pos: params.twist[eid] for pos, eid in zip((2, 3, 4, 5), neighbor_eids)
+               if eid in params.twist}
     e1p, t1p, new_other = elementary_four_holed(es, t1, t_other, branch)
-    eigen = dict(params.eigen)
-    twist = dict(params.twist)
-    eigen[edge] = e1p
-    twist[edge] = t1p
-    for pos, eid in zip((2, 3, 4, 5), neighbor_eids):
-        if eid in twist:
-            twist[eid] = new_other[pos]
+    twist = {edge: t1p}
+    for pos, t in new_other.items():
+        twist[neighbor_eids[pos - 2]] = t
 
     # regroup the cuffs: tail keeps (old position-5, position-2) neighbors,
     # head keeps (position-3, position-4), matching the relabeled picture
     g2, g3, g4, g5 = nbrs
     # the position-3 end moves from v to w, the position-5 end from w to v;
     # the four neighbor edges are distinct and none is the edge itself
-    moved = {eid: graph.edges[eid]._replace(**{end: new_v}) for (eid, end), new_v in ((g3, w), (g5, v))}
-    new_surface = _rewired(surface, {v: Vertex(v, "tri", ((edge, "tail"), g5, g2)),
-                                     w: Vertex(w, "tri", ((edge, "head"), g3, g4))}, moved)
-    return new_surface, EdgeParams(eigen, twist)
+    return ({v: Vertex(v, "tri", ((edge, "tail"), g5, g2)), w: Vertex(w, "tri", ((edge, "head"), g3, g4))},
+            {eid: graph.edges[eid]._replace(**{end: new_v}) for (eid, end), new_v in ((g3, w), (g5, v))},
+            {edge: e1p}, twist)

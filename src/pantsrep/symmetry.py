@@ -7,6 +7,8 @@ vertex, which acts on eigenvalues only.  A flip, a sign check and a sign
 action read the incidence lists and compile nothing on the graph.
 """
 
+import cmath
+
 from .coordinates import EdgeParams, _picture_es
 from .projective import _at
 
@@ -35,8 +37,9 @@ def flip_eigenvalue(params, surface, edge):
     the rescaling factor once per occurrence (so self-glued pictures are
     handled by the same rule through the covering trick).  Only those
     edges are visited: the interior edges at the flipped edge's two end
-    vertices, in incidence order, each picture read once.  A numeric
-    error's message starts "edge <id>: ".
+    vertices, in incidence order, each picture read once.  A changed twist
+    that is not finite raises OverflowError.  A numeric error's message
+    starts "edge <id>: ".
     """
     graph = surface.graph
     edges, vertices = graph.edges, graph.vertices
@@ -44,6 +47,7 @@ def flip_eigenvalue(params, surface, edge):
         raise KeyError("unknown edge %r" % (edge,))
     eigen = dict(params.eigen)
     twist = dict(params.twist)
+    changed = []
     try:
         for f in dict.fromkeys([eid for vid in edges[edge][1:] for eid, _ in vertices[vid].incident]):
             # f's picture as _picture_slots reads it, written out: with is_boundary,
@@ -63,9 +67,14 @@ def flip_eigenvalue(params, surface, edge):
                     if eid == edge:
                         scale *= _occurrence_factor(es, position)
                 twist[f] = twist[f] * scale
+                changed.append(f)
         if not graph.is_boundary(edge):
             twist[edge] = 1 / twist[edge]
+            changed.append(edge)
         eigen[edge] = 1 / eigen[edge]
+        for f in changed:
+            if not cmath.isfinite(twist[f]):
+                raise OverflowError("twist %r = %r is not finite" % (f, twist[f]))
     except ArithmeticError as ex:
         raise _at("edge %r" % (edge,), ex)
     return EdgeParams(eigen, twist)

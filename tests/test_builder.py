@@ -544,6 +544,7 @@ def test_genus_zero_verify_multiplies_the_relator_once(monkeypatch):
     ({"1": -1}, "eigen_choice['1'] = -1"),
     ({2: -1, 99: 1}, "eigen_choice[99] = 1"),
     ({3: 0.5}, "eigen_choice[3] = 0.5"),
+    ({1: [1]}, "eigen_choice[1] = [1]"),
 ])
 def test_recover_rejects_a_choice_that_is_no_edge_or_sign(choice, named):
     surf = su.four_holed_sphere()

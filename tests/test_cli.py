@@ -112,13 +112,15 @@ def test_usage_error_is_a_schema_error(capsys, argv):
     (["move", "S", "P", "--kind", "elem", "--target", "1", "--branch", "nan,0"], "--branch must be finite"),
     (["move", "S", "P", "--kind", "elem", "--target", "1", "--branch", "inf,0"], "--branch must be finite"),
     (["move", "S", "P", "--kind", "elem", "--target", "1", "--branch", "0,-inf"], "--branch must be finite"),
+    (["move", "S", "P", "--kind", "twist-r", "--target", "1", "--branch", "1,2"],
+     "--branch applies only to --kind elem"),
     (["act", "S", "P"], "act needs --flip and/or --epsilon"),
     (["act", "S", "P", "--epsilon", "1,x"], "--epsilon must be a comma-separated edge list"),
     (["generators", "P"], "--surface is required for this command"),
     (["generators", "S"], "--params is required for this command"),
     (["recover", "S", "P", "--tol", "abc"], "argument --tol: must be a finite non-negative number"),
 ], ids=["move-bare", "move-kind-only", "move-bad-target", "move-branch-one-part",
-        "move-branch-not-numbers", "move-branch-nan", "move-branch-inf", "move-branch-minus-inf", "act-bare", "act-bad-epsilon", "no-surface", "no-params",
+        "move-branch-not-numbers", "move-branch-nan", "move-branch-inf", "move-branch-minus-inf", "move-branch-not-elem", "act-bare", "act-bad-epsilon", "no-surface", "no-params",
         "bad-tol"])
 def test_a_missing_or_malformed_flag_is_a_schema_error(capsys, four_holed_files, argv, detail):
     _, _, spath, ppath = four_holed_files
@@ -619,6 +621,24 @@ def test_tol_must_be_finite_and_non_negative(tmp_path, capsys, command, tol):
     assert cli.main(argv + ["--tol=" + tol]) == 2
     out, err = capsys.readouterr()
     assert strict_json(out)["error"] == "schema" and err == ""
+
+
+@pytest.mark.parametrize("command", ["validate", "generators"])
+@pytest.mark.parametrize("tol", ["0", "1e-12", "1e-9"])
+def test_tol_does_not_loosen_the_domain_check_below_builds(tmp_path, capsys, command, tol):
+    # eigenvalue 2 is 1e-10 from 1: inside the domain at --tol 0, outside
+    # it at build's tolerance, so a small --tol must not pass it to build
+    out = tmp_path / "example.json"
+    assert cli.main(["example", "four-holed", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["params"]["eigen"]["2"] = [1 + 1e-10, 0.0]
+    spath, ppath = tmp_path / "surf.json", tmp_path / "params.json"
+    spath.write_text(json.dumps(doc["surface"]))
+    ppath.write_text(json.dumps(doc["params"]))
+    capsys.readouterr()
+    assert cli.main([command, "--surface", str(spath), "--params", str(ppath), "--tol", tol]) == 3
+    out, err = capsys.readouterr()
+    assert strict_json(out)["error"] == "domain" and err == ""
 
 
 def test_generators_on_a_deep_tree_answers_in_json(tmp_path):

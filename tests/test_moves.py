@@ -14,11 +14,11 @@ import pytest
 from pantsrep import builder, coordinates as co, fuchsian as fu, moves, surface as su, symmetry
 from pantsrep.coordinates import EdgeParams
 from pantsrep.moves import Move, apply_move
-from pantsrep.projective import DegenerateInputError, sqrt_principal
+from pantsrep.projective import DegenerateInputError, _at, sqrt_principal
 
 from helpers import (SURFACES, SUBPROCESS_ENV, caterpillar, handle_chain, marking_words,
-                     max_residual, outcome, rand_c, reference_surfaces, ribbon_graphs, same_outcome,
-                     sample_fuchsian_params, sample_params, squared_trace_table)
+                     max_residual, outcome, rand_c, reference_surfaces, ribbon_graphs, same_numbers,
+                     same_outcome, sample_fuchsian_params, sample_params, squared_trace_table)
 
 RNG = np.random.default_rng(20240906)
 
@@ -677,6 +677,201 @@ def test_an_unused_neighbor_factor_does_not_stop_the_move():
     assert abs(e1p + 1 / e1p - tr34) <= 1e-12 * max(1.0, abs(tr34))
 
 
+def _per_kind_apply_move(surface, params, move):
+    """apply_move as it was: each kind copies, modifies and returns its own
+    dicts and builds its own surface."""
+    try:
+        graph = surface.graph
+        kind = move.kind
+        if kind == "reverse":
+            edge = move.target
+            eigen = dict(params.eigen)
+            twist = dict(params.twist)
+            if graph.is_boundary(edge):
+                eigen[edge] = 1 / eigen[edge]
+            else:
+                es = co._picture_es(params.eigen, edge, su._picture_slots(graph, edge)[2])
+                eigen[edge], twist[edge] = moves.reverse_edge_formula(es, params.twist[edge])
+            e = graph.edges[edge]
+            ends = {}
+            for vid in (e.tail, e.head):
+                rec = graph.vertices[vid]
+                ends[vid] = su.Vertex(vid, rec.kind, tuple([
+                    key if key[0] != edge else (edge, "head" if key[1] == "tail" else "tail")
+                    for key in rec.incident]))
+            return _rewired(surface, ends, {edge: su.Edge(edge, e.head, e.tail)}), EdgeParams(eigen, twist)
+        if kind in ("twist-r", "twist-l"):
+            edge = move.target
+            if graph.is_boundary(edge):
+                raise ValueError("Dehn twists act along interior pants curves")
+            twist = dict(params.twist)
+            _, twist[edge] = moves.dehn_twist_formula(
+                params.eigen[edge], twist[edge], "right" if kind == "twist-r" else "left")
+            return surface, EdgeParams(dict(params.eigen), twist)
+        if kind == "vertex":
+            vid = move.target
+            if surface.graph.vertices[vid].kind != "tri":
+                raise ValueError("vertex move needs a trivalent vertex")
+            twist = dict(params.twist)
+            inc = graph.vertices[vid].incident
+            es = [co._end_eigen(params.eigen[eid], end) for eid, end in inc]
+            for s, (eid, _end) in enumerate(inc):
+                if graph.is_boundary(eid):
+                    continue
+                factor = moves.half_twist_formula(es[s], es[(s + 1) % 3], es[(s + 2) % 3], 1)
+                twist[eid] = factor * twist[eid]
+            new_surface = _rewired(surface, {vid: su.Vertex(vid, "tri", (inc[0], inc[2], inc[1]))}, {})
+            return new_surface, EdgeParams(dict(params.eigen), twist)
+        if kind == "auto":
+            vperm = move.data.get("vertices", {})
+            eperm = move.data.get("edges", {})
+            new_graph = su.FatGraph(
+                [su.Vertex(vperm.get(v.id, v.id), v.kind,
+                           tuple((eperm.get(eid, eid), end) for eid, end in v.incident))
+                 for v in graph.vertices.values()],
+                [su.Edge(eperm.get(e.id, e.id), vperm.get(e.tail, e.tail), vperm.get(e.head, e.head))
+                 for e in graph.edges.values()])
+            tree = None if surface.tree is None else {eperm.get(eid, eid) for eid in surface.tree}
+            eigen = {eperm.get(k, k): v for k, v in params.eigen.items()}
+            twist = {eperm.get(k, k): v for k, v in params.twist.items()}
+            return (su.PantsSurface(surface.genus, surface.boundary, new_graph, tree=tree),
+                    EdgeParams(eigen, twist))
+        if kind == "elem":
+            return _per_kind_elementary_move(surface, params, move.target, move.branch)
+        raise ValueError("unknown move kind %r" % (kind,))
+    except (DegenerateInputError, ArithmeticError) as ex:
+        raise _at("%s %r" % ("vertex" if move.kind == "vertex" else "edge", move.target), ex)
+
+
+def _rewired(surface, vertices, edges):
+    return su.PantsSurface(surface.genus, surface.boundary, surface.graph._rewired(vertices, edges),
+                           tree=surface.tree)
+
+
+def _per_kind_elementary_move(surface, params, edge, branch):
+    graph = surface.graph
+    if graph.is_boundary(edge):
+        raise ValueError("elementary move needs an interior edge")
+    (v, _), (w, _), nbrs = su._picture_slots(graph, edge)
+    es, t1 = co._picture_es(params.eigen, edge, nbrs), params.twist[edge]
+    if v == w:
+        boundary_eid = None
+        e2 = None
+        for slot, value in zip(nbrs, es[1:]):
+            if slot[0] != edge:
+                boundary_eid, e2 = slot[0], value
+                break
+        e1p, t1p, t2_factor = moves.elementary_one_holed(es[0], e2, t1, branch)
+        eigen = dict(params.eigen)
+        twist = dict(params.twist)
+        eigen[edge] = e1p
+        twist[edge] = t1p
+        if boundary_eid in twist:
+            twist[boundary_eid] = t2_factor * twist[boundary_eid]
+        return surface, EdgeParams(eigen, twist)
+    neighbor_eids = [eid for eid, _ in nbrs]
+    if len(set(neighbor_eids)) != 4 or edge in neighbor_eids:
+        raise ValueError(
+            "elementary move implemented for embedded four-holed pictures; "
+            "self-glued configurations reduce to the one-holed case via moves"
+        )
+    t_other = {pos: params.twist[eid] for pos, eid in zip((2, 3, 4, 5), neighbor_eids)
+               if eid in params.twist}
+    e1p, t1p, new_other = moves.elementary_four_holed(es, t1, t_other, branch)
+    eigen = dict(params.eigen)
+    twist = dict(params.twist)
+    eigen[edge] = e1p
+    twist[edge] = t1p
+    for pos, eid in zip((2, 3, 4, 5), neighbor_eids):
+        if eid in twist:
+            twist[eid] = new_other[pos]
+    g2, g3, g4, g5 = nbrs
+    moved = {eid: graph.edges[eid]._replace(**{end: new_v}) for (eid, end), new_v in ((g3, w), (g5, v))}
+    new_surface = _rewired(surface, {v: su.Vertex(v, "tri", ((edge, "tail"), g5, g2)),
+                                     w: su.Vertex(w, "tri", ((edge, "head"), g3, g4))}, moved)
+    return new_surface, EdgeParams(eigen, twist)
+
+
+def _move_outcome(fn, surf, params, move):
+    """The moved surface's JSON (None if it is surf), whether the tree is
+    surf's, and the eigenvalue and twist items in order; or the class,
+    message and factor raised."""
+    try:
+        new, p = fn(surf, params, move)
+    except (ArithmeticError, ValueError, KeyError) as ex:
+        return type(ex), str(ex), getattr(ex, "factor", None)
+    return ("value", None if new is surf else su.to_json(new), new.tree is surf.tree,
+            [list(p.eigen.items()), list(p.twist.items())])
+
+
+def test_apply_move_equals_the_per_kind_form():
+    # one tail builds every moved surface and every new EdgeParams; it
+    # equals the per-kind form (surface JSON, params with NaN equal and keys
+    # in order, the same surface object or not, error class, message and
+    # factor) for every kind on every target, unknown targets, a branch, a
+    # relabelling and an unknown kind, on every reference surface at box and
+    # Fuchsian points (and, on small surfaces, at huge and zero eigenvalues)
+    # and on a moved graph.  The one difference: where the per-kind form
+    # returned a twist that is not finite, the tail raises OverflowError
+    # naming the move's edge or vertex
+    rng = np.random.default_rng(2401)
+    kinds = Counter()
+    for surf in reference_surfaces():
+        box = EdgeParams({eid: rand_c(rng) for eid in surf.graph.edges},
+                         {eid: rand_c(rng) for eid in surf.graph.interior_edges()})
+        points = [box, sample_fuchsian_params(surf, rng)]
+        if len(surf.graph.edges) <= 12:  # huge eigenvalues, whose factors overflow, and a zero one
+            zero = min(surf.graph.edges)
+            points += [EdgeParams({k: v * 1e150 for k, v in box.eigen.items()}, box.twist),
+                       EdgeParams({**box.eigen, zero: 0j}, box.twist)]
+        for params in points:
+            s, p = surf, params
+            for step in range(2):
+                g = s.graph
+                unknown_e, unknown_v = max(g.edges) + 1, max(g.vertices) + 1
+                extra = ([Move(kind, unknown_e) for kind in ("reverse", "twist-r", "twist-l", "elem")]
+                         + [Move("vertex", vid) for vid in g.vertices if g.vertices[vid].kind == "uni"]
+                         + [Move("vertex", unknown_v), Move("slide", min(g.edges)),
+                            Move("elem", min(g.interior_edges(), default=unknown_e), rand_c(rng))])
+                for move in _every_move(s, rng) + extra:
+                    got = _move_outcome(apply_move, s, p, move)
+                    want = _move_outcome(_per_kind_apply_move, s, p, move)
+                    if want[0] == "value" and not all(cmath.isfinite(t) for _, t in want[3][1]):
+                        where = "%s %r: twist " % ("vertex" if move.kind == "vertex" else "edge", move.target)
+                        assert got[0] is OverflowError and got[1].startswith(where), (move, got)
+                        assert got[1].endswith(" is not finite") and got[2] is None, (move, got)
+                        kinds["non-finite"] += 1
+                    else:
+                        # == where no NaN is returned, else NaN equal to NaN
+                        assert got == want or (got[:3] == want[:3] and same_numbers(got[3], want[3])), \
+                            (move, got, want)
+                        kinds[got[0] if got[0] == "value" else got[0].__name__] += 1
+                # the second round acts on a moved graph: a reverse, then an elem or a vertex move
+                for move in (Move("reverse", min(g.edges)), Move("elem", max(g.edges)),
+                             Move("vertex", min(g.trivalent_vertices()))):
+                    try:
+                        s, p = apply_move(s, p, move)
+                    except (ValueError, ArithmeticError):
+                        pass
+    assert kinds["value"] > 10000 and kinds["ValueError"] > 1000 and kinds["KeyError"] > 500, kinds
+    assert kinds["ZeroDivisionError"] > 100 and kinds["non-finite"] > 100, kinds
+
+
+def test_a_non_finite_twist_raises_overflow_naming_the_edge():
+    # at this in-domain point the reverse formula's and the flip's factors
+    # overflow, and their quotient is NaN
+    es = (-1.2 + 0.7j, 1.4 - 0.9j, -0.6 - 1.5j, 1.7 + 0.4j, -1.8 - 0.3j)
+    surf = su.four_holed_sphere()
+    params = EdgeParams({eid: e * 1e100 for eid, e in enumerate(es, 1)}, {1: 0.8 - 1.1j})
+    assert co.in_domain(params, surf)
+    for step, where in ((lambda: apply_move(surf, params, Move("reverse", 1)), "edge 1: "),
+                        (lambda: symmetry.flip_eigenvalue(params, surf, 2), "edge 2: ")):
+        with pytest.raises(OverflowError) as info:
+            step()
+        assert str(info.value) == where + "twist 1 = (nan+nanj) is not finite"
+        assert not hasattr(info.value, "factor")
+
+
 #: fixed box points, one per fixture, and a Fuchsian genus-two point, for the step census
 _STEP_POINTS = {
     "four_holed": EdgeParams({1: -1.2 + 0.7j, 2: 1.4 - 0.9j, 3: -0.6 - 1.5j, 4: 1.7 + 0.4j,
@@ -737,8 +932,9 @@ def test_walk_steps_call_no_more_helpers_than_measured():
     assert r.returncode == 0, r.stderr[-2000:]
     doc = json.loads(r.stdout)
     # measured here; before the one-pass sign check and flip, flip read 29
-    # and epsilon 16 (the sign check compiled _triples), elem 54
-    ceilings = {"reverse": 14, "reverse-boundary": 7, "twist": 3, "vertex": 14, "elem": 53,
+    # and epsilon 16 (the sign check compiled _triples), elem 54; before the
+    # one tail of apply_move, reverse 14, reverse-boundary 7, vertex 14, elem 53
+    ceilings = {"reverse": 13, "reverse-boundary": 6, "twist": 3, "vertex": 13, "elem": 52,
                 "elem-one-holed": 18, "flip": 17, "epsilon": 3, "fn": 124}
     assert doc.keys() == ceilings.keys()
     assert all(doc[kind] <= ceilings[kind] for kind in ceilings), doc
