@@ -43,7 +43,6 @@ DEFAULT_BASE = (as_point(0), as_point(1), INF)
 _DEFAULT_PAIRS = [(p.num, p.den) for p in DEFAULT_BASE]
 #: tr[m0,m1] rounds by up to 16 double rounding units times (|m0| |m1|)^2
 _COMM_TOL = 16 * 2.0 ** -53
-_BRANCHES = frozenset((1, -1))
 
 
 class SurfaceRepresentation:
@@ -265,13 +264,9 @@ def recover_coordinates(rep, eigen_choice=None, tol=1e-9):
     pres = rep.presentation
     eigen_choice = eigen_choice or {}
     edges = rep.surface.graph.edges
-    try:
-        ok = edges.keys() >= eigen_choice.keys() and _BRANCHES.issuperset(eigen_choice.values())
-    except TypeError:  # an unhashable value; the scan compares it as a tuple member
-        ok = False
-    if not ok:
-        bad = next((k, v) for k, v in eigen_choice.items() if k not in edges or v not in (1, -1))
-        raise ValueError("eigen_choice[%r] = %r: expected an edge id mapped to 1 or -1" % bad)
+    for k, v in eigen_choice.items():
+        if k not in edges or v not in (1, -1):
+            raise ValueError("eigen_choice[%r] = %r: expected an edge id mapped to 1 or -1" % (k, v))
     spectra = rep._spectra.get(tol)
     if spectra is None:
         spectra = rep._spectra[tol] = _vertex_spectra(rep, tol)
@@ -293,7 +288,7 @@ def recover_coordinates(rep, eigen_choice=None, tol=1e-9):
             x2, y2 = slot_fixed[key2]
             want = _end_eigen(eigen[eid], end2)
             if abs(e2 - want) > abs(1 / e2 - want):
-                e2, x2, y2 = 1 / e2, y2, x2
+                x2 = y2
             branch_points[key2] = x2
 
     # the twists are the unknowns; the local pictures read only eigenvalues

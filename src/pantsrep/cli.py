@@ -60,9 +60,7 @@ def _load_surface(path):
     if path is None:
         raise SchemaError("--surface is required for this command")
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        surf = surface.from_json(doc)
+        surf = surface.load(path)
         problems = surface.validate(surf)
     except (OSError, KeyError, TypeError, ValueError) as ex:
         raise SchemaError("cannot read surface file %s: %s" % (path, ex))
@@ -258,32 +256,24 @@ def cmd_shearbend(args, surf, params):
 
 
 def sample_params(surf, rng, fuchsian_mode):
-    g = surf.graph
-    eigen, twist = {}, {}
-    for eid in sorted(g.edges):
-        if fuchsian_mode:
-            eigen[eid] = complex(-math.exp(rng.uniform(0.1, 2)))
-        else:
-            eigen[eid] = None
-    if not fuchsian_mode:
-        for _ in range(1000):
-            for eid in sorted(g.edges):
-                r = math.exp(rng.uniform(math.log(1.2), math.log(5.0)))
-                th = rng.uniform(0, 2 * math.pi)
-                eigen[eid] = r * cmath.exp(1j * th)
-            probe = EdgeParams(dict(eigen), {e: 1.0 + 0j for e in g.interior_edges()})
-            if coordinates.in_domain(probe, surf):
-                break
-        else:
-            raise DegenerateInputError("rejection sampling failed to hit the domain",
-                                       factor="in_domain")
-    for eid in sorted(g.interior_edges()):
-        if fuchsian_mode:
-            twist[eid] = complex(math.exp(rng.uniform(math.log(0.1), math.log(10.0))))
-        else:
-            r = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
-            th = rng.uniform(0, 2 * math.pi)
-            twist[eid] = r * cmath.exp(1j * th)
+    edges, interior = sorted(surf.graph.edges), surf.graph.interior_edges()
+    if fuchsian_mode:
+        eigen = {eid: complex(-math.exp(rng.uniform(0.1, 2))) for eid in edges}
+        return EdgeParams(eigen, {eid: complex(math.exp(rng.uniform(math.log(0.1), math.log(10.0))))
+                                  for eid in interior})
+    for _ in range(1000):
+        eigen = {}
+        for eid in edges:
+            r = math.exp(rng.uniform(math.log(1.2), math.log(5.0)))
+            eigen[eid] = r * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        if coordinates.in_domain(EdgeParams(eigen, {eid: 1.0 + 0j for eid in interior}), surf):
+            break
+    else:
+        raise DegenerateInputError("rejection sampling failed to hit the domain", factor="in_domain")
+    twist = {}
+    for eid in interior:
+        r = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+        twist[eid] = r * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
     return EdgeParams(eigen, twist)
 
 
@@ -297,8 +287,8 @@ def cmd_sample(args, surf, params):
     points = []
     worst = 0.0
     for k in range(args.n):
-        params = sample_params(surf, rng, args.fuchsian)
         try:
+            params = sample_params(surf, rng, args.fuchsian)
             res = max(builder.verify_relations(builder.build(surf, params)).values())
         except (DegenerateInputError, SingularMapError, ArithmeticError) as ex:
             raise _at("point %d" % k, ex)

@@ -225,44 +225,43 @@ def _best_variant(x):
     return best
 
 
-def _chi(e):
-    return e + 1 / e
-
-
 def four_holed_traces(es, t1):
     """(tr(g3 g4), tr(g2 g4), tr(g3 g5)) of the four-holed sphere closed forms."""
     e1, e2, e3, e4, e5 = es
     _vanishing(e1 - 1 / e1, "e1 - 1/e1", _FACTOR_TOL)
     p = (e2 * e3 - e1) * (e1 * e3 - e2) / (e1 * e2 * e3) * (e4 * e5 - e1) * (e1 * e4 - e5) / (e1 * e4 * e5)
     q = (1 - e1 * e2 * e3) * (e1 * e2 - e3) / (e1 * e2 * e3) * (1 - e1 * e4 * e5) * (e1 * e5 - e4) / (e1 * e4 * e5)
-    s1 = _chi(e3) * _chi(e5) + _chi(e2) * _chi(e4)
-    s2 = _chi(e2) * _chi(e5) + _chi(e3) * _chi(e4)
-    s3 = _chi(e2) * _chi(e4) + _chi(e3) * _chi(e5)
+    c3, c5, c2, c4 = e3 + 1 / e3, e5 + 1 / e5, e2 + 1 / e2, e4 + 1 / e4
+    s1 = c3 * c5 + c2 * c4
+    s2 = c2 * c5 + c3 * c4
+    s3 = c2 * c4 + c3 * c5
     d = (e1 - 1 / e1) ** 2
-    tr34 = (-p * t1 - q / t1 + _chi(e1) * s1 - 2 * s2) / d
-    tr24 = (p * e1 * t1 + q / (e1 * t1) + _chi(e1) * s2 - 2 * s3) / d
-    tr35 = (p * t1 / e1 + q * e1 / t1 + _chi(e1) * s2 - 2 * s3) / d
+    c1 = e1 + 1 / e1
+    tr34 = (-p * t1 - q / t1 + c1 * s1 - 2 * s2) / d
+    tr24 = (p * e1 * t1 + q / (e1 * t1) + c1 * s2 - 2 * s3) / d
+    tr35 = (p * t1 / e1 + q * e1 / t1 + c1 * s2 - 2 * s3) / d
     return tr34, tr24, tr35
 
 
 def twist_from_traces_four_holed(es, tr24, tr35):
     """t1 from tr(rho(g2 g4)) and tr(rho(g3 g5))."""
     e1, e2, e3, e4, e5 = es
-    _vanishing(_chi(e1), "e1 + 1/e1", _FACTOR_TOL)
+    c1 = _vanishing(e1 + 1 / e1, "e1 + 1/e1", _FACTOR_TOL)
     _vanishing((e2 * e3 - e1) * (e1 * e3 - e2), "(e2 e3 - e1)(e1 e3 - e2)", _FACTOR_TOL)
     _vanishing((e4 * e5 - e1) * (e1 * e4 - e5), "(e4 e5 - e1)(e1 e4 - e5)", _FACTOR_TOL)
-    s2 = _chi(e2) * _chi(e5) + _chi(e3) * _chi(e4)
-    s3 = _chi(e2) * _chi(e4) + _chi(e3) * _chi(e5)
+    c2, c5, c3, c4 = e2 + 1 / e2, e5 + 1 / e5, e3 + 1 / e3, e4 + 1 / e4
+    s2 = c2 * c5 + c3 * c4
+    s3 = c2 * c4 + c3 * c5
     lead = (
         1
-        / _chi(e1)
+        / c1
         * (e1 * e2 * e3)
         / ((e2 * e3 - e1) * (e1 * e3 - e2))
         * (e1 * e4 * e5)
         / ((e4 * e5 - e1) * (e1 * e4 - e5))
     )
     return lead * (
-        (e1 - 1 / e1) * (e1 * tr24 - tr35 / e1) - _chi(e1) * s2 + 2 * s3
+        (e1 - 1 / e1) * (e1 * tr24 - tr35 / e1) - c1 * s2 + 2 * s3
     )
 
 
@@ -310,8 +309,9 @@ def _is_number_pair(v):
 def params_from_json(doc):
     """EdgeParams from {"eigen": {id: [re, im]}, "twist": {id: [re, im]}}.
 
-    Every key must be an integer and every value a list of two finite
-    numbers; anything else raises ParamsSchemaError.
+    Every key must be an integer written canonically, as str(int(key)) writes
+    it, and every value a list of two finite numbers; anything else raises
+    ParamsSchemaError, so no two keys can name one edge.
     """
     if not isinstance(doc, dict):
         raise ParamsSchemaError("parameter document must be a JSON object")
@@ -326,9 +326,12 @@ def params_from_json(doc):
                 raise ParamsSchemaError("%s[%s] must be a list of two finite numbers, got %s"
                                         % (part, key, json.dumps(v)))
             try:
-                out[int(key)] = complex(v[0], v[1])
+                eid = int(key)
             except ValueError:
-                raise ParamsSchemaError("%s key %r is not an edge id" % (part, key)) from None
+                eid = None
+            if eid is None or str(eid) != key:
+                raise ParamsSchemaError("%s key %r is not an edge id" % (part, key))
+            out[eid] = complex(v[0], v[1])
         parts.append(out)
     return EdgeParams(*parts)
 
@@ -339,9 +342,11 @@ def load_params(path):
 
 
 def save_params(params, path):
+    """Write params as params_to_json does; a value that is not finite raises
+    ValueError before the file is opened, since load_params would refuse it."""
+    text = json.dumps(params_to_json(params), indent=1, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(params_to_json(params), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------

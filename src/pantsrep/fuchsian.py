@@ -19,20 +19,19 @@ from . import symmetry
 REAL_TOL = 1e-9
 
 FnParams = namedtuple("FnParams", ["lengths", "fn_twists", "meta"])
-FnParams.__new__.__defaults__ = (None,)
 
 
-def _is_real(z, tol=REAL_TOL):
-    return abs(z.imag) <= tol * max(1.0, abs(z))
+def _is_real(z):
+    return abs(z.imag) <= REAL_TOL * max(1.0, abs(z))
 
 
-def in_teich_domain(params, tol=REAL_TOL):
+def in_teich_domain(params):
     """True iff every eigenvalue is real < -1 and every twist real > 0."""
     for e in params.eigen.values():
-        if not _is_real(e, tol) or e.real >= -1:
+        if not _is_real(e) or e.real >= -1:
             return False
     for t in params.twist.values():
-        if not _is_real(t, tol) or t.real <= 0:
+        if not _is_real(t) or t.real <= 0:
             return False
     return True
 
@@ -165,12 +164,10 @@ def from_fenchel_nielsen(fn, surface):
     out = {}
     for eid, tau in fn.fn_twists.items():
         out[eid] = cmath.exp(tau) / fn_twist_factor(surface, probe, eid)
-    real = all(_is_real(e) for e in eigen.values()) and all(_is_real(t) for t in out.values())
-    if real:
-        eigen = {k: v.real for k, v in eigen.items()}
-        out = {k: v.real for k, v in out.items()}
-    return EdgeParams({k: complex(v) for k, v in eigen.items()},
-                      {k: complex(v) for k, v in out.items()})
+    if all(_is_real(e) for e in eigen.values()) and all(_is_real(t) for t in out.values()):
+        eigen = {k: complex(v.real) for k, v in eigen.items()}
+        out = {k: complex(v.real) for k, v in out.items()}
+    return EdgeParams(eigen, out)
 
 
 def okai_length(ls, tau1):
@@ -201,18 +198,18 @@ def okai_length_one_holed(l1, l2, tau1):
     return 2 * math.acosh(val)
 
 
-def psl2r_obstruction(rep, tol=1e-8):
-    """Sign per handle generator: +1 for a real matrix, -1 for a purely
-    imaginary one.  All +1 iff the representation reduces to PSL(2,R)."""
+def psl2r_obstruction(rep):
+    """Sign per handle generator: +1 for a real matrix, -1 for a purely imaginary
+    one, to 1e-8 relative.  All +1 iff the representation reduces to PSL(2,R)."""
     signs = {}
     for i in range(1, rep.surface.genus + 1):
         m = rep.image("b%d" % i)
         re = max(abs(z.real) for z in (m.a, m.b, m.c, m.d))
         im = max(abs(z.imag) for z in (m.a, m.b, m.c, m.d))
         scale = max(re, im)
-        if im <= tol * scale:
+        if im <= 1e-8 * scale:
             signs[i] = 1
-        elif re <= tol * scale:
+        elif re <= 1e-8 * scale:
             signs[i] = -1
         else:
             raise ValueError(

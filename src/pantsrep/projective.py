@@ -85,10 +85,6 @@ class ProjectivePoint:
     def __init__(self, num, den=1):
         self.num, self.den = _point(complex(num), complex(den))
 
-    @property
-    def is_infinity(self):
-        return abs(self.den) <= EQ_TOL * abs(self.num)
-
     def same_as(self, other, tol=EQ_TOL):
         """Projective equality: vanishing of the 2x2 determinant, scaled."""
         other = as_point(other)
@@ -106,7 +102,7 @@ class ProjectivePoint:
         raise TypeError("ProjectivePoint is not hashable (tolerant equality)")
 
     def __repr__(self):
-        if self.is_infinity:
+        if abs(self.den) <= EQ_TOL * abs(self.num):
             return "ProjectivePoint(inf)"
         return "ProjectivePoint(%r)" % (self.num / self.den)
 
@@ -285,7 +281,7 @@ def _apply(m, p):
     return _point(a * num + b * den, c * num + d * den)
 
 
-def _chain(factors, start=_IDENTITY):
+def _chain(factors, start):
     """start @ f1 @ f2 @ ... on row-major (a, b, c, d) tuples, left to right.
 
     Every partial product meets MoebiusMap's singularity rule, so a chain
@@ -422,7 +418,7 @@ def _three_point_map(src, dst):
     return m
 
 
-def fixed_points_with_eigs(m, tol=1e-9):
+def fixed_points_with_eigs(m):
     """Fixed points and eigenvalue of an SL-normalized non-parabolic map.
 
     Returns (x, e, y) with m x = x for eigenvalue e and m y = y for 1/e,
@@ -430,7 +426,7 @@ def fixed_points_with_eigs(m, tol=1e-9):
     arg(e) in [0, pi)).  The other branch is reached through the flip
     action, not here.
     """
-    x, e, y = _fixed_points_with_eigs(m.a, m.b, m.c, m.d, tol)
+    x, e, y = _fixed_points_with_eigs(m.a, m.b, m.c, m.d, 1e-9)
     return ProjectivePoint(*x), e, ProjectivePoint(*y)
 
 

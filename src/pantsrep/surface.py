@@ -82,10 +82,6 @@ class FatGraph:
         inc = self.vertices[vid].incident
         return inc[i % len(inc)]
 
-    def end_vertex(self, eid, end):
-        e = self.edges[eid]
-        return e.tail if end == "tail" else e.head
-
 
 class PantsSurface:
     """A surface S_{g,b} presented by a pants decomposition fat graph.
@@ -117,13 +113,17 @@ def validate(surface):
 
     The incidence lists are the graph's one adjacency: every edge end
     (edge id, "tail" | "head") must be listed exactly once, by the vertex
-    at that end.  Vertex and edge ids must be integers; any other id is
-    the only problem reported, since the other rules sort the ids.
+    at that end.  Genus and boundary must be non-negative integers, and
+    vertex and edge ids integers (booleans are neither); such problems are
+    the only ones reported, since the other rules count and sort with them.
     """
     g, b, graph = surface.genus, surface.boundary, surface.graph
-    problems = ["%s id %r is not an integer" % (kind, i)
-                for kind, ids in (("vertex", graph.vertices), ("edge", graph.edges)) for i in ids
-                if not isinstance(i, int) or isinstance(i, bool)]
+    problems = ["%s %r is not a non-negative integer" % (name, n)
+                for name, n in (("genus", g), ("boundary", b))
+                if not isinstance(n, int) or isinstance(n, bool) or n < 0]
+    problems += ["%s id %r is not an integer" % (kind, i)
+                 for kind, ids in (("vertex", graph.vertices), ("edge", graph.edges)) for i in ids
+                 if not isinstance(i, int) or isinstance(i, bool)]
     if problems:
         return problems
     if 2 - 2 * g - b >= 0:
@@ -320,9 +320,9 @@ class Presentation:
         self._relator = tuple(x for letter in self.relation for x in sub.get(letter, (letter,)))
         self.letters = tuple((eid, "b%d" % i) + pictures[eid] for i, eid in enumerate(u_edges, start=1))
         self.ends = tuple(
-            (eid, tuple((end, graph.slot_of[(eid, end)]) for end in ("tail", "head")
-                        if graph.vertices[graph.end_vertex(eid, end)].kind == "tri"))
-            for eid in sorted(graph.edges)
+            (eid, tuple((end, graph.slot_of[(eid, end)]) for end, vid in (("tail", e.tail), ("head", e.head))
+                        if graph.vertices[vid].kind == "tri"))
+            for eid, e in sorted(graph.edges.items())
         )
         names = {letter[0]: letter[1] for letter in self.letters}
         self.twist_slots = tuple(

@@ -114,14 +114,6 @@ def epsilon_basis(surface):
     return basis
 
 
-_SIGNS = frozenset((1, -1))
-
-
-def _bad_sign(edges, eps):
-    """The first (key, value) of eps that is not an edge id mapped to 1 or -1, else None."""
-    return next(((k, v) for k, v in eps.items() if k not in edges or v not in (1, -1)), None)
-
-
 def check_epsilon(surface, eps):
     """True iff eps maps edge ids to 1 or -1 (a missing edge counts as 1)
     and the signs at each trivalent vertex multiply to +1.
@@ -130,12 +122,10 @@ def check_epsilon(surface, eps):
     One pass over the incidence lists decides it; nothing is compiled.
     """
     graph, get = surface.graph, eps.get
-    try:
-        signs = graph.edges.keys() >= eps.keys() and _SIGNS.issuperset(eps.values())
-    except TypeError:  # an unhashable value is compared as a tuple member
-        signs = _bad_sign(graph.edges, eps) is None
-    if not signs:
-        return False
+    edges = graph.edges
+    for k, v in eps.items():
+        if k not in edges or v not in (1, -1):
+            return False
     for v in graph.vertices.values():
         if v.kind == "tri":
             (i, _), (j, _), (k, _) = v.incident
@@ -151,9 +141,10 @@ def act_epsilon(params, eps, surface=None):
     naming the first entry that is not an edge id mapped to 1 or -1.
     """
     if surface is not None and not check_epsilon(surface, eps):
-        bad = _bad_sign(surface.graph.edges, eps)
-        if bad is not None:
-            raise ValueError("eps[%r] = %r: expected an edge id mapped to 1 or -1" % bad)
+        edges = surface.graph.edges
+        for k, v in eps.items():
+            if k not in edges or v not in (1, -1):
+                raise ValueError("eps[%r] = %r: expected an edge id mapped to 1 or -1" % (k, v))
         raise ValueError("sign vector violates the vertex product condition")
     eigen = {eid: eps.get(eid, 1) * e for eid, e in params.eigen.items()}
     return EdgeParams(eigen, dict(params.twist))

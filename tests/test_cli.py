@@ -1,7 +1,9 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import copy
 import json
 import math
+import random
 import re
 import shlex
 import subprocess
@@ -555,6 +557,34 @@ def test_non_integer_id_is_a_schema_error(tmp_path, capsys, make, part, index, n
     assert err == ""
 
 
+#: genus or boundary values that are not non-negative integers
+_BAD_COUNTS = (2.0, True, "2", None, -1)
+
+
+@pytest.mark.parametrize("key", ["genus", "boundary"])
+@pytest.mark.parametrize("value", _BAD_COUNTS)
+def test_a_genus_or_boundary_that_is_not_a_non_negative_integer_is_a_schema_error(
+        tmp_path, capsys, key, value):
+    # a 2.0 genus used to pass validate, then crash range() in Presentation
+    spath, ppath = _fixture_files(tmp_path, su.genus_two, 1)
+    doc = json.loads(Path(spath).read_text())
+    doc[key] = value
+    Path(spath).write_text(json.dumps(doc))
+    assert cli.main(["generators", "--surface", spath, "--params", ppath]) == 2
+    out, err = capsys.readouterr()
+    detail = "invalid surface: %s %r is not a non-negative integer" % (key, value)
+    assert strict_json(out) == {"error": "schema", "detail": detail} and err == ""
+
+
+def test_sample_names_the_point_whose_rejection_sampling_fails(tmp_path, capsys, monkeypatch):
+    spath, _ = _fixture_files(tmp_path, su.four_holed_sphere, 1)
+    monkeypatch.setattr(co, "in_domain", lambda params, surf: False)
+    assert cli.main(["sample", "--surface", spath, "--n", "2"]) == 4
+    out, err = capsys.readouterr()
+    assert strict_json(out) == {"error": "numeric", "factor": "in_domain",
+                                "detail": "point 0: rejection sampling failed to hit the domain"} and err == ""
+
+
 COMMANDS = ("example", "validate", "generators", "traces", "recover", "act", "move", "fn",
             "shearbend", "sample")
 
@@ -789,3 +819,84 @@ def test_cli_incidence_fuzz_exit_code_and_strict_json(tmp_path, capsys, docs, co
     out = capsys.readouterr().out
     assert code in (0, 2, 3, 4), (argv, out)
     strict_json(out)
+
+
+# ---------------------------------------------------------------------------
+# seeded mutations of the fixtures' documents, through every command
+
+#: values of the wrong type, or of the right type and out of range
+_WRONG = (None, True, False, 2.0, "2", "x", -1, 0, 1e308, [], {}, [1, "tail"], {"1": [1.0, 0.0]})
+#: spellings of an integer key k that are not str(int(k))
+_SPELLINGS = ("0%s", " %s", "+%s", "%s_0", "%s ")
+
+
+def _entries(doc):
+    """Every (container, key or index) of a JSON document."""
+    out, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        for k in (list(node) if isinstance(node, dict) else range(len(node))):
+            out.append((node, k))
+            if isinstance(node[k], (dict, list)):
+                stack.append(node[k])
+    return out
+
+
+def _mutated(rng, doc):
+    """A copy of doc with one to three seeded edits: a wrong type, a deleted or
+    duplicated entry, an extra key, or a key respelled non-canonically."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 3)):
+        entries = _entries(doc)
+        if not entries:
+            break
+        node, k = rng.choice(entries)
+        what = rng.choice(("type", "delete", "duplicate", "extra", "respell"))
+        if what == "type":
+            node[k] = copy.deepcopy(rng.choice(_WRONG))
+        elif what == "delete":
+            del node[k]
+        elif isinstance(node, list):
+            node.insert(k, copy.deepcopy(node[k] if what == "duplicate" else rng.choice(_WRONG)))
+        elif what == "extra":
+            node[rng.choice(("9", "-1", "x", "", "tree", "genus"))] = copy.deepcopy(rng.choice(_WRONG))
+        else:
+            spelled = rng.choice(_SPELLINGS) % k
+            node[spelled] = node[k] if what == "duplicate" else node.pop(k)
+    return doc
+
+
+def _every_command(spath, ppath, rng):
+    files = ["--surface", spath, "--params", ppath]
+    return [["example", "genus2"], ["validate", "--surface", spath], ["validate"] + files,
+            ["generators"] + files, ["traces"] + files, ["recover"] + files,
+            ["act", "--flip", str(rng.randint(-1, 6))] + files, ["act", "--epsilon", "1,2"] + files,
+            ["move", "--kind", rng.choice(["reverse", "twist-l", "twist-r", "vertex", "elem"]),
+             "--target", str(rng.randint(-1, 6))] + files,
+            ["fn"] + files, ["shearbend"] + files, ["sample", "--surface", spath, "--n", "1"]]
+
+
+def test_seeded_mutations_of_the_fixtures_never_print_a_traceback(tmp_path, capsys):
+    rng = random.Random(20261020)
+    spath, ppath = str(tmp_path / "surface.json"), str(tmp_path / "params.json")
+    runs = []  # (surface doc, params doc, commands to run it through)
+    for which, make in sorted(cli.EXAMPLES.items()):
+        surf = make()
+        surface_doc = su.to_json(surf)
+        params_doc = co.params_to_json(sample_params(surf, np.random.default_rng(rng.randrange(2 ** 16))))
+        for key in ("genus", "boundary"):
+            for value in _BAD_COUNTS:
+                runs.append((dict(surface_doc, **{key: value}), params_doc, None))
+        for _ in range(100):
+            target = rng.choice(("surface", "params", "both"))
+            runs.append((_mutated(rng, surface_doc) if target != "params" else surface_doc,
+                         _mutated(rng, params_doc) if target != "surface" else params_doc, 1))
+    for surface_doc, params_doc, n in runs:
+        Path(spath).write_text(json.dumps(surface_doc))
+        Path(ppath).write_text(json.dumps(params_doc))
+        argvs = _every_command(spath, ppath, rng)
+        for argv in argvs if n is None else rng.sample(argvs, n):
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            assert code in (0, 2, 3, 4) and err == "", (argv, surface_doc, params_doc, out, err)
+            strict_json(out)

@@ -200,11 +200,32 @@ def test_params_json_roundtrip(tmp_path):
     {"eigen": {"1": [2.0, float("-inf")]}, "twist": {}}, {"eigen": {"1": [2.0]}, "twist": {}},
     {"eigen": {"1": [True, 0.0]}, "twist": {}}, {"eigen": {"1": None}, "twist": {}},
     {"eigen": {"a": [2.0, 0.0]}, "twist": {}}, {"eigen": {}, "twist": {"1": [0.0, float("nan")]}},
+    # keys must be written as str(int(key)) writes them, so no two name one edge
+    {"eigen": {"1": [-2, 0], "01": [-3, 0], "2": [1.5, 1]}, "twist": {}},
+    {"eigen": {" 2": [-2.0, 0.0]}, "twist": {}}, {"eigen": {"+3": [-2.0, 0.0]}, "twist": {}},
+    {"eigen": {"1_0": [-2.0, 0.0]}, "twist": {}}, {"eigen": {}, "twist": {"-0": [1.0, 0.0]}},
+    {"eigen": {"None": [-2.0, 0.0]}, "twist": {}},
 ])
 def test_params_from_json_rejects_malformed_documents(doc):
     with pytest.raises(co.ParamsSchemaError):
         co.params_from_json(doc)
     assert issubclass(co.ParamsSchemaError, ValueError)
+
+
+def test_params_from_json_names_a_non_canonical_key():
+    doc = {"eigen": {"1": [-2, 0], "01": [-3, 0], "2": [1.5, 1]}, "twist": {}}
+    with pytest.raises(co.ParamsSchemaError, match=r"^eigen key '01' is not an edge id$"):
+        co.params_from_json(doc)
+    assert co.params_from_json({"eigen": {"-1": [-2, 0], "10": [1.5, 1]}, "twist": {}}).eigen == {
+        -1: -2 + 0j, 10: 1.5 + 1j}
+
+
+@pytest.mark.parametrize("value", [complex(float("nan"), 0), complex(1, float("inf"))])
+def test_save_params_refuses_a_non_finite_value_and_writes_no_file(tmp_path, value):
+    path = tmp_path / "params.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        co.save_params(EdgeParams({1: value}, {}), path)
+    assert not path.exists()
 
 
 def _reference_best_variant(xs):

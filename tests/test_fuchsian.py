@@ -208,3 +208,26 @@ def test_normalize_domain_leaves_inadmissible_signs():
     fixed, actions = fu.normalize_domain(off, surf)
     assert actions == {"flips": [], "epsilon": None}
     assert fixed.eigen == off.eigen and fixed.twist == off.twist
+
+
+
+def _complex_point(seed):
+    return sample_params(su.genus_two(), np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fu.pants_discreteness_certificate(-2.0, -2 + 1j, -3.0), "eigenvalues must be real, got (-2+1j)"),
+    (lambda: fu.pants_discreteness_certificate(-2.0, -2.5, 3.0),
+     "need e1*e2*e3 < 0 (boundary traces of a real pants group)"),
+    (lambda: fu.goldman_type(2 + 1j, -2.0, -3.0), "is not real; not a real or unitary triple"),
+    (lambda: fu.fn_twist_factor(su.four_holed_sphere(), EdgeParams({}, {}), 2), "edge 2 is a boundary edge"),
+    (lambda: fu.to_fenchel_nielsen(_complex_point(2), su.genus_two()),
+     "parameters are outside the Teichmueller domain; pass require_domain=False for the analytic extension"),
+    (lambda: fu.psl2r_obstruction(builder.build(su.genus_two(), _complex_point(3))),
+     "image of b1 is neither real nor purely imaginary; parameters are not real"),
+], ids=["complex-eigenvalue", "positive-product", "complex-trace", "boundary-edge", "off-locus",
+        "complex-images"])
+def test_the_real_locus_refuses_what_is_off_it(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value).endswith(message), str(info.value)

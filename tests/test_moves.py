@@ -677,6 +677,29 @@ def test_an_unused_neighbor_factor_does_not_stop_the_move():
     assert abs(e1p + 1 / e1p - tr34) <= 1e-12 * max(1.0, abs(tr34))
 
 
+def test_elementary_four_holed_refuses_twist_formulas_that_disagree():
+    # at e1' = e3/e4 the closed form of t1' has the vanishing factor
+    # e4 e1' - e3, which the trace form need not share: pick t1 so that the
+    # new curve's trace tr34(t1) = a t1 + b/t1 + c is e4/e3 + e3/e4
+    rng = np.random.default_rng(20261020)
+    outcomes = Counter()
+    for _ in range(20):
+        es = tuple(2 * complex(*rng.normal(size=2)) for _ in range(5))
+        _, _, e3, e4, _ = es
+        at1, at_minus1, at2 = (co.four_holed_traces(es, t)[0] for t in (1, -1, 2))
+        c, a_plus_b = (at1 + at_minus1) / 2, (at1 - at_minus1) / 2
+        a = (at2 - c - a_plus_b / 2) / 1.5
+        d = c - (e4 / e3 + e3 / e4)
+        t1 = (-d + cmath.sqrt(d * d - 4 * a * (a_plus_b - a))) / (2 * a)
+        try:
+            moves.elementary_four_holed(es, t1, {}, branch=e3 / e4)
+            outcomes["ok"] += 1
+        except DegenerateInputError as ex:
+            assert str(ex) == "twist formulas disagree; parameters near a degeneracy", str(ex)
+            outcomes[ex.factor] += 1
+    assert outcomes["t1' - t1'(traces)"] >= 5, outcomes
+
+
 def _per_kind_apply_move(surface, params, move):
     """apply_move as it was: each kind copies, modifies and returns its own
     dicts and builds its own surface."""
@@ -933,8 +956,10 @@ def test_walk_steps_call_no_more_helpers_than_measured():
     doc = json.loads(r.stdout)
     # measured here; before the one-pass sign check and flip, flip read 29
     # and epsilon 16 (the sign check compiled _triples), elem 54; before the
-    # one tail of apply_move, reverse 14, reverse-boundary 7, vertex 14, elem 53
-    ceilings = {"reverse": 13, "reverse-boundary": 6, "twist": 3, "vertex": 13, "elem": 52,
-                "elem-one-holed": 18, "flip": 17, "epsilon": 3, "fn": 124}
+    # one tail of apply_move, reverse 14, reverse-boundary 7, vertex 14, elem 53;
+    # before the boundary traces were computed inline, elem 52 (26 calls of a
+    # one-line chi), and before from_fenchel_nielsen built its dicts once, fn 124
+    ceilings = {"reverse": 13, "reverse-boundary": 6, "twist": 3, "vertex": 13, "elem": 26,
+                "elem-one-holed": 18, "flip": 17, "epsilon": 3, "fn": 122}
     assert doc.keys() == ceilings.keys()
     assert all(doc[kind] <= ceilings[kind] for kind in ceilings), doc

@@ -83,6 +83,12 @@ def test_points_are_unhashable_and_print_their_value():
     assert repr(ProjectivePoint(5, 2)) == "ProjectivePoint((2.5+0j))"
 
 
+def test_zero_over_zero_is_no_point_and_a_point_equals_no_string():
+    with pytest.raises(ValueError, match=r"^\(0 : 0\) is not a point of CP\^1$"):
+        ProjectivePoint(0, 0)
+    assert (ProjectivePoint(1) == "nope") is False
+
+
 def test_a_map_called_on_a_point_applies_it():
     m = MoebiusMap((2, 1, 1, 1))
     for p, want in ((as_point(1), 1.5), (INF, 2.0), (as_point(-1), INF)):

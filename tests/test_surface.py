@@ -296,6 +296,17 @@ def test_validate_names_each_id_that_is_not_an_integer(make, vertex_ids, edge_id
     assert validate(su.from_json(doc)) == named
 
 
+@pytest.mark.parametrize("key", ["genus", "boundary"])
+@pytest.mark.parametrize("value", [2.0, True, "2", None, -1])
+@pytest.mark.parametrize("make", [genus_two, four_holed_sphere, one_holed_torus])
+def test_validate_names_a_genus_or_boundary_that_is_not_a_non_negative_integer(make, key, value):
+    # 4.0 boundaries on the four-holed sphere and True on the one-holed torus
+    # used to validate, then crash range() in Presentation
+    doc = su.to_json(make())
+    doc[key] = value
+    assert validate(su.from_json(doc)) == ["%s %r is not a non-negative integer" % (key, value)]
+
+
 def test_a_loop_at_a_vertex_of_another_kind_breaks_the_incidence_count():
     # the one-holed torus, plus a vertex of kind "bi" carrying loop edge 3
     t = one_holed_torus()
