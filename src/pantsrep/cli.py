@@ -10,8 +10,13 @@ usage error (unknown command, bad choice, non-integer count) is a schema
 violation.
 
 A cold process pays for every module it imports, so each handler imports
-the modules only it uses, and no command loads numpy: ``sample`` draws
-its points from the stdlib ``random.Random(seed)``.
+the modules only it uses: ``builder`` loads only in the commands that
+build matrices, so ``act``, ``move``, ``fn``, ``validate`` and a command
+whose input files fail their checks compile none of it.  No command loads
+numpy: ``sample`` draws its points from the stdlib ``random.Random(seed)``.
+Each call builds only the sub-parser of the command named first, or every
+sub-parser when no command is named, so usage errors and help read the
+same either way.
 """
 
 import argparse
@@ -20,7 +25,7 @@ import json
 import math
 import sys
 
-from . import builder, coordinates, surface
+from . import coordinates, surface
 from .coordinates import EdgeParams
 from .projective import DegenerateInputError, SingularMapError, _at
 
@@ -119,6 +124,8 @@ def _word_list(pres):
 
 def _generators_doc(rep):
     """The generator matrices of a representation and its relation residuals."""
+    from . import builder
+
     return {
         "generators": {name: _matrix(rep.image(name)) for name in sorted(rep.images)},
         "relation_residuals": {k: float(v) for k, v in builder.verify_relations(rep).items()},
@@ -131,16 +138,22 @@ def cmd_validate(args, surf, params):
 
 
 def cmd_generators(args, surf, params):
+    from . import builder
+
     return _generators_doc(builder.build(surf, params))
 
 
 def cmd_traces(args, surf, params):
+    from . import builder
+
     rep = builder.build(surf, params)
     return {"traces": {"*".join(str(x) for x in label): _c(rep.evaluate(word).trace())
                        for label, word in _word_list(rep.presentation)}}
 
 
 def cmd_recover(args, surf, params):
+    from . import builder
+
     rep = builder.build(surf, params)
     recovered = builder.recover_coordinates(rep, tol=args.tol)
     err = 0.0
@@ -155,10 +168,11 @@ def cmd_recover(args, surf, params):
 def cmd_act(args, surf, params):
     from . import symmetry
 
-    if args.flip is None and not args.epsilon:
+    if args.flip is None and args.epsilon is None:
         raise SchemaError("act needs --flip and/or --epsilon")
     try:
-        ids = [int(x) for x in (args.epsilon or "").split(",") if x]
+        # a given --epsilon lists one edge id or more, with no empty item
+        ids = [] if args.epsilon is None else [int(x) for x in args.epsilon.split(",")]
     except ValueError as ex:
         raise SchemaError("--epsilon must be a comma-separated edge list: %s" % ex)
     for eid in ([] if args.flip is None else [args.flip]) + ids:
@@ -166,7 +180,7 @@ def cmd_act(args, surf, params):
             raise DomainError("edge %r does not exist in the surface" % eid)
     if args.flip is not None:
         params = symmetry.flip_eigenvalue(params, surf, args.flip)
-    if args.epsilon:
+    if ids:
         eps = {eid: (-1 if eid in ids else 1) for eid in surf.graph.edges}
         if not symmetry.check_epsilon(surf, eps):
             raise DomainError("sign vector %s is not admissible" % sorted(ids))
@@ -182,7 +196,7 @@ def cmd_move(args, surf, params):
     if args.branch is not None and args.kind != "elem":
         raise SchemaError("--branch applies only to --kind elem")
     branch = None
-    if args.branch:
+    if args.branch is not None:
         try:
             re, im = (float(x) for x in args.branch.split(","))
             branch = complex(re, im)
@@ -230,7 +244,7 @@ def cmd_fn(args, surf, params):
 
 
 def cmd_shearbend(args, surf, params):
-    from . import shearbend
+    from . import builder, shearbend
 
     g = surf.graph
     loops = [e for e in g.interior_edges() if g.edges[e].tail == g.edges[e].head]
@@ -280,6 +294,8 @@ def sample_params(surf, rng, fuchsian_mode):
 def cmd_sample(args, surf, params):
     import random
 
+    from . import builder
+
     for flag, value in (("--n", args.n), ("--seed", args.seed)):
         if value < 0:
             raise SchemaError("%s must not be negative, got %d" % (flag, value))
@@ -306,6 +322,8 @@ EXAMPLES = {
 
 
 def cmd_example(args, surf, params):
+    from . import builder
+
     surf = EXAMPLES[args.which]()
     g = surf.graph
     eigen = {eid: complex(-2.0 - 0.5 * i) for i, eid in enumerate(sorted(g.edges))}
@@ -323,7 +341,28 @@ class _Parser(argparse.ArgumentParser):
         raise SchemaError(message)
 
 
-def make_parser():
+#: each command's handler and the keywords of make_parser's ``add``: which
+#: of --surface and --params it takes, and its own flags
+_COMMANDS = {
+    "validate": (cmd_validate, {"params": "optional"}),
+    "generators": (cmd_generators, {}),
+    "traces": (cmd_traces, {}),
+    "recover": (cmd_recover, {}),
+    "act": (cmd_act, {"--flip": {"type": int}, "--epsilon": {}}),
+    "move": (cmd_move, {"--kind": {"choices": ["reverse", "twist-l", "twist-r", "vertex", "elem"]},
+                        "--target": {}, "--branch": {}}),
+    "fn": (cmd_fn, {}),
+    "shearbend": (cmd_shearbend, {}),
+    "sample": (cmd_sample, {"params": None, "--n": {"type": int, "default": 10},
+                            "--seed": {"type": int, "default": 0},
+                            "--fuchsian": {"action": "store_true"}}),
+    "example": (cmd_example, {"with_surface": False, "params": None,
+                              "which": {"choices": sorted(EXAMPLES)}}),
+}
+
+
+def make_parser(command=None):
+    """The parser of every command, or of the one command named."""
     p = _Parser(
         prog="pantsrep",
         description="Matrix representations of surface groups from "
@@ -342,27 +381,21 @@ def make_parser():
         sp.add_argument("--out")
         for flag, kw in flags.items():
             sp.add_argument(flag, **kw)
-        return sp
 
-    add("validate", cmd_validate, params="optional")
-    add("generators", cmd_generators)
-    add("traces", cmd_traces)
-    add("recover", cmd_recover)
-    add("act", cmd_act, **{"--flip": {"type": int}, "--epsilon": {}})
-    add("move", cmd_move, **{"--kind": {"choices": ["reverse", "twist-l", "twist-r", "vertex", "elem"]},
-                             "--target": {}, "--branch": {}})
-    add("fn", cmd_fn)
-    add("shearbend", cmd_shearbend)
-    add("sample", cmd_sample, params=None, **{"--n": {"type": int, "default": 10},
-                                              "--seed": {"type": int, "default": 0},
-                                              "--fuchsian": {"action": "store_true"}})
-    add("example", cmd_example, with_surface=False, params=None).add_argument("which", choices=sorted(EXAMPLES))
+    for name, (fn, kw) in _COMMANDS.items():
+        if command in (None, name):
+            add(name, fn, **kw)
     return p
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = make_parser().parse_args(argv)
+        # a sub-parser costs milliseconds to build in a cold process, so build
+        # the named command's alone; with none named, the usage error or help
+        # lists them all
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        args = make_parser(command).parse_args(argv)
         surf = params = None
         if "surface" in args:
             surf = _load_surface(args.surface)

@@ -93,41 +93,61 @@ def test_sample_is_deterministic(four_holed_files):
     assert r3.stdout != r1.stdout
 
 
-@pytest.mark.parametrize("argv", [
-    [], ["nope"], ["example"], ["example", "nope"], ["move", "--kind", "nope"],
-    ["sample", "--n", "x"], ["sample", "--seed", "1.5"], ["act", "--flip", "a"],
-    ["validate", "--nope"],
-], ids=["no-command", "unknown-command", "example-without-name", "example-bad-name",
-        "bad-kind", "non-integer-n", "non-integer-seed", "non-integer-flip", "unknown-flag"])
+USAGE_ERRORS = {
+    "no-command": [], "unknown-command": ["nope"], "example-without-name": ["example"],
+    "example-bad-name": ["example", "nope"], "bad-kind": ["move", "--kind", "nope"],
+    "non-integer-n": ["sample", "--n", "x"], "non-integer-seed": ["sample", "--seed", "1.5"],
+    "non-integer-flip": ["act", "--flip", "a"], "unknown-flag": ["validate", "--nope"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
 def test_usage_error_is_a_schema_error(capsys, argv):
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert strict_json(out)["error"] == "schema" and err == ""
 
 
-@pytest.mark.parametrize("argv, detail", [
-    (["move", "S", "P"], "move needs --kind and --target"),
-    (["move", "S", "P", "--kind", "reverse"], "move needs --kind and --target"),
-    (["move", "S", "P", "--kind", "reverse", "--target", "x"], "--target must be an edge or vertex id"),
-    (["move", "S", "P", "--kind", "elem", "--target", "1", "--branch", "1"], "--branch must be re,im"),
-    (["move", "S", "P", "--kind", "elem", "--target", "1", "--branch", "a,b"], "--branch must be re,im"),
-    (["move", "S", "P", "--kind", "elem", "--target", "1", "--branch", "nan,0"], "--branch must be finite"),
-    (["move", "S", "P", "--kind", "elem", "--target", "1", "--branch", "inf,0"], "--branch must be finite"),
-    (["move", "S", "P", "--kind", "elem", "--target", "1", "--branch", "0,-inf"], "--branch must be finite"),
-    (["move", "S", "P", "--kind", "twist-r", "--target", "1", "--branch", "1,2"],
-     "--branch applies only to --kind elem"),
-    (["act", "S", "P"], "act needs --flip and/or --epsilon"),
-    (["act", "S", "P", "--epsilon", "1,x"], "--epsilon must be a comma-separated edge list"),
-    (["generators", "P"], "--surface is required for this command"),
-    (["generators", "S"], "--params is required for this command"),
-    (["recover", "S", "P", "--tol", "abc"], "argument --tol: must be a finite non-negative number"),
-], ids=["move-bare", "move-kind-only", "move-bad-target", "move-branch-one-part",
-        "move-branch-not-numbers", "move-branch-nan", "move-branch-inf", "move-branch-minus-inf", "move-branch-not-elem", "act-bare", "act-bad-epsilon", "no-surface", "no-params",
-        "bad-tol"])
+def _with_files(argv, spath, ppath):
+    """argv with "S" and "P" replaced by the --surface and --params flags."""
+    files = {"S": ["--surface", spath], "P": ["--params", ppath]}
+    return [x for a in argv for x in files.get(a, [a])]
+
+
+_ELEM = ["move", "S", "P", "--kind", "elem", "--target", "1", "--branch"]
+MALFORMED_FLAGS = {
+    "move-bare": (["move", "S", "P"], "move needs --kind and --target"),
+    "move-kind-only": (["move", "S", "P", "--kind", "reverse"], "move needs --kind and --target"),
+    "move-bad-target": (["move", "S", "P", "--kind", "reverse", "--target", "x"],
+                        "--target must be an edge or vertex id"),
+    "move-branch-one-part": (_ELEM + ["1"], "--branch must be re,im"),
+    "move-branch-not-numbers": (_ELEM + ["a,b"], "--branch must be re,im"),
+    "move-branch-nan": (_ELEM + ["nan,0"], "--branch must be finite"),
+    "move-branch-inf": (_ELEM + ["inf,0"], "--branch must be finite"),
+    "move-branch-minus-inf": (_ELEM + ["0,-inf"], "--branch must be finite"),
+    "move-branch-not-elem": (["move", "S", "P", "--kind", "twist-r", "--target", "1", "--branch", "1,2"],
+                             "--branch applies only to --kind elem"),
+    "move-branch-empty": (_ELEM + [""], "--branch must be re,im"),
+    "act-bare": (["act", "S", "P"], "act needs --flip and/or --epsilon"),
+    "act-bad-epsilon": (["act", "S", "P", "--epsilon", "1,x"], "--epsilon must be a comma-separated edge list"),
+    "act-epsilon-empty": (["act", "S", "P", "--flip", "2", "--epsilon", ""],
+                          "--epsilon must be a comma-separated edge list"),
+    "act-epsilon-empty-alone": (["act", "S", "P", "--epsilon", ""],
+                                "--epsilon must be a comma-separated edge list"),
+    "act-epsilon-commas-only": (["act", "S", "P", "--flip", "2", "--epsilon", ","],
+                                "--epsilon must be a comma-separated edge list"),
+    "act-epsilon-empty-item": (["act", "S", "P", "--flip", "2", "--epsilon", "1,,3"],
+                               "--epsilon must be a comma-separated edge list"),
+    "no-surface": (["generators", "P"], "--surface is required for this command"),
+    "no-params": (["generators", "S"], "--params is required for this command"),
+    "bad-tol": (["recover", "S", "P", "--tol", "abc"], "argument --tol: must be a finite non-negative number"),
+}
+
+
+@pytest.mark.parametrize("argv, detail", MALFORMED_FLAGS.values(), ids=MALFORMED_FLAGS)
 def test_a_missing_or_malformed_flag_is_a_schema_error(capsys, four_holed_files, argv, detail):
     _, _, spath, ppath = four_holed_files
-    files = {"S": ["--surface", spath], "P": ["--params", ppath]}
-    assert cli.main([x for a in argv for x in files.get(a, [a])]) == 2
+    assert cli.main(_with_files(argv, spath, ppath)) == 2
     out, err = capsys.readouterr()
     doc = strict_json(out)
     assert doc["error"] == "schema" and doc["detail"].startswith(detail) and err == "", doc
@@ -626,15 +646,45 @@ def test_unwritable_out_is_a_schema_error(tmp_path, capsys, where):
     assert doc["error"] == "schema" and doc["detail"].startswith("cannot write") and shown.err == ""
 
 
-@pytest.mark.parametrize("argv", [
-    ["sample", "--params", "{p}"], ["sample", "--tol", "1e-3"],
-    ["move", "--params", "{p}", "--kind", "auto", "--target", "1"],
-], ids=["sample-params", "sample-tol", "move-auto"])
+UNREAD_FLAGS = {
+    "sample-params": ["sample", "P", "S"], "sample-tol": ["sample", "--tol", "1e-3", "S"],
+    "move-auto": ["move", "P", "--kind", "auto", "--target", "1", "S"],
+}
+
+
+@pytest.mark.parametrize("argv", UNREAD_FLAGS.values(), ids=UNREAD_FLAGS)
 def test_flags_a_command_does_not_read_are_usage_errors(capsys, four_holed_files, argv):
     _, _, spath, ppath = four_holed_files
-    assert cli.main([a.format(p=ppath) for a in argv] + ["--surface", spath]) == 2
+    assert cli.main(_with_files(argv, spath, ppath)) == 2
     out, err = capsys.readouterr()
     assert strict_json(out)["error"] == "schema" and err == ""
+
+
+def _exit_and_stdout(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as ex:  # --help
+        code = ex.code
+    return code, capsys.readouterr().out
+
+
+PARSER_CASES = {**{"usage-" + k: argv for k, argv in USAGE_ERRORS.items()},
+                **{"flag-" + k: argv for k, (argv, _) in MALFORMED_FLAGS.items()},
+                **{"unread-" + k: argv for k, argv in UNREAD_FLAGS.items()},
+                "help": ["--help"], **{c + "-help": [c, "--help"] for c in COMMANDS}}
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES.values(), ids=PARSER_CASES)
+def test_one_sub_parser_answers_as_the_full_parser(monkeypatch, capsys, four_holed_files, argv):
+    """main builds only the named command's sub-parser; what it prints and
+    returns must not differ from a run through the parser of every command."""
+    _, _, spath, ppath = four_holed_files
+    argv, full, built = _with_files(argv, spath, ppath), cli.make_parser, []
+    monkeypatch.setattr(cli, "make_parser", lambda command=None: built.append(command) or full(command))
+    lean = _exit_and_stdout(argv, capsys)
+    assert built == [argv[0] if argv and argv[0] in COMMANDS else None]
+    monkeypatch.setattr(cli, "make_parser", lambda command=None: full())
+    assert _exit_and_stdout(argv, capsys) == lean
 
 
 @pytest.mark.parametrize("command", ["validate", "generators"])

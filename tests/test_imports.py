@@ -69,10 +69,10 @@ def _run_python(code, *args):
     return r.stdout
 
 
-def test_cli_commands_do_not_load_numpy(tmp_path):
-    """No command loads numpy, sample included: a cold process pays more
-    to import it than to run any command of the mix."""
-    files = {}
+def _cli_files(tmp_path):
+    """The flags naming each fixture's files: "@x" stands for --surface and
+    --params of fixture x, "@x-surface" for its --surface alone."""
+    flags = {}
     for name, surf, params in [
         ("four", su.four_holed_sphere(), None),
         ("one", su.one_holed_torus(), None),
@@ -81,13 +81,49 @@ def test_cli_commands_do_not_load_numpy(tmp_path):
         spath, ppath = tmp_path / (name + "-surface.json"), tmp_path / (name + "-params.json")
         su.save(surf, spath)
         co.save_params(params or sample_params(surf, np.random.default_rng(8)), ppath)
-        files[name] = ["--surface", str(spath), "--params", str(ppath)]
-    argvs = [["example", "genus2"], ["validate"] + files["four"][:2], ["validate"] + files["four"],
-             ["generators"] + files["four"], ["traces"] + files["one"], ["recover"] + files["four"],
-             ["act", "--flip", "2"] + files["four"], ["move", "--kind", "reverse", "--target", "1"]
-             + files["four"], ["fn"] + files["fuchsian"], ["shearbend"] + files["one"],
-             ["sample", "--n", "2"] + files["four"][:2],
-             ["sample", "--n", "2", "--fuchsian"] + files["one"][:2]]
+        flags["@" + name] = ["--surface", str(spath), "--params", str(ppath)]
+        flags["@%s-surface" % name] = ["--surface", str(spath)]
+    unparsable, outside = tmp_path / "unparsable.json", tmp_path / "outside.json"
+    unparsable.write_text('{"eigen": ')
+    doc = json.loads((tmp_path / "four-params.json").read_text())
+    doc["eigen"]["2"] = [1.0, 0.0]
+    outside.write_text(json.dumps(doc))
+    flags["@unparsable"] = flags["@four-surface"] + ["--params", str(unparsable)]
+    flags["@outside"] = flags["@four-surface"] + ["--params", str(outside)]
+    return flags
+
+
+def _expand(argv, flags):
+    return [x for a in argv for x in flags.get(a, [a])]
+
+
+#: a cold command line, its exit code, and the pantsrep modules it loads
+#: besides those that every command loads
+COLD_LINES = {
+    "example": (["example", "genus2"], 0, {"builder"}),
+    "validate": (["validate", "@four-surface"], 0, set()),
+    "validate-params": (["validate", "@four"], 0, set()),
+    "generators": (["generators", "@four"], 0, {"builder"}),
+    "traces": (["traces", "@one"], 0, {"builder"}),
+    "recover": (["recover", "@four"], 0, {"builder"}),
+    "act": (["act", "--flip", "2", "@four"], 0, {"symmetry"}),
+    "move": (["move", "--kind", "reverse", "--target", "1", "@four"], 0, {"moves"}),
+    "fn": (["fn", "@fuchsian"], 0, {"fuchsian", "symmetry"}),
+    "shearbend": (["shearbend", "@one"], 0, {"builder", "shearbend"}),
+    "sample": (["sample", "--n", "2", "@four-surface"], 0, {"builder"}),
+    "sample-fuchsian": (["sample", "--n", "2", "--fuchsian", "@one-surface"], 0, {"builder"}),
+    "generators-schema-error": (["generators", "@unparsable"], 2, set()),
+    "generators-domain-error": (["generators", "@outside"], 3, set()),
+}
+EVERY_COMMAND_LOADS = {"pantsrep", "pantsrep.cli", "pantsrep.coordinates", "pantsrep.pants",
+                       "pantsrep.projective", "pantsrep.surface"}
+
+
+def test_cli_commands_do_not_load_numpy(tmp_path):
+    """No command loads numpy, sample included: a cold process pays more
+    to import it than to run any command of the mix."""
+    flags = _cli_files(tmp_path)
+    argvs = [_expand(argv, flags) for argv, _, _ in COLD_LINES.values()]
     out = tmp_path / "out.json"
     code = """
 import json, sys
@@ -99,9 +135,25 @@ for argv in json.loads(sys.argv[1]):
     loaded.append("numpy" in sys.modules)
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
-    doc = json.loads(_run_python(code, json.dumps(argvs), str(out)))
-    assert doc["codes"] == [0] * len(argvs)
+    doc = json.loads(_run_python(code, json.dumps(argvs), str(out)).splitlines()[-1])
+    assert doc["codes"] == [exit_code for _, exit_code, _ in COLD_LINES.values()]
     assert doc["loaded"] == [False] * (len(argvs) + 1), list(zip(["import"] + argvs, doc["loaded"]))
+
+
+@pytest.mark.parametrize("line", COLD_LINES)
+def test_a_cold_command_loads_only_the_modules_it_runs(tmp_path, line):
+    """builder loads only in the commands that build matrices: validate,
+    act, move, fn and an input error compile none of its code."""
+    argv, code, extra = COLD_LINES[line]
+    child = """
+import json, sys
+from pantsrep import cli
+code = cli.main(json.loads(sys.argv[1]) + ["--out", sys.argv[2]])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "pantsrep")]))
+"""
+    out = _run_python(child, json.dumps(_expand(argv, _cli_files(tmp_path))), str(tmp_path / "out.json"))
+    assert json.loads(out.splitlines()[-1]) == [
+        code, sorted(EVERY_COMMAND_LOADS | {"pantsrep." + m for m in extra})]
 
 
 def test_moebius_array_input_m_and_repr_in_a_fresh_process():
