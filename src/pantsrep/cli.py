@@ -122,10 +122,12 @@ def _word_list(pres):
     return words
 
 
-def _generators_doc(rep):
-    """The generator matrices of a representation and its relation residuals."""
+def _generators_doc(surf, params):
+    """The generator matrices of the representation built from ``params`` on
+    ``surf``, and its relation residuals."""
     from . import builder
 
+    rep = builder.build(surf, params)
     return {
         "generators": {name: _matrix(rep.image(name)) for name in sorted(rep.images)},
         "relation_residuals": {k: float(v) for k, v in builder.verify_relations(rep).items()},
@@ -138,9 +140,7 @@ def cmd_validate(args, surf, params):
 
 
 def cmd_generators(args, surf, params):
-    from . import builder
-
-    return _generators_doc(builder.build(surf, params))
+    return _generators_doc(surf, params)
 
 
 def cmd_traces(args, surf, params):
@@ -322,14 +322,12 @@ EXAMPLES = {
 
 
 def cmd_example(args, surf, params):
-    from . import builder
-
     surf = EXAMPLES[args.which]()
     g = surf.graph
     eigen = {eid: complex(-2.0 - 0.5 * i) for i, eid in enumerate(sorted(g.edges))}
     twist = {eid: complex(1.0 + 0.25 * i) for i, eid in enumerate(sorted(g.interior_edges()))}
     params = EdgeParams(eigen, twist)
-    return dict(_generators_doc(builder.build(surf, params)),
+    return dict(_generators_doc(surf, params),
                 surface=surface.to_json(surf), params=coordinates.params_to_json(params))
 
 
