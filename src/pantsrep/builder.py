@@ -5,9 +5,9 @@ base triple of fixed points from the root vertex, applies the pants
 representation at each trivalent vertex, and closes up each complement
 edge with a Moebius map carrying the tree-side triple to its translate
 across the edge.  The resulting generator images satisfy the surface-group
-relations exactly up to rounding.  Past build's coercion of its input,
-points and matrices are the kernels' tuples; only rep.points and rep.images
-are objects.
+relations exactly up to rounding.  A representation is its surface and
+its images: past build's coercion of its input, points and matrices are the
+kernels' tuples, and only rep.images are objects.
 """
 
 from .projective import (
@@ -40,17 +40,14 @@ from .coordinates import (
 )
 
 DEFAULT_BASE = (as_point(0), as_point(1), INF)
-_DEFAULT_PAIRS = [(p.num, p.den) for p in DEFAULT_BASE]
 #: tr[m0,m1] rounds by up to 16 double rounding units times (|m0| |m1|)^2
 _COMM_TOL = 16 * 2.0 ** -53
 
 
 class SurfaceRepresentation:
-    """Matrix images of the surface-group generators plus build data.
+    """Matrix images of the surface-group generators of a marked surface.
 
     images maps generator names to MoebiusMaps with determinant 1;
-    points maps each trivalent vertex to its slot-ordered fixed-point
-    triple; beta_signs records the SL sign chosen for each stable letter.
     presentation is the surface's one compiled Presentation
     (surface._presentation), so the two never disagree.
     The letter table (name, +-1) -> (a, b, c, d) that evaluate,
@@ -60,13 +57,10 @@ class SurfaceRepresentation:
     make a new one.
     """
 
-    def __init__(self, surface, params, images, points, beta_signs=None):
+    def __init__(self, surface, images):
         self.surface = surface
-        self.params = params
         self.presentation = surface._presentation
         self.images = dict(images)
-        self.points = points
-        self.beta_signs = dict(beta_signs or {i: 1 for i in range(1, surface.genus + 1)})
         self._letters = table = {}
         for name, m in self.images.items():
             table[(name, 1)] = entries = (m.a, m.b, m.c, m.d)
@@ -93,14 +87,13 @@ def _from_slot(triple, s):
     return triple[s], triple[(s + 1) % 3], triple[(s + 2) % 3]
 
 
-def _vertex_points(pres, params, base):
+def _vertex_points(pres, eigen, twist, base):
     """Fixed-point triples at every trivalent vertex, by one walk of the tree.
 
     The walk (pres.walk) starts from the lowest trivalent vertex, which
     carries base, and crosses each interior tree edge once, forward or
     backward.
     """
-    eigen, twist = params.eigen, params.twist
     points = {pres.root: list(base)}
     for eid, nbrs, near, sn, far, sf, forward in pres.walk:
         try:
@@ -124,30 +117,26 @@ def build(surface, params, base=None):
     counterclockwise from slot 0; differing bases give conjugate results.
     A stored tree that is not a maximal tree raises ValueError before the
     parameters are looked at.
-    In-domain parameter values are coerced to complex (rep.params keeps them).  A
-    numeric error's message starts "vertex <id>: ", "edge <id>: " or "edge <id> (b<i>): ".
+    In-domain parameter values are coerced to complex.  A numeric error's
+    message starts "vertex <id>: ", "edge <id>: " or "edge <id> (b<i>): ".
     """
     pres = surface._presentation
     if not in_domain(params, surface):
         raise DegenerateInputError("parameters outside the admissible domain", factor="in_domain")
-    params = EdgeParams({k: complex(v) for k, v in params.eigen.items()},
-                        {k: complex(v) for k, v in params.twist.items()})
-    if base is None:
-        base, base_pairs = DEFAULT_BASE, _DEFAULT_PAIRS
-    else:
-        base = tuple(as_point(p) for p in base)
-        base_pairs = [(p.num, p.den) for p in base]
-        if not _distinct(*base_pairs):
-            raise ValueError("base triple must be three distinct points")
+    eigen = {k: complex(v) for k, v in params.eigen.items()}
+    twist = {k: complex(v) for k, v in params.twist.items()}
+    base = DEFAULT_BASE if base is None else tuple(as_point(p) for p in base)
+    base_pairs = [(p.num, p.den) for p in base]
+    if base is not DEFAULT_BASE and not _distinct(*base_pairs):
+        raise ValueError("base triple must be three distinct points")
 
-    pairs = _vertex_points(pres, params, base_pairs)
-    points = {vid: list(base) if vid == pres.root else [ProjectivePoint(*x) for x in triple]
-              for vid, triple in pairs.items()}
-    eigen, vertices = params.eigen, surface.graph.vertices
+    pairs = _vertex_points(pres, eigen, twist, base_pairs)
+    vertices = surface.graph.vertices
     mats = {}
-    # points holds the vertices in walk order: the root, then each step's far vertex
-    for vid, pts in points.items():
+    # walk order: the root, on base's own points, then each step's far vertex
+    for vid, triple in pairs.items():
         es = tuple([_end_eigen(eigen[eid], end) for eid, end in vertices[vid].incident])
+        pts = base if vid == pres.root else [ProjectivePoint(*x) for x in triple]
         try:
             mats[vid] = pants_rep(make_pants_data(es, pts))
         except ValueError as ex:
@@ -156,13 +145,13 @@ def build(surface, params, base=None):
     for eid, name, (v, sv), (w, sw), nbrs in pres.letters:
         # b_i carries the head-side triple to its translate across the edge
         try:
-            target = _across(_picture_es(eigen, eid, nbrs), params.twist[eid],
+            target = _across(_picture_es(eigen, eid, nbrs), twist[eid],
                              _from_slot(pairs[v], sv), True)
             images[name] = MoebiusMap(
                 _sl_normalize(*_three_point_map(_from_slot(pairs[w], sw), target)))
         except ValueError as ex:
             raise _at("edge %r (%s)" % (eid, name), ex)
-    return SurfaceRepresentation(surface, params, images, points)
+    return SurfaceRepresentation(surface, images)
 
 
 def _residual(m):
@@ -247,12 +236,12 @@ def recover_coordinates(rep, eigen_choice=None, tol=1e-9):
     eigen_choice maps an edge id to +-1 and selects which of the two
     eigenvalue branches of the curve image is reported (default: the
     dominant branch returned by fixed_points_with_eigs); any other key or
-    value raises ValueError naming it.  Requires every
-    curve image to be non-parabolic and every vertex restriction to be
-    irreducible.  One commutator per vertex tests irreducibility: with
-    m0 m1 m2 = +-I, tr[m0,m1] = tr[m1,m2] = tr[m2,m0].  Its rounding grows
-    as (|m0| |m1|)^2 (largest entry moduli), so |tr - 2| counts as zero up
-    to max(tol, _COMM_TOL (|m0| |m1|)^2).
+    value raises ValueError naming it, as does a NaN, infinite or negative
+    tol.  Requires every curve image to be non-parabolic and every vertex
+    restriction to be irreducible.  One commutator per vertex tests
+    irreducibility: with m0 m1 m2 = +-I, tr[m0,m1] = tr[m1,m2] = tr[m2,m0].
+    Its rounding grows as (|m0| |m1|)^2 (largest entry moduli), so |tr - 2|
+    counts as zero up to max(tol, _COMM_TOL (|m0| |m1|)^2).
 
     The vertex spectra (fixed points and eigenvalues of the vertex words)
     do not depend on eigen_choice: the first successful call for a tol
@@ -261,6 +250,8 @@ def recover_coordinates(rep, eigen_choice=None, tol=1e-9):
     keeps them on rep; later calls with that tol only choose branches and
     read twists.  A call that raises keeps nothing.
     """
+    if not 0 <= tol < float("inf"):
+        raise ValueError("tol = %r: expected a finite non-negative number" % (tol,))
     pres = rep.presentation
     eigen_choice = eigen_choice or {}
     edges = rep.surface.graph.edges
@@ -314,11 +305,12 @@ def stiefel_whitney(rep):
 
 
 def act_beta_signs(rep, signs):
-    """Multiply each stable-letter image by the given sign (H^1(G;Z/2) action)."""
+    """Multiply each stable-letter image b<i> by signs[i] (H^1(G;Z/2) action);
+    a key outside 1..genus, or a value other than +-1, raises ValueError naming it."""
     images = dict(rep.images)
-    beta_signs = dict(rep.beta_signs)
     for i, s in signs.items():
+        if i not in range(1, rep.surface.genus + 1) or s not in (1, -1):
+            raise ValueError("signs[%r] = %r: expected a letter index mapped to 1 or -1" % (i, s))
         if s == -1:
             images["b%d" % i] = -images["b%d" % i]
-        beta_signs[i] = beta_signs.get(i, 1) * s
-    return SurfaceRepresentation(rep.surface, rep.params, images, rep.points, beta_signs=beta_signs)
+    return SurfaceRepresentation(rep.surface, images)

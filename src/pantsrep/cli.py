@@ -182,9 +182,10 @@ def cmd_act(args, surf, params):
         params = symmetry.flip_eigenvalue(params, surf, args.flip)
     if ids:
         eps = {eid: (-1 if eid in ids else 1) for eid in surf.graph.edges}
-        if not symmetry.check_epsilon(surf, eps):
-            raise DomainError("sign vector %s is not admissible" % sorted(ids))
-        params = symmetry.act_epsilon(params, eps)
+        try:
+            params = symmetry.act_epsilon(params, eps, surf)
+        except ValueError:
+            raise DomainError("sign vector %s is not admissible" % sorted(ids)) from None
     return coordinates.params_to_json(params)
 
 

@@ -59,8 +59,11 @@ def in_domain(params, surface, tol=DOMAIN_TOL):
     inequalities, which are inversion-symmetric), and twists are nonzero.
     Every value must be finite.
     Eigenvalues keyed by other than the edge ids, or twists by other than
-    the interior edge ids, raise KeyError naming the ids that differ.
+    the interior edge ids, raise KeyError naming the ids that differ; a NaN,
+    infinite or negative tol, which would switch the tests off, ValueError.
     """
+    if not 0 <= tol < math.inf:
+        raise ValueError("tol = %r: expected a finite non-negative number" % (tol,))
     graph = surface.graph
     _check_keys(params.eigen, graph.edges.keys(), "eigenvalue keys are not the edge ids")
     _check_keys(params.twist, graph._interior, "twist keys are not the interior edge ids")

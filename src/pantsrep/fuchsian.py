@@ -121,9 +121,11 @@ def normalize_domain(params, surface):
             actions["flips"].append(eid)
     eps = {eid: -1 if _is_real(e) and e.real > 0 else 1
            for eid, e in sorted(params.eigen.items())}
-    if -1 in eps.values() and symmetry.check_epsilon(surface, eps):
-        params = symmetry.act_epsilon(params, eps)
-        actions["epsilon"] = eps
+    if -1 in eps.values():
+        try:
+            params, actions["epsilon"] = symmetry.act_epsilon(params, eps, surface), eps
+        except ValueError:
+            pass  # eps is not in the admissible group
     return params, actions
 
 

@@ -134,13 +134,13 @@ def check_epsilon(surface, eps):
     return True
 
 
-def act_epsilon(params, eps, surface=None):
+def act_epsilon(params, eps, surface):
     """eigen_i -> eps_i * eigen_i; twists untouched (a PSL-trivial action).
 
-    Given the surface, a vector check_epsilon refuses raises ValueError,
+    A vector check_epsilon refuses on the surface raises ValueError,
     naming the first entry that is not an edge id mapped to 1 or -1.
     """
-    if surface is not None and not check_epsilon(surface, eps):
+    if not check_epsilon(surface, eps):
         edges = surface.graph.edges
         for k, v in eps.items():
             if k not in edges or v not in (1, -1):

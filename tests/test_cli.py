@@ -445,6 +445,14 @@ def test_act_epsilon(four_holed_files):
         assert abs(back.eigen[eid] - eps.get(eid, 1) * e) < 1e-12
 
 
+def test_act_inadmissible_sign_vector_is_a_domain_error(four_holed_files, capsys):
+    # -1 on edge 1 alone breaks the product at its trivalent vertex
+    _, _, spath, ppath = four_holed_files
+    assert cli.main(["act", "--surface", spath, "--params", ppath, "--epsilon", "1"]) == 3
+    out = strict_json(capsys.readouterr().out)
+    assert out["error"] == "domain" and out["detail"] == "sign vector [1] is not admissible", out
+
+
 @pytest.mark.parametrize("part, key, value", [
     ("eigen", "2", "x"), ("eigen", "2", [float("nan"), 0.0]), ("eigen", "2", [1.0, float("inf")]),
     ("eigen", "2", [1.0]), ("eigen", "2", [True, 0.0]), ("eigen", "2", None),

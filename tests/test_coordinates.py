@@ -58,6 +58,17 @@ def test_in_domain_rejects_non_finite_values(part, value):
         builder.build(surf, params)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+def test_in_domain_refuses_a_tol_that_switches_the_tests_off(tol):
+    # at tol = nan every comparison is False, so an eigenvalue of 1 passed
+    surf = su.four_holed_sphere()
+    params = sample_params(surf, np.random.default_rng(20261021))
+    params.eigen[1] = 1.0
+    with pytest.raises(ValueError) as info:
+        co.in_domain(params, surf, tol=tol)
+    assert info.type is ValueError and str(info.value).startswith("tol = %r: " % tol), info.value
+
+
 def test_propagation_forward_backward_inverse():
     for _ in range(50):
         es, t1, (x1, x2, x3) = random_edge_data()

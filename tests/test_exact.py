@@ -57,7 +57,7 @@ def test_inverse_moves_and_actions_return_the_start_exactly(case):
         s1, p1 = apply_move(surf, params, Move("twist-r", edge))
         assert_exact(apply_move(s1, p1, Move("twist-l", edge))[1], params)
     for eps in symmetry.epsilon_basis(surf):
-        assert_exact(symmetry.act_epsilon(symmetry.act_epsilon(params, eps), eps), params)
+        assert_exact(symmetry.act_epsilon(symmetry.act_epsilon(params, eps, surf), eps, surf), params)
 
 
 def test_vertex_move_twice_is_one_full_twist_per_incidence_exactly(case):

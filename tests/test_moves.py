@@ -484,7 +484,7 @@ def test_flips_and_fenchel_nielsen_compile_no_graph_fact():
                 pass  # a vector that breaks a vertex, or names no edge
         assert vars(bare.graph).keys() == {"vertices", "edges"}
         if basis:
-            off = symmetry.act_epsilon(params, basis[0])  # positive eigenvalues
+            off = symmetry.act_epsilon(params, basis[0], bare)  # positive eigenvalues
             off = symmetry.flip_eigenvalue(off, surf, min(g.edges))  # one inside the unit circle
             fn = fu.to_fenchel_nielsen(off, bare, require_domain=False)
             actions = fn.meta["actions"]
