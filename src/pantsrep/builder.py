@@ -10,6 +10,8 @@ its images: past build's coercion of its input, points and matrices are the
 kernels' tuples, and only rep.images are objects.
 """
 
+import cmath
+
 from .projective import (
     DegenerateInputError,
     INF,
@@ -17,13 +19,12 @@ from .projective import (
     _IDENTITY,
     ProjectivePoint,
     SingularMapError,
-    _adj,
-    _apply,
     _at,
     _chain,
     _distinct,
     _fixed_points_with_eigs,
     _max_abs,
+    _point,
     _sl_normalize,
     _three_point_map,
     as_point,
@@ -33,7 +34,6 @@ from .coordinates import (
     EdgeParams,
     _across,
     _best_variant,
-    _end_eigen,
     _picture_es,
     _twist,
     in_domain,
@@ -63,8 +63,8 @@ class SurfaceRepresentation:
         self.images = dict(images)
         self._letters = table = {}
         for name, m in self.images.items():
-            table[(name, 1)] = entries = (m.a, m.b, m.c, m.d)
-            table[(name, -1)] = _adj(entries)
+            table[(name, 1)] = m.a, m.b, m.c, m.d
+            table[(name, -1)] = m.d, -m.b, -m.c, m.a  # the adjugate
         self._spectra = {}
 
     def evaluate(self, word):
@@ -101,10 +101,7 @@ def _vertex_points(pres, eigen, twist, base):
                          _from_slot(points[near], sn), forward)
         except ValueError as ex:
             raise _at("edge %r" % (eid,), ex)
-        triple = [None, None, None]
-        for k in range(3):
-            triple[(sf + k) % 3] = xs[k]
-        points[far] = triple
+        points[far] = xs[3 - sf:] + xs[:3 - sf]  # slot order, from xs read at slot sf
     return points
 
 
@@ -135,7 +132,10 @@ def build(surface, params, base=None):
     mats = {}
     # walk order: the root, on base's own points, then each step's far vertex
     for vid, triple in pairs.items():
-        es = tuple([_end_eigen(eigen[eid], end) for eid, end in vertices[vid].incident])
+        (i1, n1), (i2, n2), (i3, n3) = vertices[vid].incident  # _end_eigen in place
+        es = (eigen[i1] if n1 == "tail" else 1 / eigen[i1],
+              eigen[i2] if n2 == "tail" else 1 / eigen[i2],
+              eigen[i3] if n3 == "tail" else 1 / eigen[i3])
         pts = base if vid == pres.root else [ProjectivePoint(*x) for x in triple]
         try:
             mats[vid] = pants_rep(make_pants_data(es, pts))
@@ -155,9 +155,27 @@ def build(surface, params, base=None):
 
 
 def _residual(m):
-    """Distance of a row-major (a, b, c, d) to +-identity."""
+    """Distance of a row-major (a, b, c, d) to +-identity.
+
+    The two distances are _max_abs's, written out in place; only a modulus
+    past the float range goes through it.
+    """
     a, b, c, d = m
-    return float(min(_max_abs(a - 1, b, c, d - 1), _max_abs(a + 1, b, c, d + 1)))
+    try:
+        am, mb, mc, dm, ap, dp = abs(a - 1), abs(b), abs(c), abs(d - 1), abs(a + 1), abs(d + 1)
+    except OverflowError:
+        return min(_max_abs(a - 1, b, c, d - 1), _max_abs(a + 1, b, c, d + 1))
+    to_minus, to_plus = am + mb + mc + dm, ap + mb + mc + dp  # NaN exactly when a modulus is
+    # max() and min() as comparisons: a NaN distance stays, as in _max_abs,
+    # and min() keeps its first argument unless the second is smaller
+    mbc = mb if mb > mc else mc
+    if to_minus == to_minus:
+        to_minus = am if am > mbc else mbc
+        to_minus = to_minus if to_minus > dm else dm
+    if to_plus == to_plus:
+        to_plus = ap if ap > mbc else mbc
+        to_plus = to_plus if to_plus > dp else dp
+    return to_plus if to_plus < to_minus else to_minus
 
 
 def verify_relations(rep):
@@ -177,7 +195,8 @@ def verify_relations(rep):
         out[key] = out["relator"] if pres.relation == relator else _residual(_word(table, pres.relation))
         for i, (lhs, rhs) in enumerate(pres.hnn, start=1):
             key = "hnn%d" % i
-            out[key] = _residual(_chain((_adj(_word(table, rhs)),), _word(table, lhs)))
+            a, b, c, d = _word(table, rhs)
+            out[key] = _residual(_chain(((d, -b, -c, a),), _word(table, lhs)))  # lhs rhs^-1
     except SingularMapError as ex:
         raise _at(key, ex)
     return out
@@ -203,17 +222,29 @@ def _vertex_spectra(rep, tol):
     slot_fixed = {}
     slot_eigen = {}
     for keys, facing, near in pres.visits:
+        # the adjugates and one-letter words in place: _adj and _word per slot
+        # cost more than the lookup
         for key in keys:
+            if key == facing:
+                a, b, c, d = mats[near]
+                mats[key] = d, -b, -c, a
+                continue
+            word = words[key]
+            if len(word) == 1:
+                mats[key] = table[word[0]]
+                continue
             try:
-                mats[key] = _adj(mats[near]) if key == facing else _word(table, words[key])
+                mats[key] = _word(table, word)
             except SingularMapError as ex:
                 raise _at("vertex %r slot %d" % key, ex)
         p, q = mats[keys[0]], mats[keys[1]]
         try:
-            comm = _chain((q, _adj(p), _adj(q)), p)
+            comm = _chain((q, (p[3], -p[1], -p[2], p[0]), (q[3], -q[1], -q[2], q[0])), p)
         except SingularMapError as ex:
             raise _at("vertex %r" % (keys[0][0],), ex)
-        if abs(comm[0] + comm[3] - 2) <= max(tol, _COMM_TOL * (_max_abs(*p) * _max_abs(*q)) ** 2):
+        gap = abs(comm[0] + comm[3] - 2)
+        bound = _COMM_TOL * (_max_abs(*p) * _max_abs(*q)) ** 2
+        if gap <= (bound if bound > tol else tol):  # max(tol, bound)
             raise DegenerateInputError(
                 "reducible restriction at vertex %r" % (keys[0][0],), factor="tr[m,m']-2"
             )
@@ -272,12 +303,14 @@ def recover_coordinates(rep, eigen_choice=None, tol=1e-9):
         x, y = slot_fixed[key]
         if choice == -1:
             e, x, y = 1 / e, y, x
-        eigen[eid] = _end_eigen(e, end)
+        # the parameter and the value wanted at each end are _end_eigen's,
+        # read in place
+        eigen[eid] = value = e if end == "tail" else 1 / e
         branch_points[key] = x
         for end2, key2 in ends[1:]:
             e2 = slot_eigen[key2]
             x2, y2 = slot_fixed[key2]
-            want = _end_eigen(eigen[eid], end2)
+            want = value if end2 == "tail" else 1 / value
             if abs(e2 - want) > abs(1 / e2 - want):
                 x2 = y2
             branch_points[key2] = x2
@@ -288,8 +321,15 @@ def recover_coordinates(rep, eigen_choice=None, tol=1e-9):
         x4, x5 = branch_points[k4], branch_points[k5]
         if letter is not None:
             # the head-side points live on the far lift: push them across
-            bmap = rep._letters[(letter, 1)]
-            x4, x5 = _apply(bmap, x4), _apply(bmap, x5)
+            # (_apply in place; a (0 : 0) image goes to _point, which raises)
+            a, b, c, d = rep._letters[(letter, 1)]
+            (n4, d4), (n5, d5) = x4, x5
+            x4 = a * n4 + b * d4, c * n4 + d * d4
+            if x4[0] == 0 and x4[1] == 0:
+                _point(*x4)
+            x5 = a * n5 + b * d5, c * n5 + d * d5
+            if x5[0] == 0 and x5[1] == 0:
+                _point(*x5)
         # indexed 1..5, as _best_variant and _twist read it
         xs = (None, branch_points[k1], branch_points[k2], branch_points[k3], x4, x5)
         twist[eid] = _twist(_best_variant(xs), _picture_es(eigen, eid, nbrs), xs)
@@ -297,10 +337,15 @@ def recover_coordinates(rep, eigen_choice=None, tol=1e-9):
 
 
 def stiefel_whitney(rep):
-    """Sign of the evaluated relator for a closed surface: +1 iff liftable."""
+    """Sign of the evaluated relator for a closed surface: +1 iff liftable.
+
+    A relator product with an infinite or NaN entry has no sign: ValueError.
+    """
     if rep.surface.boundary != 0:
         raise ValueError("second Stiefel-Whitney class needs a closed surface")
     a, b, c, d = _word(rep._letters, rep.presentation.one_relator())
+    if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d)):
+        raise ValueError("relator: product %r is not finite" % (((a, b), (c, d)),))
     return 1 if _max_abs(a - 1, b, c, d - 1) < _max_abs(a + 1, b, c, d + 1) else -1
 
 

@@ -10,9 +10,12 @@ the shared edge, the equations give (x4, x5).  They are written once
 (e1, e4, e5, e2, e3) with twist 1/t1, and they carry (x1, x5, x4) to
 (x3, x2).  All eigenvalues entering these formulas must already be
 orientation-adjusted (invert e for an edge pointing into its vertex);
-_end_eigen owns that adjustment.  The public functions coerce their points
-once and wrap kernels on numbers and (num, den) points, which builder calls
-directly; eigenvalues and twists are computed on as given.
+_end_eigen states that adjustment, and the per-point readers (_picture_es
+here, and build's vertex eigenvalues and recover's branch loop in builder)
+write it in place, e if the end is "tail" else 1 / e.  The public functions
+coerce their points once and wrap kernels on numbers and (num, den) points,
+which builder calls directly; eigenvalues and twists are computed on as
+given.
 """
 
 import cmath
@@ -99,7 +102,10 @@ def _ratio_point(a, b, c, x1, x2, x3):
     w1, w2, w3 = a * (n2 * d3 - n3 * d2), b * (n3 * d1 - n1 * d3), c * (n1 * d2 - n2 * d1)
     num = w1 * n1 + w2 * n2 + w3 * n3
     den = w1 * d1 + w2 * d2 + w3 * d3
-    s = _vanishing(max(abs(num), abs(den)), "(num : den)")
+    s, t = abs(num), abs(den)
+    if t > s:  # max(), compared as it compares
+        s = t
+    s = _vanishing(s, "(num : den)")
     return num / s, den / s
 
 
@@ -198,30 +204,58 @@ def _best_variant(x):
     them; a tie keeps the lower variant, and a variant with a NaN spread never wins.
     """
     (n1, d1), (n2, d2), (n3, d3), (n4, d4), (n5, d5) = x[1], x[2], x[3], x[4], x[5]
-    s5, s3 = max(abs(n5), abs(d5)), max(abs(n3), abs(d3))
-    s1, s2 = max(abs(n1), abs(d1)), max(abs(n2), abs(d2))
+    # each scale is max(|num|, |den|), compared as max() compares it
+    s5, s = abs(n5), abs(d5)
+    if s > s5:
+        s5 = s
+    s3, s = abs(n3), abs(d3)
+    if s > s3:
+        s3 = s
+    s1, s = abs(n1), abs(d1)
+    if s > s1:
+        s1 = s
+    s2, s = abs(n2), abs(d2)
+    if s > s2:
+        s2 = s
     d35, d15 = abs(n3 * d5 - n5 * d3) / (s3 * s5), abs(n1 * d5 - n5 * d1) / (s1 * s5)
     d25, d13 = abs(n2 * d5 - n5 * d2) / (s2 * s5), abs(n1 * d3 - n3 * d1) / (s1 * s3)
     d23, d12 = abs(n2 * d3 - n3 * d2) / (s2 * s3), abs(n1 * d2 - n2 * d1) / (s1 * s2)
-    s4 = max(abs(n4), abs(d4))
+    s4, s = abs(n4), abs(d4)
+    if s > s4:
+        s4 = s
     d34, d14 = abs(n3 * d4 - n4 * d3) / (s3 * s4), abs(n1 * d4 - n4 * d1) / (s1 * s4)
     d24 = abs(n2 * d4 - n4 * d2) / (s2 * s4)
     d45 = abs(n4 * d5 - n5 * d4) / (s4 * s5)
     spreads = d35 + d15 + d25 + d13 + d23 + d12 + d34 + d14 + d24 + d45
-    if spreads != spreads:  # min() keeps a NaN only in first place; as -1.0 it always loses
+    if spreads != spreads:  # a NaN spread counts as -1.0: its variant always loses
         d35, d15, d25, d13, d23, d12, d34, d14, d24, d45 = [
             -1.0 if v != v else v for v in (d35, d15, d25, d13, d23, d12, d34, d14, d24, d45)]
+    # each variant scores the min() of its six spreads, written as comparisons
+    # (no NaN is left, and a tie is the same value): variants 1 and 2 share
+    # d13, d23, d12, and variants 3 and 4 share d14, d45, d15
+    m12 = d13 if d13 < d23 else d23
+    m12 = m12 if m12 < d12 else d12
+    m34 = d14 if d14 < d45 else d45
+    m34 = m34 if m34 < d15 else d15
     best, score = None, -1.0
-    m = min(d35, d15, d25, d13, d23, d12)
+    m = d35 if d35 < d15 else d15
+    m = m if m < d25 else d25
+    m = m if m < m12 else m12
     if m > score:
         best, score = 1, m
-    m = min(d34, d14, d24, d13, d23, d12)
+    m = d34 if d34 < d14 else d14
+    m = m if m < d24 else d24
+    m = m if m < m12 else m12
     if m > score:
         best, score = 2, m
-    m = min(d24, d12, d25, d14, d45, d15)
+    m = d24 if d24 < d12 else d12
+    m = m if m < d25 else d25
+    m = m if m < m34 else m34
     if m > score:
         best, score = 3, m
-    if min(d34, d13, d35, d14, d45, d15) > score:
+    m = d34 if d34 < d13 else d13
+    m = m if m < d35 else d35
+    if (m if m < m34 else m34) > score:
         best = 4
     if best is None:
         raise DegenerateInputError("no variant has a finite spread", factor="x1 .. x5")
@@ -377,7 +411,12 @@ def local_picture(surface, params, edge):
 
 
 def _picture_es(eigen, edge, nbrs):
-    """(e1, ..., e5) of edge's local picture, from its four neighbor slots."""
+    """(e1, ..., e5) of edge's local picture, from its four neighbor slots.
+
+    Each neighbor's value is _end_eigen's, read in place.
+    """
     (i2, n2), (i3, n3), (i4, n4), (i5, n5) = nbrs
-    return (eigen[edge], _end_eigen(eigen[i2], n2), _end_eigen(eigen[i3], n3),
-            _end_eigen(eigen[i4], n4), _end_eigen(eigen[i5], n5))
+    return (eigen[edge], eigen[i2] if n2 == "tail" else 1 / eigen[i2],
+            eigen[i3] if n3 == "tail" else 1 / eigen[i3],
+            eigen[i4] if n4 == "tail" else 1 / eigen[i4],
+            eigen[i5] if n5 == "tail" else 1 / eigen[i5])

@@ -14,6 +14,7 @@ from .projective import (
     SING_TOL,
     DegenerateInputError,
     MoebiusMap,
+    SingularMapError,
     _check_nonsingular,
     _distinct,
     _map_from_standard,
@@ -74,13 +75,32 @@ def pants_rep(data):
     # _map_from_standard(0, inf, 1) is the identity, so this is
     # three_point_map((0, INF, 1), data.fixed), on points make_pants_data
     # has already checked
-    a, b, c, d = _map_from_standard(*[(x.num, x.den) for x in data.fixed])
-    _check_nonsingular(a, b, c, d)
+    x1, x2, x3 = data.fixed
+    a, b, c, d = _map_from_standard((x1.num, x1.den), (x2.num, x2.den), (x3.num, x3.den))
     # conjugation is scale-invariant: bring the largest entry to modulus 1,
     # so det stays finite when the fixed points' homogeneous coordinates are
     # huge, then |det| to 1; the adjugate divided by det below keeps the SL
-    # property of the normalized matrices exactly
-    s = _max_abs(a, b, c, d)
+    # property of the normalized matrices exactly.  The moduli serve
+    # _check_nonsingular's rule and _max_abs, both written out in place;
+    # a modulus past the float range goes through the two of them.
+    try:
+        adet, ma, mb, mc, md = abs(a * d - b * c), abs(a), abs(b), abs(c), abs(d)
+    except OverflowError:
+        _check_nonsingular(a, b, c, d)
+        s = _max_abs(a, b, c, d)
+    else:
+        norm = ma
+        if mb > norm:
+            norm = mb
+        if mc > norm:
+            norm = mc
+        if md > norm:
+            norm = md
+        if adet == 0 or adet < SING_TOL * norm * norm:
+            raise SingularMapError("singular matrix %r" % (((a, b), (c, d)),))
+        s = ma + mb + mc + md  # NaN exactly when a modulus is
+        if s == s:
+            s = norm
     p0, p1, p2, p3 = a / s, b / s, c / s, d / s
     r = math.sqrt(abs(_vanishing(p0 * p3 - p1 * p2, "det(conj)", SING_TOL)))
     p0, p1, p2, p3 = p0 / r, p1 / r, p2 / r, p3 / r
@@ -109,15 +129,24 @@ def is_admissible_triple(e1, e2, e3, tol=1e-9):
     Reducibility happens exactly on e1 = e2 e3, e2 = e3 e1, e3 = e1 e2 and
     e1 e2 e3 = 1; comparisons are relative to the magnitudes involved.
     """
+    # each scale is max(|e_i|, |p|, 1.0), compared as max() compares it; the
+    # moduli are taken in the order the comparison reads them
     p = e2 * e3
-    if abs(e1 - p) <= tol * max(abs(e1), abs(p), 1.0):
+    gap, s, t = abs(e1 - p), abs(e1), abs(p)
+    s = t if t > s else s
+    if gap <= tol * (1.0 if 1.0 > s else s):
         return False
     p = e3 * e1
-    if abs(e2 - p) <= tol * max(abs(e2), abs(p), 1.0):
+    gap, s, t = abs(e2 - p), abs(e2), abs(p)
+    s = t if t > s else s
+    if gap <= tol * (1.0 if 1.0 > s else s):
         return False
     p = e1 * e2
-    if abs(e3 - p) <= tol * max(abs(e3), abs(p), 1.0):
+    gap, s, t = abs(e3 - p), abs(e3), abs(p)
+    s = t if t > s else s
+    if gap <= tol * (1.0 if 1.0 > s else s):
         return False
     p = p * e3
     # max(|p|, |1|, 1.0), as for the other three pairs
-    return not abs(p - 1) <= tol * max(abs(p), 1, 1.0)
+    gap, s = abs(p - 1), abs(p)
+    return not gap <= tol * (1 if 1 > s else s)

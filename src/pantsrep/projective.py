@@ -17,9 +17,24 @@ numpy is imported on demand, only to accept an array, build ``.m`` or
 print a map.
 
 The two-point determinant p_num q_den - q_num p_den (_pair) is written out
-in place in the hottest kernels (_distinct, _cross_ratio, and _ratio_point
-and _best_variant in coordinates): a round trip runs them dozens of times
-per point, and a Python call costs more than the determinant.
+in place in the hottest kernels (_distinct, _cross_ratio, _map_from_standard,
+and _ratio_point and _best_variant in coordinates): a round trip runs them
+dozens of times per point, and a Python call costs more than the determinant.
+For the same reason a few more rules are written out where the round trip
+runs them per point, each with a test that compares it with its form as
+first written: MoebiusMap's singularity rule (_check_nonsingular) in _chain
+and pants.pants_rep, which call it only for a modulus past the float range;
+_trace_roots, sqrt_principal and the (0 : 0) test of _point in
+_fixed_points_with_eigs; _max_abs in pants.pants_rep and builder._residual;
+_mul and _adj in _three_point_map; _adj and _apply in builder's
+representation, verify_relations and recover.  The builtins max(), min()
+and sum() cost a call each, so the kernels compare and add instead, keeping
+max()'s and min()'s first argument on a tie or NaN (_max_abs, _distinct,
+_ratio_point, _best_variant, is_admissible_triple, the commutator bound).
+The moduli are taken in the order the forms as first written take them:
+abs() of a complex number with a NaN part raises OverflowError while errno
+still holds the ERANGE of an earlier overflow, so the order can show.
+Elsewhere the functions stay the one place of their rule.
 
 Every numeric degeneracy is a named factor of a source formula reaching
 zero; _vanishing is the one rule that tests it and names it in the error.
@@ -118,7 +133,16 @@ def _pair(p, q):
 def _distinct(p, q, r):
     """True iff the points p, q, r are pairwise distinct (same_as tolerance)."""
     (pn, pd), (qn, qd), (rn, rd) = p, q, r
-    sp, sq, sr = max(abs(pn), abs(pd)), max(abs(qn), abs(qd)), max(abs(rn), abs(rd))
+    # each scale is max(|num|, |den|), compared as max() compares it
+    sp, s = abs(pn), abs(pd)
+    if s > sp:
+        sp = s
+    sq, s = abs(qn), abs(qd)
+    if s > sq:
+        sq = s
+    sr, s = abs(rn), abs(rd)
+    if s > sr:
+        sr = s
     return not (abs(pn * qd - qn * pd) <= EQ_TOL * (sp * sq) or abs(qn * rd - rn * qd) <= EQ_TOL * (sq * sr)
                 or abs(pn * rd - rn * pd) <= EQ_TOL * (sp * sr))
 
@@ -286,12 +310,26 @@ def _chain(factors, start):
 
     Every partial product meets MoebiusMap's singularity rule, so a chain
     raises exactly where the same product of MoebiusMaps would, without
-    building any MoebiusMap.
+    building any MoebiusMap.  The rule is _check_nonsingular's, written out
+    in place; only a modulus past the float range goes through it.
     """
     a, b, c, d = start
     for e, f, g, h in factors:
         a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-        _check_nonsingular(a, b, c, d)
+        det = a * d - b * c
+        try:
+            adet, norm, mb, mc, md = abs(det), abs(a), abs(b), abs(c), abs(d)
+        except OverflowError:
+            _check_nonsingular(a, b, c, d)
+            continue
+        if mb > norm:
+            norm = mb
+        if mc > norm:
+            norm = mc
+        if md > norm:
+            norm = md
+        if adet == 0 or adet < SING_TOL * norm * norm:
+            raise SingularMapError("singular matrix %r" % (((a, b), (c, d)),))
     return a, b, c, d
 
 
@@ -316,11 +354,19 @@ def _max_abs(a, b, c, d):
     past the float range counts as inf, as in _mod.
     """
     try:
-        mods = abs(a), abs(b), abs(c), abs(d)
+        a, b, c, d = abs(a), abs(b), abs(c), abs(d)
     except OverflowError:
-        mods = _mod(a), _mod(b), _mod(c), _mod(d)
-    total = sum(mods)
-    return total if total != total else max(mods)
+        a, b, c, d = _mod(a), _mod(b), _mod(c), _mod(d)
+    total = a + b + c + d
+    if total != total:
+        return total
+    if b > a:  # sum() and max() as they add and compare, without the calls
+        a = b
+    if c > a:
+        a = c
+    if d > a:
+        a = d
+    return a
 
 
 def sl_normalize(m):
@@ -395,8 +441,8 @@ def _map_from_standard(x1, x2, x3):
     # rows of the homogeneous pairs; the closed form
     #   ((x2(x3-x1), x1(x2-x3)), (x3-x1, x2-x3))
     # in homogeneous arithmetic:
-    d31 = _pair(x3, x1)
-    d23 = _pair(x2, x3)
+    d31 = x3[0] * x1[1] - x1[0] * x3[1]
+    d23 = x2[0] * x3[1] - x3[0] * x2[1]
     return (x2[0] * d31, x1[0] * d23, x2[1] * d31, x1[1] * d23)
 
 
@@ -413,7 +459,11 @@ def _three_point_map(src, dst):
     the caller has tested src for distinctness, dst is tested here."""
     if not _distinct(*dst):
         raise DegenerateInputError("triple is not pairwise distinct", factor="x_i - x_j")
-    m = _mul(_map_from_standard(*dst), _adj(_map_from_standard(*src)))
+    # _mul(to, _adj(fro)), multiplied out
+    a, b, c, d = _map_from_standard(*dst)
+    e, f, g, h = _map_from_standard(*src)
+    f, g = -f, -g
+    m = a * h + b * g, a * f + b * e, c * h + d * g, c * f + d * e
     _check_nonsingular(*m)
     return m
 
@@ -431,21 +481,44 @@ def fixed_points_with_eigs(m):
 
 
 def _fixed_points_with_eigs(a, b, c, d, tol):
-    """fixed_points_with_eigs on the entries of a row-major (a, b, c, d)."""
+    """fixed_points_with_eigs on the entries of a row-major (a, b, c, d).
+
+    _trace_roots, sqrt_principal and the eigenvector rows are written out in
+    place: recover solves every vertex word this way.
+    """
     if abs(a * d - b * c - 1) > 1e-8:
         raise DegenerateInputError("fixed_points_with_eigs expects an SL-normalized map",
                                    factor="det - 1")
-    e, other = _trace_roots(a + d, tol)
-    if abs(e) < 1 or (abs(abs(e) - 1) <= 1e-12 and not (0 <= cmath.phase(e) < math.pi)):
+    tr = a + d
+    scale = abs(tr)
+    scale = scale * scale
+    if not scale > 1.0:  # max(1.0, |tr|^2), NaN included
+        scale = 1.0
+    w = cmath.sqrt(_vanishing(tr * tr - 4, "tr^2 - 4", tol * scale))
+    if w.imag < 0 or (w.imag == 0 and w.real < 0):
+        w = -w
+    plus, minus = (tr + w) / 2, (tr - w) / 2
+    size = abs(plus)
+    if size >= abs(minus):
+        e, other = plus, 1 / plus
+    else:
+        e, other = 1 / minus, minus
+        size = abs(e)
+    if size < 1 or (abs(size - 1) <= 1e-12 and not (0 <= cmath.phase(e) < math.pi)):
         e = other
     # x for e, then y for 1/e, solve (a - lam) u + b v = 0: of the candidate rows
-    # (b, lam - a) and (lam - d, c) take the larger, the first on a tie or NaN
+    # (b, lam - a) and (lam - d, c) take the larger, the first on a tie or NaN;
+    # a (0 : 0) row goes to _point, which raises
     sb, sc = abs(b), abs(c)
     u, q = e - d, e - a
-    x = _point(u, c) if abs(u) + sc > sb + abs(q) else _point(b, q)
+    x = (u, c) if abs(u) + sc > sb + abs(q) else (b, q)
+    if x[0] == 0 and x[1] == 0:
+        _point(*x)
     lam = 1 / e
     u, q = lam - d, lam - a
-    y = _point(u, c) if abs(u) + sc > sb + abs(q) else _point(b, q)
+    y = (u, c) if abs(u) + sc > sb + abs(q) else (b, q)
+    if y[0] == 0 and y[1] == 0:
+        _point(*y)
     return x, e, y
 
 

@@ -12,7 +12,7 @@ from pantsrep.projective import (INF, DegenerateInputError, ProjectivePoint, as_
 
 from pantsrep import projective
 
-from helpers import outcome, rand_c, same_outcome, sample_params
+from helpers import caterpillar, handle_chain, outcome, rand_c, same_outcome, sample_params
 
 RNG = np.random.default_rng(20240903)
 
@@ -355,6 +355,51 @@ def test_best_twist_skips_a_variant_with_a_nan_spread():
         DegenerateInputError, "no variant has a finite spread", "x1 .. x5")
 
 
+def _reference_best_variant_max(x):
+    """_best_variant as first written: each scale through max()."""
+    (n1, d1), (n2, d2), (n3, d3), (n4, d4), (n5, d5) = x[1], x[2], x[3], x[4], x[5]
+    s5, s3 = max(abs(n5), abs(d5)), max(abs(n3), abs(d3))
+    s1, s2 = max(abs(n1), abs(d1)), max(abs(n2), abs(d2))
+    d35, d15 = abs(n3 * d5 - n5 * d3) / (s3 * s5), abs(n1 * d5 - n5 * d1) / (s1 * s5)
+    d25, d13 = abs(n2 * d5 - n5 * d2) / (s2 * s5), abs(n1 * d3 - n3 * d1) / (s1 * s3)
+    d23, d12 = abs(n2 * d3 - n3 * d2) / (s2 * s3), abs(n1 * d2 - n2 * d1) / (s1 * s2)
+    s4 = max(abs(n4), abs(d4))
+    d34, d14 = abs(n3 * d4 - n4 * d3) / (s3 * s4), abs(n1 * d4 - n4 * d1) / (s1 * s4)
+    d24 = abs(n2 * d4 - n4 * d2) / (s2 * s4)
+    d45 = abs(n4 * d5 - n5 * d4) / (s4 * s5)
+    ds = [-1.0 if v != v else v for v in (d35, d15, d25, d13, d23, d12, d34, d14, d24, d45)]
+    d35, d15, d25, d13, d23, d12, d34, d14, d24, d45 = ds
+    best, score = None, -1.0
+    for variant, m in enumerate((min(d35, d15, d25, d13, d23, d12), min(d34, d14, d24, d13, d23, d12),
+                                 min(d24, d12, d25, d14, d45, d15), min(d34, d13, d35, d14, d45, d15)),
+                                start=1):
+        if m > score:
+            best, score = variant, m
+    if best is None:
+        raise DegenerateInputError("no variant has a finite spread", factor="x1 .. x5")
+    return best
+
+
+def test_best_variant_equals_its_max_form():
+    # points with a NaN, zero, huge or tiny coordinate on either side of the
+    # pair, so that max(|num|, |den|) meets NaN in first and in second place
+    rng = np.random.default_rng(2807)
+    nan = complex(float("nan"), 0)
+    special = [(nan, 1 + 0j), (1 + 0j, nan), (nan, nan), (0j, 1 + 0j), (1 + 0j, 0j),
+               (1e300 + 0j, 1 + 0j), (1 + 0j, 1e-300 + 0j), (complex(1e200, 1e200), 1 + 0j)]
+    for _ in range(4000):
+        xs = [None]
+        for _ in range(5):
+            kind = rng.integers(4)
+            if kind == 0:
+                xs.append(special[rng.integers(len(special))])
+            elif kind == 1 and len(xs) > 1:
+                xs.append(xs[rng.integers(1, len(xs))])
+            else:
+                xs.append((rand_c(rng), rand_c(rng)))
+        assert same_outcome(co._best_variant, _reference_best_variant_max, tuple(xs)), xs
+
+
 def _reference_ratio_point(a, b, c, x1, x2, x3):
     """_ratio_point as first written, through _pair."""
     pair = projective._pair
@@ -497,3 +542,29 @@ def test_crossing_back_names_e1_e3_minus_e2_first(t1, xs):
     assert got == (DegenerateInputError, "vanishing factor e1 e3 - e2 = 0j", "e1 e3 - e2")
     want = outcome(_reference_across, es, t1, xs, False)
     assert want[0] is (ZeroDivisionError if t1 == 0 else DegenerateInputError) and want != got
+
+
+def _reference_picture_es(eigen, edge, nbrs):
+    """_picture_es as first written: one _end_eigen call per neighbor slot."""
+    (i2, n2), (i3, n3), (i4, n4), (i5, n5) = nbrs
+    return (eigen[edge], co._end_eigen(eigen[i2], n2), co._end_eigen(eigen[i3], n3),
+            co._end_eigen(eigen[i4], n4), co._end_eigen(eigen[i5], n5))
+
+
+def test_picture_es_equals_the_end_eigen_form():
+    # every interior edge of the fixtures and two families, at seeded values
+    # and at 0, +-1, infinities, NaN and 1e+-300 (1/0 raises in both forms)
+    rng = np.random.default_rng(2803)
+    nan, inf = complex(float("nan"), 0), complex(float("inf"), 0)
+    special = [0j, 0.0, 0, 1, -1, 1 + 0j, inf, -inf, complex(0, float("inf")), nan,
+               complex(1e300, 0), complex(1e-300, 1e-300), 1e-320, Fraction(1, 3)]
+    surfaces = [su.four_holed_sphere(), su.one_holed_torus(), su.genus_two(),
+                handle_chain(3), caterpillar(5)]
+    for surf in surfaces:
+        graph = surf.graph
+        for edge in graph.interior_edges():
+            nbrs = su._picture_slots(graph, edge)[2]
+            for _ in range(60):
+                eigen = {eid: rand_c(rng) if rng.integers(3) else special[rng.integers(len(special))]
+                         for eid in graph.edges}
+                assert same_outcome(co._picture_es, _reference_picture_es, eigen, edge, nbrs)

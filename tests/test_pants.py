@@ -210,3 +210,22 @@ def test_admissible_triple_equals_the_four_pair_loop():
                 assert same_outcome(is_admissible_triple, _reference_admissible, *triple, t)
                 floats = tuple(float(e) for e in triple)
                 assert same_outcome(is_admissible_triple, _reference_admissible, *floats, t)
+
+
+@pytest.mark.parametrize("conj", [
+    (complex(1.5e308, 1.5e308), 0j, 0j, 1 + 0j),  # a modulus overflows
+    (complex(1.5e308, 1.5e308), 0j, 0j, 0j),  # ... on a singular map
+    (complex(1.5e308, 1.5e308), complex(1.5e308, 1.5e308), 1 + 0j, 2 + 0j),
+    (complex(math.nan, 0), 1 + 0j, 1 + 0j, 2 + 0j),  # NaN: the largest modulus is NaN
+    (1 + 0j, complex(math.nan, 0), 1 + 0j, 2 + 0j),
+    (1 + 0j, 2 + 0j, 2 + 0j, 4 + 0j),  # singular
+    (1e-300 + 0j, 0j, 0j, 1e-300 + 0j),  # det underflows to 0
+    (1e150 + 0j, 1 + 0j, 1 + 0j, 1e150 + 0j),
+], ids=["overflow", "overflow-singular", "overflow-det", "nan-a", "nan-b", "singular",
+        "underflow", "huge"])
+def test_pants_rep_conjugation_check_equals_the_reference(monkeypatch, conj):
+    # pants_rep tests the conjugating map and scales it by its largest
+    # modulus in place; these maps reach each branch of that test
+    monkeypatch.setattr(pants, "_map_from_standard", lambda *fixed: conj)
+    data = make_pants_data((2, 3j, -1.5 + 1j), (0, INF, 1))
+    assert same_outcome(_entries(pants_rep), _entries(_reference_pants_rep), data)

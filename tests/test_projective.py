@@ -27,7 +27,7 @@ from pantsrep.projective import (
 )
 from pantsrep import projective
 
-from helpers import same_outcome
+from helpers import outcome, same_outcome
 
 RNG = np.random.default_rng(20240901)
 
@@ -480,6 +480,27 @@ def test_nan_entries_propagate_like_numpy():
     assert _max_abs(1, -5j, 2, 3) == 5
 
 
+def _reference_max_abs(a, b, c, d):
+    """_max_abs as first written: the moduli through sum() and max()."""
+    try:
+        mods = abs(a), abs(b), abs(c), abs(d)
+    except OverflowError:
+        mods = projective._mod(a), projective._mod(b), projective._mod(c), projective._mod(d)
+    total = sum(mods)
+    return total if total != total else max(mods)
+
+
+def test_max_abs_equals_its_sum_and_max_form():
+    rng = np.random.default_rng(2808)
+    nan, inf = float("nan"), float("inf")
+    special = [0, 0j, -0.0, 1, -1, nan, complex(nan, 1), inf, -inf, complex(0, inf),
+               1.5e308 + 1.5e308j, 1e300, 1e-300, Fraction(1, 3), 5, 5.0, 5j]
+    for _ in range(4000):
+        entries = [_rng_c(rng) if rng.integers(2) else special[rng.integers(len(special))]
+                   for _ in range(4)]
+        assert same_outcome(projective._max_abs, _reference_max_abs, *entries), entries
+
+
 def test_complex_entry_past_the_float_range():
     from pantsrep.projective import SING_TOL, _max_abs
 
@@ -556,7 +577,8 @@ def _reference_eigvec(a, b, c, d, lam):
 
 
 def _reference_fixed_points_with_eigs(a, b, c, d, tol):
-    """_fixed_points_with_eigs as first written: one _eigvec call per eigenvalue."""
+    """_fixed_points_with_eigs as first written: the roots through _trace_roots
+    and sqrt_principal, one _eigvec call per eigenvalue."""
     if abs(a * d - b * c - 1) > 1e-8:
         raise DegenerateInputError("fixed_points_with_eigs expects an SL-normalized map",
                                    factor="det - 1")
@@ -564,6 +586,110 @@ def _reference_fixed_points_with_eigs(a, b, c, d, tol):
     if abs(e) < 1 or (abs(abs(e) - 1) <= 1e-12 and not (0 <= cmath.phase(e) < math.pi)):
         e = other
     return _reference_eigvec(a, b, c, d, e), e, _reference_eigvec(a, b, c, d, 1 / e)
+
+
+def _special_maps(rng):
+    """Maps at the edges of the spectrum solve: tr = +-2 and near it, 0 and
+    +-1 entries, infinite, NaN, 1e+-300 and overflowing entries, and the two
+    maps whose chosen eigenvector row is (0 : 0)."""
+    nan, inf = complex(math.nan, 0), complex(math.inf, 0)
+    big = complex(1.5e308, 1.5e308)  # abs() of it overflows
+    maps = [(1, 0, 0, 1), (-1, 0, 0, -1), (1, 1, 0, 1), (-1, 1, 0, -1), (0, 1, -1, 0),
+            (0, -1, 1, 0), (1 + 1e-9, 0, 0, 1 / (1 + 1e-9)), (1 + 3e-9, 0j, 0j, 1 + 3e-9),
+            (2, 0, nan, 0.5), (0.5, 0, nan, 2), (2 + 0j, 0j, nan, 0.5 + 0j),
+            (inf, 0, 0, 0), (inf, 1, 1, inf), (nan, 0, 0, nan), (big, 0j, 0j, 1 / big),
+            (1e300, 0, 0, 1e-300), (1e-300, 1e300, -1e-300, 1e300), (1e154, 1, -1, 0),
+            (1e200, 0j, 0j, 1e-200), (0j, 0j, 0j, 0j), (1, nan, nan, 1), (2, big, 0j, 0.5)]
+    for _ in range(50):
+        t = _rng_c(rng)
+        # tr = +-2 up to rounding: a parabolic map conjugated by a random one
+        p = _rng_map(rng)
+        for sign in (1, -1):
+            n = p @ MoebiusMap((sign, t, 0, sign)) @ p.inverse()
+            n = sl_normalize(n)
+            maps.append((n.a, n.b, n.c, n.d))
+        e = _rng_c(rng)
+        maps.append((e * 1e150, 0j, _rng_c(rng), 1 / (e * 1e150)))
+    return maps
+
+
+def test_fixed_points_with_eigs_equals_its_reference_at_the_edges():
+    rng = np.random.default_rng(2801)
+    for m in _special_maps(rng):
+        for tol in (0.0, 1e-9, 1e-3):
+            assert same_outcome(projective._fixed_points_with_eigs,
+                                _reference_fixed_points_with_eigs, *m, tol), m
+
+
+def test_the_edge_maps_reach_every_outcome_of_the_spectrum_solve():
+    # the special inputs above are worth their cost only if they reach each
+    # way out: a value, det - 1, tr^2 - 4, a (0 : 0) row and an overflow
+    seen = set()
+    for m in _special_maps(np.random.default_rng(2801)):
+        try:
+            projective._fixed_points_with_eigs(*m, 1e-9)
+            seen.add("value")
+        except DegenerateInputError as ex:
+            seen.add(ex.factor)
+        except ValueError as ex:
+            seen.add(str(ex))
+        except OverflowError:
+            seen.add("overflow")
+    assert seen == {"value", "det - 1", "tr^2 - 4", "(0 : 0) is not a point of CP^1", "overflow"}
+
+
+def _reference_chain(factors, start):
+    """_chain as first written: _check_nonsingular on every partial product."""
+    a, b, c, d = start
+    for e, f, g, h in factors:
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        projective._check_nonsingular(a, b, c, d)
+    return a, b, c, d
+
+
+def _chain_entries(rng):
+    """A random map's entries, or one of the chain's edge cases."""
+    nan, inf = complex(math.nan, 0), complex(math.inf, 0)
+    big = complex(1.5e308, 1.5e308)
+    fixed = [(1 + 0j, 0j, 0j, 1 + 0j), (0j, 1 + 0j, -1 + 0j, 0j), (-1 + 0j, 0j, 0j, -1 + 0j),
+             (0j, 0j, 0j, 0j), (1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j), (nan, 0j, 0j, 1 + 0j),
+             (inf, 0j, 0j, 1 + 0j), (inf, inf, 0j, 1 + 0j), (big, 0j, 0j, 1 + 0j),
+             (big, big, 0j, 1e-300 + 0j), (1e300 + 0j, 0j, 0j, 1e-300 + 0j),
+             (1e-300 + 0j, 0j, 0j, 1e300 + 0j), (1e154 + 1e154j, 1 + 0j, 0j, 1e-154 + 0j),
+             (1 + 0j, 1e6 + 0j, 1e-6 + 0j, 1 + 1e-12 + 0j), (1, 2, 3, 4)]
+    kind = rng.integers(4)
+    if kind == 0:
+        return fixed[rng.integers(len(fixed))]
+    m = _rng_map(rng)
+    return m.a, m.b, m.c, m.d
+
+
+def test_chain_equals_the_per_step_check():
+    rng = np.random.default_rng(2802)
+    for _ in range(4000):
+        start = _chain_entries(rng)
+        factors = [_chain_entries(rng) for _ in range(rng.integers(0, 5))]
+        assert same_outcome(projective._chain, _reference_chain, factors, start), (factors, start)
+
+
+def test_chain_reaches_the_overflow_path_and_its_singular_products():
+    big = complex(1.5e308, 1.5e308)
+    with pytest.raises(OverflowError):
+        abs(big)
+    # the product's moduli overflow: the rule runs through _check_nonsingular
+    assert same_outcome(projective._chain, _reference_chain, [(big, 0j, 0j, 1 + 0j)], (1, 0, 0, 1))
+    assert projective._chain([(big, 0j, 0j, 1 + 0j)], (1, 0, 0, 1)) == (big, 0j, 0j, 1 + 0j)
+    # ... and a singular one raises there, with the same message
+    got = outcome(projective._chain, [(big, 0j, 0j, 0j)], (1, 0, 0, 1))
+    assert got == outcome(_reference_chain, [(big, 0j, 0j, 0j)], (1, 0, 0, 1))
+    assert got[0] is SingularMapError
+
+
+def _reference_map_from_standard(x1, x2, x3):
+    """_map_from_standard as first written, through _pair."""
+    d31 = projective._pair(x3, x1)
+    d23 = projective._pair(x2, x3)
+    return (x2[0] * d31, x1[0] * d23, x2[1] * d31, x1[1] * d23)
 
 
 def test_fixed_points_with_eigs_equals_the_eigvec_rule():
@@ -632,12 +758,32 @@ def _kernel_points(rng, n):
     return out
 
 
+def _reference_three_point_map(src, dst):
+    """_three_point_map as first written: _mul of a map and an adjugate."""
+    if not projective._distinct(*dst):
+        raise DegenerateInputError("triple is not pairwise distinct", factor="x_i - x_j")
+    m = projective._mul(projective._map_from_standard(*dst),
+                        projective._adj(projective._map_from_standard(*src)))
+    projective._check_nonsingular(*m)
+    return m
+
+
+def test_three_point_map_equals_its_product_form():
+    rng = np.random.default_rng(2805)
+    for _ in range(3000):
+        pts = _kernel_points(rng, 6)
+        assert same_outcome(projective._three_point_map, _reference_three_point_map,
+                            pts[:3], pts[3:])
+
+
 def test_distinct_and_cross_ratio_equal_their_pair_forms():
     rng = np.random.default_rng(2005)
     for _ in range(3000):
         pts = _kernel_points(rng, 4)
         assert same_outcome(projective._distinct, _reference_distinct, *pts[:3])
         assert same_outcome(projective._cross_ratio, _reference_cross_ratio, *pts)
+        assert same_outcome(projective._map_from_standard, _reference_map_from_standard,
+                            *pts[:3])
     small = [(n, d) for n in (-1, 0, 1, 2) for d in (0, 1, Fraction(1, 2))
              if (n, d) != (0, 0)]
     for p in small:

@@ -32,12 +32,22 @@ def test_epsilon_basis_sizes():
 
 def test_check_epsilon_rejects_bad_vectors():
     surf = SURFACES["genus_two"]()
+    # the theta graph: edges 1, 2, 3 each join vertices 0 and 1, so a lone
+    # sign on any one of them breaks the product condition at both ends
     bad = {eid: 1 for eid in surf.graph.edges}
-    bad[1] = -1  # edge 1 is a loop: it meets its vertex twice, so a lone
-    # sign on another edge breaks the product condition instead
+    bad[1] = -1
+    assert not sym.check_epsilon(surf, bad)
     bad2 = {eid: 1 for eid in surf.graph.edges}
     bad2[3] = -1
     assert not sym.check_epsilon(surf, bad2)
+
+
+def test_check_epsilon_counts_a_loop_twice_at_its_vertex():
+    # one_holed_torus: loop edge 1 meets vertex 0 twice, so -1 on it alone
+    # keeps the product +1 there; boundary edge 2 meets vertex 0 once
+    surf = SURFACES["one_holed"]()
+    assert sym.check_epsilon(surf, {1: -1, 2: 1})
+    assert not sym.check_epsilon(surf, {1: 1, 2: -1})
 
 
 def test_act_epsilon_changes_eigen_only():
