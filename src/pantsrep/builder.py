@@ -6,8 +6,9 @@ representation at each trivalent vertex, and closes up each complement
 edge with a Moebius map carrying the tree-side triple to its translate
 across the edge.  The resulting generator images satisfy the surface-group
 relations exactly up to rounding.  A representation is its surface and
-its images: past build's coercion of its input, points and matrices are the
-kernels' tuples, and only rep.images are objects.
+its images: past build's coercion of its input, every point is a (num, den)
+pair, up to and including pants_rep's input, and the only objects made are
+the MoebiusMaps of pants_rep and of the b<i> images.
 """
 
 import cmath
@@ -17,7 +18,6 @@ from .projective import (
     INF,
     MoebiusMap,
     _IDENTITY,
-    ProjectivePoint,
     SingularMapError,
     _at,
     _chain,
@@ -29,7 +29,7 @@ from .projective import (
     _three_point_map,
     as_point,
 )
-from .pants import make_pants_data, pants_rep
+from .pants import _pants_data, pants_rep
 from .coordinates import (
     EdgeParams,
     _across,
@@ -94,7 +94,7 @@ def _vertex_points(pres, eigen, twist, base):
     carries base, and crosses each interior tree edge once, forward or
     backward.
     """
-    points = {pres.root: list(base)}
+    points = {pres.root: tuple(base)}
     for eid, nbrs, near, sn, far, sf, forward in pres.walk:
         try:
             xs = _across(_picture_es(eigen, eid, nbrs), twist[eid],
@@ -136,9 +136,8 @@ def build(surface, params, base=None):
         es = (eigen[i1] if n1 == "tail" else 1 / eigen[i1],
               eigen[i2] if n2 == "tail" else 1 / eigen[i2],
               eigen[i3] if n3 == "tail" else 1 / eigen[i3])
-        pts = base if vid == pres.root else [ProjectivePoint(*x) for x in triple]
         try:
-            mats[vid] = pants_rep(make_pants_data(es, pts))
+            mats[vid] = pants_rep(_pants_data(es, triple))
         except ValueError as ex:
             raise _at("vertex %r" % (vid,), ex)
     images = {name: mats[vid][slot] for name, vid, slot in pres.image_slots}
@@ -243,7 +242,8 @@ def _vertex_spectra(rep, tol):
         except SingularMapError as ex:
             raise _at("vertex %r" % (keys[0][0],), ex)
         gap = abs(comm[0] + comm[3] - 2)
-        bound = _COMM_TOL * (_max_abs(*p) * _max_abs(*q)) ** 2
+        scale = _max_abs(*p) * _max_abs(*q)
+        bound = _COMM_TOL * (scale * scale)  # inf past the float range, where ** would raise
         if gap <= (bound if bound > tol else tol):  # max(tol, bound)
             raise DegenerateInputError(
                 "reducible restriction at vertex %r" % (keys[0][0],), factor="tr[m,m']-2"

@@ -29,7 +29,6 @@ from .projective import (
     _cross_ratio,
     _vanishing,
     as_pair,
-    as_point,
     mobius_with_axis,
     sqrt_principal,
 )
@@ -191,8 +190,8 @@ def _twist(variant, es, x):
 
 def best_twist_from_fixed_points(es, xs):
     """The variant whose cross ratio is best conditioned, then its value (xs holds x1..x5)."""
-    p = {i: as_point(xs[i]) for i in (5, 3, 1, 2, 4)}
-    return twist_from_fixed_points(_best_variant({i: (q.num, q.den) for i, q in p.items()}), es, p)
+    x = {i: as_pair(xs[i]) for i in (5, 3, 1, 2, 4)}
+    return _twist(_best_variant(x), es, x)
 
 
 def _best_variant(x):

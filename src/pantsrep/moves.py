@@ -8,6 +8,7 @@ transformation of the eigenvalue-twist parameters.
 """
 
 import cmath
+import math
 from collections import namedtuple
 
 from .projective import DegenerateInputError, _at, _trace_roots, _vanishing, sqrt_principal
@@ -50,7 +51,8 @@ def new_eigenvalue(tr, branch=None):
 
     A parabolic new curve (tr near +-2) or a trace that is not finite
     raises DegenerateInputError, and a branch that is not a finite root
-    ValueError.
+    ValueError; a finite branch whose square or residual is not finite
+    (past the float range, or NaN) is named in it.
     """
     _, e = _trace_roots(tr)
     if branch is None:
@@ -58,8 +60,16 @@ def new_eigenvalue(tr, branch=None):
             raise DegenerateInputError("trace %r is not a number" % (tr,), factor="tr^2 - 4")
         return e
     e = branch
-    if not (cmath.isfinite(e)
-            and abs(e * e - tr * e + 1) <= 1e-6 * max(1.0, abs(tr)) * max(1.0, abs(e) ** 2)):
+    if not cmath.isfinite(e):
+        raise ValueError("branch is not a root of x^2 - tr x + 1")
+    try:
+        res, m = abs(e * e - tr * e + 1), abs(e)
+    except OverflowError:  # a finite number whose modulus is past the float range
+        res = m = math.inf
+    sq = m * m  # inf past the float range, where ** would raise
+    if not (res < math.inf and sq < math.inf):
+        raise ValueError("branch %r: its square or residual e^2 - tr e + 1 is not finite" % (e,))
+    if not res <= 1e-6 * max(1.0, abs(tr)) * max(1.0, sq):
         raise ValueError("branch is not a root of x^2 - tr x + 1")
     return e
 

@@ -5,6 +5,8 @@ with gamma_1 gamma_2 gamma_3 = 1.  Given an eigenvalue e_i and a fixed point
 x_i for each rho(gamma_i), the representation is determined exactly; the
 construction below conjugates the normalized solution at (0, inf, 1) back to
 the requested fixed points, which handles infinity without special cases.
+PantsData.fixed holds (num, den) pairs: make_pants_data coerces its points
+once, and builder hands the pairs it propagates to _pants_data.
 """
 
 import math
@@ -14,25 +16,28 @@ from .projective import (
     SING_TOL,
     DegenerateInputError,
     MoebiusMap,
-    SingularMapError,
     _check_nonsingular,
     _distinct,
     _map_from_standard,
     _max_abs,
     _vanishing,
-    as_point,
+    as_pair,
 )
 
 PantsData = namedtuple("PantsData", ["eigen", "fixed"])
 
 
 def make_pants_data(eigen, fixed):
-    eigen = tuple(eigen)
-    fixed = tuple([as_point(x) for x in fixed])
+    """PantsData of three eigenvalues and three distinct points, kept as (num, den) pairs."""
+    return _pants_data(tuple(eigen), tuple([as_pair(x) for x in fixed]))
+
+
+def _pants_data(eigen, fixed):
+    """make_pants_data's checks on an eigenvalue triple and a (num, den) triple."""
     for e in eigen:
         if e == 0 or abs(e - 1) < 1e-13 or abs(e + 1) < 1e-13:
             raise DegenerateInputError("eigenvalue %r in {0, +1, -1}" % (e,), factor="e (e^2 - 1)")
-    if not _distinct(*[(x.num, x.den) for x in fixed]):
+    if not _distinct(*fixed):
         raise DegenerateInputError("fixed points coincide", factor="x_i - x_j")
     return PantsData(eigen, fixed)
 
@@ -75,32 +80,13 @@ def pants_rep(data):
     # _map_from_standard(0, inf, 1) is the identity, so this is
     # three_point_map((0, INF, 1), data.fixed), on points make_pants_data
     # has already checked
-    x1, x2, x3 = data.fixed
-    a, b, c, d = _map_from_standard((x1.num, x1.den), (x2.num, x2.den), (x3.num, x3.den))
+    a, b, c, d = _map_from_standard(*data.fixed)
     # conjugation is scale-invariant: bring the largest entry to modulus 1,
     # so det stays finite when the fixed points' homogeneous coordinates are
     # huge, then |det| to 1; the adjugate divided by det below keeps the SL
-    # property of the normalized matrices exactly.  The moduli serve
-    # _check_nonsingular's rule and _max_abs, both written out in place;
-    # a modulus past the float range goes through the two of them.
-    try:
-        adet, ma, mb, mc, md = abs(a * d - b * c), abs(a), abs(b), abs(c), abs(d)
-    except OverflowError:
-        _check_nonsingular(a, b, c, d)
-        s = _max_abs(a, b, c, d)
-    else:
-        norm = ma
-        if mb > norm:
-            norm = mb
-        if mc > norm:
-            norm = mc
-        if md > norm:
-            norm = md
-        if adet == 0 or adet < SING_TOL * norm * norm:
-            raise SingularMapError("singular matrix %r" % (((a, b), (c, d)),))
-        s = ma + mb + mc + md  # NaN exactly when a modulus is
-        if s == s:
-            s = norm
+    # property of the normalized matrices exactly
+    _check_nonsingular(a, b, c, d)
+    s = _max_abs(a, b, c, d)
     p0, p1, p2, p3 = a / s, b / s, c / s, d / s
     r = math.sqrt(abs(_vanishing(p0 * p3 - p1 * p2, "det(conj)", SING_TOL)))
     p0, p1, p2, p3 = p0 / r, p1 / r, p2 / r, p3 / r
@@ -120,7 +106,7 @@ def other_fixed_point(index, data):
         raise ValueError("index must be 1, 2 or 3")
     e1, e2, e3 = data.eigen
     yp = _normalized_other_fixed_points(e1, e2, e3)[index - 1]
-    return MoebiusMap(_map_from_standard(*[(x.num, x.den) for x in data.fixed])).apply(yp)
+    return MoebiusMap(_map_from_standard(*data.fixed)).apply(yp)
 
 
 def is_admissible_triple(e1, e2, e3, tol=1e-9):

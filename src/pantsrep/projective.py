@@ -11,8 +11,10 @@ coordinates and builder) that takes points as plain ``(num, den)`` tuples,
 matrices as row-major ``(a, b, c, d)`` tuples, and coerces nothing: for a
 2x2 matrix, an object or a numpy call per step costs many times the
 arithmetic.  The public functions coerce their points once (as_point),
-call the kernel and wrap its result.  Formulas compute in their inputs' own
-arithmetic: complex() is called only where numbers enter the package.
+call the kernel and wrap its result; below them a point is a pair
+throughout, pants.PantsData.fixed included.  Formulas compute in their
+inputs' own arithmetic: complex() is called only where numbers enter the
+package.
 numpy is imported on demand, only to accept an array, build ``.m`` or
 print a map.
 
@@ -22,12 +24,11 @@ and _ratio_point and _best_variant in coordinates): a round trip runs them
 dozens of times per point, and a Python call costs more than the determinant.
 For the same reason a few more rules are written out where the round trip
 runs them per point, each with a test that compares it with its form as
-first written: MoebiusMap's singularity rule (_check_nonsingular) in _chain
-and pants.pants_rep, which call it only for a modulus past the float range;
-_trace_roots, sqrt_principal and the (0 : 0) test of _point in
-_fixed_points_with_eigs; _max_abs in pants.pants_rep and builder._residual;
-_mul and _adj in _three_point_map; _adj and _apply in builder's
-representation, verify_relations and recover.  The builtins max(), min()
+first written: MoebiusMap's singularity rule (_check_nonsingular) in _chain,
+which calls it only for a modulus past the float range; _trace_roots,
+sqrt_principal and the (0 : 0) test of _point in _fixed_points_with_eigs;
+_max_abs in builder._residual; _mul and _adj in _three_point_map; _adj and
+_apply in builder's representation, verify_relations and recover.  The builtins max(), min()
 and sum() cost a call each, so the kernels compare and add instead, keeping
 max()'s and min()'s first argument on a tie or NaN (_max_abs, _distinct,
 _ratio_point, _best_variant, is_admissible_triple, the commutator bound).

@@ -14,6 +14,7 @@ import pytest
 from pantsrep import builder, coordinates as co, moves, surface as su
 from pantsrep.coordinates import EdgeParams
 from pantsrep.moves import Move
+from pantsrep.pants import make_pants_data, pants_rep
 from pantsrep.projective import (INF, DegenerateInputError, MoebiusMap, ProjectivePoint,
                                   SingularMapError, _adj, _apply, _at, _chain,
                                   _fixed_points_with_eigs, _max_abs)
@@ -390,6 +391,61 @@ def test_a_singular_product_names_its_relation_or_vertex(make, big, stretch, cal
         assert info.value.factor == "det"
 
 
+@pytest.mark.parametrize("scale", [1e40, 1e80])
+def test_recover_names_the_vertex_of_images_scaled_out_of_sl(scale):
+    # genus-two images scaled by 1e80: the commutator bound (|m0| |m1|)^2 lies
+    # past the float range, where squaring it with ** raised a bare
+    # OverflowError that named no vertex; squared with * it is inf, and the
+    # first vertex word's solve names its vertex, slot and factor, as at 1e40
+    surf = su.genus_two()
+    rep = builder.build(surf, sample_params(surf, np.random.default_rng(0)))
+    images = {name: MoebiusMap((m.a * scale, m.b * scale, m.c * scale, m.d * scale))
+              for name, m in rep.images.items()}
+    with pytest.raises(DegenerateInputError) as info:
+        builder.recover_coordinates(builder.SurfaceRepresentation(surf, images))
+    assert str(info.value) == "vertex 0 slot 0: fixed_points_with_eigs expects an SL-normalized map"
+    assert info.value.factor == "det - 1"
+
+
+def test_build_vertex_matrices_equal_the_public_pants_route(monkeypatch):
+    # build hands pants_rep the (num, den) pairs it propagates, through
+    # pants._pants_data; make_pants_data on the end-adjusted eigenvalues and
+    # the same points as ProjectivePoints gives the same PantsData, and
+    # pants_rep on it the same matrices, entry for entry
+    made = []
+    real = builder.pants_rep
+
+    def spy(data):
+        made.append((data, real(data)))
+        return made[-1][1]
+
+    monkeypatch.setattr(builder, "pants_rep", spy)
+    rng = np.random.default_rng(29)
+    checked = 0
+    for surf in reference_surfaces()[::3]:
+        params = sample_params(surf, rng)
+        made.clear()
+        try:
+            rep = builder.build(surf, params)
+        except ValueError:  # a product past SING_TOL on a large ribbon graph
+            continue
+        pres = surf._presentation
+        walk = [pres.root] + [far for _, _, _, _, far, _, _ in pres.walk]
+        assert len(made) == len(walk) == len(surf.graph.trivalent_vertices())
+        assert made[0][0].fixed == tuple((p.num, p.den) for p in builder.DEFAULT_BASE)
+        mats = {}
+        for vid, (data, got) in zip(walk, made):
+            es = tuple(params.eigen[i] if end == "tail" else 1 / params.eigen[i]
+                       for i, end in surf.graph.vertices[vid].incident)
+            public = make_pants_data(es, [ProjectivePoint(*x) for x in data.fixed])
+            assert same_numbers(public, data)
+            assert same_numbers([_entries(m) for m in pants_rep(public)], [_entries(m) for m in got])
+            mats[vid] = got
+        assert all(rep.images[name] is mats[vid][slot] for name, vid, slot in pres.image_slots)
+        checked += 1
+    assert checked > 30
+
+
 @pytest.mark.parametrize("make, seed", [(lambda: handle_chain(4), 5), (lambda: caterpillar(8), 39)],
                          ids=["hc4", "cat8"])
 def test_recover_inverts_band_points_with_large_vertex_words(make, seed):
@@ -694,7 +750,6 @@ def _construction_census():
                 continue
             new = taken()
             doc["build"].append([sum(type(o) is ProjectivePoint for o in new),
-                                 3 * (len(surf.graph.trivalent_vertices()) - 1),
                                  sum(type(o) is MoebiusMap for o in new), sorted(vars(rep))])
             builder.verify_relations(rep)
             for choice in ({}, {eid: -1 for eid in params.eigen}):
@@ -704,8 +759,8 @@ def _construction_census():
 
 
 def test_only_the_api_edge_makes_point_and_map_objects():
-    # build makes the three ProjectivePoints make_pants_data reads at each
-    # trivalent vertex but the root, which reuses base's, and keeps none: a
+    # build makes no ProjectivePoint (its vertices' points are the (num, den)
+    # pairs it propagates) and only its images as MoebiusMaps: a
     # representation holds its surface, its images and what it derives from
     # them; verify_relations and recover_coordinates make neither kind of object
     r = subprocess.run(
@@ -718,8 +773,7 @@ def test_only_the_api_edge_makes_point_and_map_objects():
                            "ProjectivePoint"]
     assert len(doc["build"]) > 150
     kept = sorted(["surface", "presentation", "images", "_letters", "_spectra"])
-    assert all(points == per_vertex and maps > 0 and names == kept
-               for points, per_vertex, maps, names in doc["build"])
+    assert all(points == 0 and maps > 0 and names == kept for points, maps, names in doc["build"])
     assert doc["later"] == [0] * len(doc["build"])
 
 
@@ -823,7 +877,8 @@ def _reference_recover(rep, eigen_choice, tol):
             comm = _chain((q, _adj(p), _adj(q)), p)
         except SingularMapError as ex:
             raise _at("vertex %r" % (keys[0][0],), ex)
-        if abs(comm[0] + comm[3] - 2) <= max(tol, builder._COMM_TOL * (_max_abs(*p) * _max_abs(*q)) ** 2):
+        gap, scale = abs(comm[0] + comm[3] - 2), _max_abs(*p) * _max_abs(*q)
+        if gap <= max(tol, builder._COMM_TOL * (scale * scale)):
             raise DegenerateInputError(
                 "reducible restriction at vertex %r" % (keys[0][0],), factor="tr[m,m']-2")
         for key in keys:
@@ -923,5 +978,5 @@ def test_the_round_trip_calls_no_more_helpers_than_measured():
     assert r.returncode == 0, r.stderr[-2000:]
     doc = json.loads(r.stdout)
     assert doc.keys() == _CENSUS_POINTS.keys()
-    ceilings = {"four_holed": 101, "one_holed": 85, "genus_two": 180}
+    ceilings = {"four_holed": 88, "one_holed": 82, "genus_two": 167}
     assert all(doc[name] <= ceilings[name] for name in ceilings), doc

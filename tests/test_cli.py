@@ -453,6 +453,30 @@ def test_act_inadmissible_sign_vector_is_a_domain_error(four_holed_files, capsys
     assert out["error"] == "domain" and out["detail"] == "sign vector [1] is not admissible", out
 
 
+@pytest.mark.parametrize("branch, detail", [
+    (None, None),
+    ("1e10,0", "branch is not a root of x^2 - tr x + 1"),
+    ("1e200,0", "branch (1e+200+0j): its square or residual e^2 - tr e + 1 is not finite"),
+], ids=["default", "not-a-root", "square-overflows"])
+def test_elementary_move_on_the_example_takes_or_names_its_branch(tmp_path, capsys, branch, detail):
+    # a branch whose square overflows is a domain error that names it, like
+    # a finite branch that is no root; it was a numeric error (exit 4)
+    # whose detail was an errno tuple
+    assert cli.main(["example", "four-holed"]) == 0
+    doc = strict_json(capsys.readouterr().out)
+    spath, ppath = tmp_path / "surface.json", tmp_path / "params.json"
+    spath.write_text(json.dumps(doc["surface"]))
+    ppath.write_text(json.dumps(doc["params"]))
+    argv = ["move", "--surface", str(spath), "--params", str(ppath), "--kind", "elem", "--target", "1"]
+    if branch is None:
+        assert cli.main(argv) == 0
+        assert strict_json(capsys.readouterr().out).keys() == {"surface", "params"}
+    else:
+        assert cli.main(argv + ["--branch", branch]) == 3
+        out, err = capsys.readouterr()
+        assert strict_json(out) == {"error": "domain", "detail": detail} and err == ""
+
+
 @pytest.mark.parametrize("part, key, value", [
     ("eigen", "2", "x"), ("eigen", "2", [float("nan"), 0.0]), ("eigen", "2", [1.0, float("inf")]),
     ("eigen", "2", [1.0]), ("eigen", "2", [True, 0.0]), ("eigen", "2", None),

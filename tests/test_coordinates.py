@@ -280,12 +280,13 @@ def test_best_twist_picks_the_reference_variant(monkeypatch):
     rng = np.random.default_rng(404)
     chosen = []
     real = co.twist_from_fixed_points
+    pick = co._best_variant
 
-    def spy(variant, es, xs):
-        chosen.append(variant)
-        return real(variant, es, xs)
+    def spy(x):
+        chosen.append(pick(x))
+        return chosen[-1]
 
-    monkeypatch.setattr(co, "twist_from_fixed_points", spy)
+    monkeypatch.setattr(co, "_best_variant", spy)
 
     def point(kind):
         z = rand_c(rng)

@@ -211,6 +211,24 @@ def test_new_eigenvalue_refuses_a_non_finite_branch(branch):
     assert (info.type, str(info.value)) == (ValueError, "branch is not a root of x^2 - tr x + 1")
 
 
+@pytest.mark.parametrize("tr, branch", [
+    (3, 1e200), (3, -1e160), (3, complex(1e200, 0)), (3, complex(0, 1e155)),
+    (3, complex(1.37e154, 0.55e154)), (3, complex(1.5e308, 1.5e308)), (complex(math.nan, 0), 2.0),
+], ids=["float", "minus-float", "complex", "imag", "square-modulus", "modulus", "nan-trace"])
+def test_new_eigenvalue_names_a_branch_whose_square_or_residual_is_not_finite(tr, branch):
+    # a finite branch whose square or residual lies past the float range, or
+    # is NaN, is refused and named, where abs(e) ** 2 raised a bare
+    # OverflowError.  abs() of the "modulus" branch itself overflows, and the
+    # square of "square-modulus" has finite parts but a modulus past the
+    # float range
+    with pytest.raises(ValueError) as info:
+        moves.new_eigenvalue(tr, branch)
+    assert (info.type, str(info.value)) == (
+        ValueError, "branch %r: its square or residual e^2 - tr e + 1 is not finite" % (branch,))
+    # a large root whose square is still finite is a root
+    assert moves.new_eigenvalue(1e150, 1e150) == 1e150
+
+
 def test_new_eigenvalue_has_no_cancellation():
     # the small root is the inverse of the large one, which is formed
     # without cancellation

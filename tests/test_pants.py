@@ -54,6 +54,7 @@ def test_fixed_points_and_eigenvalues():
         data = random_data()
         mats = pants_rep(data)
         for m, e, x in zip(mats, data.eigen, data.fixed):
+            x = ProjectivePoint(*x)
             assert m.apply(x).same_as(x, tol=1e-8)
             assert abs(m.trace() - (e + 1 / e)) < 1e-8
 
@@ -75,7 +76,7 @@ def test_other_fixed_point():
             y = other_fixed_point(i, data)
             m = mats[i - 1]
             assert m.apply(y).same_as(y, tol=1e-7)
-            assert not y.same_as(data.fixed[i - 1], tol=1e-6)
+            assert not y.same_as(ProjectivePoint(*data.fixed[i - 1]), tol=1e-6)
     with pytest.raises(ValueError) as info:
         other_fixed_point(4, data)
     assert (info.type, str(info.value)) == (ValueError, "index must be 1, 2 or 3")
@@ -107,7 +108,7 @@ def _reference_pants_rep(data):
     """pants_rep as first written: the conjugation through two _mul products."""
     e1, e2, e3 = data.eigen
     mats = pants._normalized_matrices(e1, e2, e3)
-    a, b, c, d = pants._map_from_standard(*[(x.num, x.den) for x in data.fixed])
+    a, b, c, d = pants._map_from_standard(*data.fixed)
     _check_nonsingular(a, b, c, d)
     s = _max_abs(a, b, c, d)
     p0, p1, p2, p3 = a / s, b / s, c / s, d / s
@@ -224,8 +225,9 @@ def test_admissible_triple_equals_the_four_pair_loop():
 ], ids=["overflow", "overflow-singular", "overflow-det", "nan-a", "nan-b", "singular",
         "underflow", "huge"])
 def test_pants_rep_conjugation_check_equals_the_reference(monkeypatch, conj):
-    # pants_rep tests the conjugating map and scales it by its largest
-    # modulus in place; these maps reach each branch of that test
+    # pants_rep tests the conjugating map (_check_nonsingular) and scales it
+    # by its largest modulus (_max_abs); these maps reach each branch of
+    # those two rules
     monkeypatch.setattr(pants, "_map_from_standard", lambda *fixed: conj)
     data = make_pants_data((2, 3j, -1.5 + 1j), (0, INF, 1))
     assert same_outcome(_entries(pants_rep), _entries(_reference_pants_rep), data)

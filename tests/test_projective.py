@@ -386,7 +386,7 @@ def test_scalar_pants_rep_matches_numpy():
             np.array([[e3 + 1 / e3 - e2 / e1, (e2 - e1 / e3) / e1],
                       [(e1 * e3 - e2) / e1, e2 / e1]]),
         ]
-        conj = three_point_map((0, INF, 1), data.fixed).m
+        conj = three_point_map((0, INF, 1), [ProjectivePoint(*x) for x in data.fixed]).m
         a = conj / np.sqrt(np.abs(np.linalg.det(conj)))
         ainv = np.linalg.inv(a)
         got = pants_rep(data)
