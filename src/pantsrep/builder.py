@@ -82,11 +82,6 @@ def _word(table, word):
     return _chain(factors, next(factors))
 
 
-def _from_slot(triple, s):
-    """A slot-ordered triple read counterclockwise from slot s."""
-    return triple[s], triple[(s + 1) % 3], triple[(s + 2) % 3]
-
-
 def _vertex_points(pres, eigen, twist, base):
     """Fixed-point triples at every trivalent vertex, by one walk of the tree.
 
@@ -96,9 +91,9 @@ def _vertex_points(pres, eigen, twist, base):
     """
     points = {pres.root: tuple(base)}
     for eid, nbrs, near, sn, far, sf, forward in pres.walk:
+        t = points[near]
         try:
-            xs = _across(_picture_es(eigen, eid, nbrs), twist[eid],
-                         _from_slot(points[near], sn), forward)
+            xs = _across(_picture_es(eigen, eid, nbrs), twist[eid], t[sn:] + t[:sn], forward)
         except ValueError as ex:
             raise _at("edge %r" % (eid,), ex)
         points[far] = xs[3 - sf:] + xs[:3 - sf]  # slot order, from xs read at slot sf
@@ -144,10 +139,9 @@ def build(surface, params, base=None):
     for eid, name, (v, sv), (w, sw), nbrs in pres.letters:
         # b_i carries the head-side triple to its translate across the edge
         try:
-            target = _across(_picture_es(eigen, eid, nbrs), twist[eid],
-                             _from_slot(pairs[v], sv), True)
+            target = _across(_picture_es(eigen, eid, nbrs), twist[eid], pairs[v][sv:] + pairs[v][:sv], True)
             images[name] = MoebiusMap(
-                _sl_normalize(*_three_point_map(_from_slot(pairs[w], sw), target)))
+                _sl_normalize(*_three_point_map(pairs[w][sw:] + pairs[w][:sw], target)))
         except ValueError as ex:
             raise _at("edge %r (%s)" % (eid, name), ex)
     return SurfaceRepresentation(surface, images)

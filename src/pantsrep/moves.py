@@ -207,7 +207,14 @@ def apply_move(surface, params, move):
 def _relabelled(surface, params, data):
     """Type IV: every record, the tree and the parameters relabelled by the
     "vertices" and "edges" maps of data (an id neither maps is kept)."""
+    if data is None:
+        raise ValueError('an auto move needs data: a "vertices" or an "edges" map')
     vperm, eperm, graph = data.get("vertices", {}), data.get("edges", {}), surface.graph
+    for key, perm, ids in (("vertices", vperm, graph.vertices), ("edges", eperm, graph.edges)):
+        new = [perm.get(i, i) for i in ids]
+        if len(set(new)) < len(new):
+            raise ValueError("the %s map is not injective: the surface's ids %s collide"
+                             % (key, [i for i, j in zip(ids, new) if new.count(j) > 1]))
     # a relabelling changes every record, so the graph is built anew
     new_graph = FatGraph(
         [Vertex(vperm.get(v.id, v.id), v.kind,

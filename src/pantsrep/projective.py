@@ -491,20 +491,27 @@ def _fixed_points_with_eigs(a, b, c, d, tol):
         raise DegenerateInputError("fixed_points_with_eigs expects an SL-normalized map",
                                    factor="det - 1")
     tr = a + d
-    scale = abs(tr)
+    try:
+        scale = abs(tr)
+    except OverflowError:
+        scale = math.inf
     scale = scale * scale
     if not scale > 1.0:  # max(1.0, |tr|^2), NaN included
         scale = 1.0
-    w = cmath.sqrt(_vanishing(tr * tr - 4, "tr^2 - 4", tol * scale))
-    if w.imag < 0 or (w.imag == 0 and w.real < 0):
-        w = -w
-    plus, minus = (tr + w) / 2, (tr - w) / 2
-    size = abs(plus)
-    if size >= abs(minus):
-        e, other = plus, 1 / plus
-    else:
-        e, other = 1 / minus, minus
+    if scale == math.inf and cmath.isfinite(tr):  # tr^2 past the float range: rare, left to _trace_roots
+        e, other = _trace_roots(tr)
         size = abs(e)
+    else:
+        w = cmath.sqrt(_vanishing(tr * tr - 4, "tr^2 - 4", tol * scale))
+        if w.imag < 0 or (w.imag == 0 and w.real < 0):
+            w = -w
+        plus, minus = (tr + w) / 2, (tr - w) / 2
+        size = abs(plus)
+        if size >= abs(minus):
+            e, other = plus, 1 / plus
+        else:
+            e, other = 1 / minus, minus
+            size = abs(e)
     if size < 1 or (abs(size - 1) <= 1e-12 and not (0 <= cmath.phase(e) < math.pi)):
         e = other
     # x for e, then y for 1/e, solve (a - lam) u + b v = 0: of the candidate rows
@@ -530,7 +537,14 @@ def _trace_roots(tr, tol=1e-9):
     inverse (the roots multiply to 1), so neither loses digits to
     cancellation.  A nearly double root, tr near +-2, raises.
     """
-    w = sqrt_principal(_vanishing(tr * tr - 4, "tr^2 - 4", tol * max(1.0, abs(tr) * abs(tr))))
+    try:
+        scale = abs(tr)
+    except OverflowError:  # a finite complex trace whose modulus is past the float range
+        scale = math.inf
+    if scale * scale == math.inf and cmath.isfinite(tr):  # the roots are tr and 1/tr to double precision
+        inv = 0.25 / (0.25 * tr)  # 1 / tr, kept off the overflow of complex division
+        return (inv, tr) if tr.imag < 0 or (tr.imag == 0 and tr.real < 0) else (tr, inv)
+    w = sqrt_principal(_vanishing(tr * tr - 4, "tr^2 - 4", tol * max(1.0, scale * scale)))
     plus, minus = (tr + w) / 2, (tr - w) / 2
     if abs(plus) >= abs(minus):
         return plus, 1 / plus

@@ -228,12 +228,17 @@ class Presentation:
     'd1'..'db' the boundary loops (boundary edges in id order).  Words are
     tuples of (name, +-1); vertex_words maps (vertex id, slot) to a word.
 
-    The walk that reads off the relation also compiles what build,
+    One depth-first walk of the tree departs the lowest trivalent vertex
+    through slots 0, 1, 2, and a vertex it arrives at through slot s
+    through slots s+1, then s+2; the generators of the slots off the tree
+    it meets spell the S_0 relation.  It compiles what build,
     verify_relations and recover_coordinates read of the graph:
     - root, walk: the root vertex and one step (edge, neighbor slots, near
       vertex, near slot, far vertex, far slot, forward) per interior tree
-      edge, each after the step that reaches its near vertex; the far
-      slot's vertex word is the inverse of the near slot's;
+      edge, each after the step that reaches its near vertex;
+    - vertex_words, relation: a slot off the tree is its generator, a tree
+      slot the two words beyond its edge joined, the far slot facing back
+      that word's inverse; the relation joins the root's three words;
     - visits: per vertex in walk order, its three (vertex, slot) keys, the
       key of the slot facing the root and the near key that slot faces
       (both None at the root);
@@ -271,43 +276,25 @@ class Presentation:
             gen[(eid, "tail" if uni_head else "head")] = "d%d" % j
         self.image_slots = tuple((name,) + graph.slot_of[key] for key, name in gen.items())
         pictures = {f: _picture_slots(graph, f) for f in graph.interior_edges()}
-        vertex_words = self.vertex_words = {}
-        walk = []
-
-        def excursion(vid, s):
-            """Generators emitted while departing vertex vid through slot s.
-
-            The walk keeps an explicit stack, so a deep tree cannot overflow
-            the call stack; departures come in depth-first order.  A task
-            with a far end (wid, sw) joins the two words beyond that tree edge.
-            """
-            todo, words = [(vid, s, None)], []
-            while todo:
-                vid, s, far = todo.pop()
-                if far is not None:
-                    word = words.pop(-2) + words.pop()
-                    vertex_words[far] = inverse_word(word)
-                else:
-                    eid, end = graph.slot(vid, s)
-                    name = gen.get((eid, end))
-                    if name is None:
-                        # cross a tree edge; the slot it arrives through faces
-                        # back toward the root: m_sw = (m_(sw+1) m_(sw+2))^-1
-                        wid, sw = far = graph.slot_of[(eid, "head" if end == "tail" else "tail")]
-                        walk.append((eid, pictures[eid][2], vid, s, wid, sw, end == "tail"))
-                        todo += [(vid, s, far), (wid, (sw + 2) % 3, None), (wid, (sw + 1) % 3, None)]
-                        continue
-                    word = ((name, 1),)
-                vertex_words[(vid, s)] = word
-                words.append(word)
-            return words.pop()
-
         self.root = root = min(graph.trivalent_vertices())
-        self.relation = excursion(root, 0) + excursion(root, 1) + excursion(root, 2)
-        self.walk = tuple(walk)
-        visits = [(root, None, None)] + [(w, (w, sw), (v, sv)) for _, _, v, sv, w, sw, _ in walk]
-        self.visits = tuple((((vid, 0), (vid, 1), (vid, 2)), facing, near)
-                            for vid, facing, near in visits)
+        # depth first on an explicit stack, so a deep tree cannot overflow the call stack
+        walk, visits = [], [(((root, 0), (root, 1), (root, 2)), None, None)]
+        todo = [(root, 2), (root, 1), (root, 0)]
+        while todo:
+            vid, s = todo.pop()
+            eid, end = graph.vertices[vid].incident[s]
+            if (eid, end) not in gen:
+                wid, sw = graph.slot_of[(eid, "head" if end == "tail" else "tail")]
+                walk.append((eid, pictures[eid][2], vid, s, wid, sw, end == "tail"))
+                visits.append((((wid, 0), (wid, 1), (wid, 2)), (wid, sw), (vid, s)))
+                todo += [(wid, (sw + 2) % 3), (wid, (sw + 1) % 3)]
+        self.walk, self.visits = tuple(walk), tuple(visits)
+        # deepest step first: the two words beyond a tree edge are built before it
+        words = self.vertex_words = {graph.slot_of[key]: ((name, 1),) for key, name in gen.items()}
+        for _, _, v, sv, w, sw, _ in reversed(walk):
+            words[(v, sv)] = words[(w, (sw + 1) % 3)] + words[(w, (sw + 2) % 3)]
+            words[(w, sw)] = inverse_word(words[(v, sv)])
+        self.relation = words[(root, 0)] + words[(root, 1)] + words[(root, 2)]
         # the HNN relations a_(g+i)^-1 = b_i^-1 a_i b_i, and the substitution
         # that eliminates a_(g+i) from the one relator
         hnn, sub = [], {}
@@ -346,13 +333,10 @@ def inverse_word(word):
 def presentation(surface, tree):
     """Derive the presentation by walking the fattened-tree boundary.
 
-    The walk starts at the lowest trivalent vertex id, departs through
-    slot 0, and after arriving at a vertex through slot s departs through
-    slot s+1.  Each complement-edge stub or univalent vertex encountered
-    emits a generator; the emitted sequence is the S_0 relation.  A tree
-    that is not a spanning tree of the graph raises ValueError.  Each call
-    compiles afresh; surface._presentation is the one compiled on the
-    surface's own tree.
+    The walk, the generators it meets and the words they build are as in
+    Presentation.  A tree that is not a spanning tree of the graph raises
+    ValueError.  Each call compiles afresh; surface._presentation is the
+    one compiled on the surface's own tree.
     """
     return Presentation(surface, tree)
 

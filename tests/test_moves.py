@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pantsrep import builder, coordinates as co, fuchsian as fu, moves, surface as su, symmetry
+from pantsrep import builder, coordinates as co, fuchsian as fu, moves, projective, surface as su, symmetry
 from pantsrep.coordinates import EdgeParams
 from pantsrep.moves import Move, apply_move
 from pantsrep.projective import DegenerateInputError, _at, sqrt_principal
@@ -184,6 +184,50 @@ def test_auto_move_relabels():
     assert p1.eigen[2] == params.eigen[3]
     assert p1.eigen[3] == params.eigen[2]
     assert su.validate(s1) == []
+
+
+def test_auto_move_needs_its_maps():
+    surf = su.genus_two()
+    with pytest.raises(ValueError) as info:
+        apply_move(surf, sample_params(surf, RNG), Move("auto", None))
+    assert (info.type, str(info.value)) == (ValueError, 'an auto move needs data: a "vertices" or an "edges" map')
+
+
+@pytest.mark.parametrize("data, named", [
+    ({"vertices": {0: 1}}, "the vertices map is not injective: the surface's ids [0, 1] collide"),
+    ({"edges": {1: 2}}, "the edges map is not injective: the surface's ids [1, 2] collide"),
+    ({"vertices": {0: 1, 1: 0}, "edges": {1: 3, 2: 3}},
+     "the edges map is not injective: the surface's ids [1, 2, 3] collide"),
+], ids=["vertex", "edge", "three-edges"])
+def test_auto_move_refuses_a_map_that_sends_two_ids_to_one(data, named):
+    # such a map made a surface that validate refuses: a vertex of genus_two
+    # lost, or edge 1 dropped with its eigenvalue and twist
+    surf = su.genus_two()
+    with pytest.raises(ValueError) as info:
+        apply_move(surf, sample_params(surf, RNG), Move("auto", None, data=data))
+    assert (info.type, str(info.value)) == (ValueError, named)
+
+
+def test_auto_move_ignores_a_key_that_is_no_id_of_the_surface():
+    # only the surface's ids are relabelled, so key 7 cannot collide with 1 -> 0
+    surf = su.genus_two()
+    s1, _ = apply_move(surf, sample_params(surf, RNG), Move("auto", None, data={"vertices": {0: 1, 1: 0, 7: 0}}))
+    assert su.validate(s1) == []
+
+
+@pytest.mark.parametrize("unit, size", [(1, 1e300), (-1, 1e300), (1, 2e154), (-1j, 2e154),
+                                        (1 + 1j, 1.5e308), (-1.2 + 0.5j, 1.2e154), (1 - 1j, 1e200)])
+def test_new_eigenvalue_solves_a_trace_whose_square_is_past_the_float_range(unit, size):
+    # the roots are tr and 1/tr to double precision, and the default root
+    # is still (tr - sqrt(tr^2 - 4)) / 2: the same one of the two as at a
+    # trace of the same argument whose square is finite
+    tr = unit * size
+    plus, minus = projective._trace_roots(tr)
+    assert complex(tr) in (plus, minus)
+    assert abs(plus * minus - 1) < 1e-15
+    e = moves.new_eigenvalue(tr)
+    assert e == minus
+    assert (e == tr) == (abs(moves.new_eigenvalue(unit * 1e150)) > 1)
 
 
 def test_new_eigenvalue_branches():

@@ -459,10 +459,10 @@ def test_huge_entries_do_not_raise_overflow():
         MoebiusMap(form)
     with pytest.raises(SingularMapError):
         MoebiusMap((1e150, 1e150, 1e150, 1e150))
-    # a NaN determinant passes the SL check; the huge trace then reads as
-    # parabolic instead of overflowing
-    with pytest.raises(DegenerateInputError):
-        fixed_points_with_eigs(MoebiusMap((1e200, float("nan"), 0, 1)))
+    # a NaN determinant passes the SL check; the huge trace's roots are
+    # 1e200 and 1e-200, and the NaN entry reaches both fixed points
+    x, e, y = fixed_points_with_eigs(MoebiusMap((1e200, float("nan"), 0, 1)))
+    assert e == 1e200 and math.isnan(x.num.real) and math.isnan(y.num.real)
 
 
 def test_nan_entries_propagate_like_numpy():
@@ -619,6 +619,20 @@ def test_fixed_points_with_eigs_equals_its_reference_at_the_edges():
         for tol in (0.0, 1e-9, 1e-3):
             assert same_outcome(projective._fixed_points_with_eigs,
                                 _reference_fixed_points_with_eigs, *m, tol), m
+
+
+@pytest.mark.parametrize("entries, e", [
+    ((1e200, 0j, 0j, 1e-200), 1e200), ((1e-200, 0j, 0j, 1e200), 1e200),
+    ((-1e300, 0j, 0j, -1e-300), -1e300), ((1e160j, 0j, 0j, -1e-160j), 1e160j),
+])
+def test_fixed_points_of_a_trace_whose_square_is_past_the_float_range(entries, e):
+    # the eigenvalue is the trace, where tr^2 - 4 = inf was read as a vanishing
+    # factor, and the fixed points are the two coordinate axes
+    a, b, c, d = entries
+    x, got, y = projective._fixed_points_with_eigs(*entries, 1e-9)
+    assert got == e
+    assert (x[1] == 0) == (y[0] == 0) == (abs(a) > abs(d))
+    assert (x[0] == 0) == (y[1] == 0) == (abs(a) < abs(d))
 
 
 def test_the_edge_maps_reach_every_outcome_of_the_spectrum_solve():

@@ -20,7 +20,8 @@ from pantsrep.surface import (
     validate,
 )
 
-from helpers import caterpillar, handle_chain, reference_surfaces, ribbon_graphs, sample_params
+from helpers import (caterpillar, handle_chain, random_ribbon_graph, reference_surfaces, ribbon_graphs,
+                     sample_params)
 
 
 def test_fixtures_validate():
@@ -371,6 +372,84 @@ def test_a_deep_tree_compiles():
     pres = presentation(surf, maximal_tree(surf))
     assert len(pres.walk) == 997
     assert sorted(name for name, _ in pres.one_relator()) == sorted(pres.delta)
+
+
+def _reference_presentation(surface, tree):
+    """The presentation as first compiled: the walk, the vertex words and the
+    relation read together by one excursion, whose stack mixes crossing a
+    tree edge with joining the last two words; every other field as compiled
+    now, and the fields read off the walk and the relation recomputed."""
+    pres = presentation(surface, tree)
+    graph, g = surface.graph, surface.genus
+    gen = {}
+    for i, eid in enumerate(pres.u_edges, start=1):
+        gen[(eid, "tail")], gen[(eid, "head")] = "a%d" % i, "a%d" % (g + i)
+    for j, eid in enumerate(graph.boundary_edges(), start=1):
+        uni_head = graph.vertices[graph.edges[eid].head].kind == "uni"
+        gen[(eid, "tail" if uni_head else "head")] = "d%d" % j
+    vertex_words, walk = {}, []
+
+    def excursion(vid, s):
+        todo, words = [(vid, s, None)], []
+        while todo:
+            vid, s, far = todo.pop()
+            if far is not None:
+                word = words.pop(-2) + words.pop()
+                vertex_words[far] = inverse_word(word)
+            else:
+                eid, end = graph.slot(vid, s)
+                name = gen.get((eid, end))
+                if name is None:
+                    wid, sw = far = graph.slot_of[(eid, "head" if end == "tail" else "tail")]
+                    walk.append((eid, su._picture_slots(graph, eid)[2], vid, s, wid, sw, end == "tail"))
+                    todo += [(vid, s, far), (wid, (sw + 2) % 3, None), (wid, (sw + 1) % 3, None)]
+                    continue
+                word = ((name, 1),)
+            vertex_words[(vid, s)] = word
+            words.append(word)
+        return words.pop()
+
+    root = min(graph.trivalent_vertices())
+    relation = excursion(root, 0) + excursion(root, 1) + excursion(root, 2)
+    visits = [(root, None, None)] + [(w, (w, sw), (v, sv)) for _, _, v, sv, w, sw, _ in walk]
+    sub = {}
+    for ((agi, _),), rhs in pres.hnn:
+        sub[(agi, -1)], sub[(agi, 1)] = rhs, inverse_word(rhs)
+    ref = su.Presentation.__new__(su.Presentation)
+    ref.__dict__.update(
+        vars(pres), root=root, walk=tuple(walk), vertex_words=vertex_words, relation=relation,
+        visits=tuple((((vid, 0), (vid, 1), (vid, 2)), facing, near) for vid, facing, near in visits),
+        _relator=tuple(x for letter in relation for x in sub.get(letter, (letter,))))
+    return ref
+
+
+def _large_surfaces():
+    """hc64, cat128, cat1000 and seeded ribbon graphs of 20-40 pants."""
+    sizes = [(20, 0), (26, 2), (33, 3), (40, 4), (37, 1)]
+    return [handle_chain(64), caterpillar(128), caterpillar(1000)] + [
+        random_ribbon_graph(random.Random(seed), *size) for seed, size in enumerate(sizes)]
+
+
+def test_presentation_equals_its_excursion_form():
+    for surf in reference_surfaces() + _large_surfaces():
+        tree = surf.tree if surf.tree is not None else maximal_tree(surf)
+        pres, ref = presentation(surf, tree), _reference_presentation(surf, tree)
+        # vertex_words compares as a dict: its insertion order is not kept
+        assert vars(pres) == vars(ref)
+
+
+def test_each_vertex_word_is_built_from_the_two_words_beyond_its_edge():
+    for surf in reference_surfaces() + _large_surfaces()[:2]:
+        pres = presentation(surf, surf.tree if surf.tree is not None else maximal_tree(surf))
+        words = pres.vertex_words
+        assert set(words) == {(vid, s) for vid in surf.graph.trivalent_vertices() for s in range(3)}
+        for name, vid, s in pres.image_slots:
+            assert words[(vid, s)] == ((name, 1),)
+        for _, _, v, sv, w, sw, _ in pres.walk:
+            assert words[(v, sv)] == words[(w, (sw + 1) % 3)] + words[(w, (sw + 2) % 3)]
+            assert words[(w, sw)] == inverse_word(words[(v, sv)])
+        root = pres.root
+        assert pres.relation == words[(root, 0)] + words[(root, 1)] + words[(root, 2)]
 
 
 def _hc2():
